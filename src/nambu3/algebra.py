@@ -27,13 +27,11 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from fractions import Fraction
-from typing import Callable, Iterable, NamedTuple, Optional, Tuple
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .errors import IndexOverflow
-from .linear import LinComb
+from .linear import LinComb, accumulate
 from .reports import DefectEntry, DefectReport
-from .scalar import Scalar
 
 INDEX_LIMIT = 1 << 40
 
@@ -86,11 +84,7 @@ def assoc_mul(x: AlgElem, y: AlgElem) -> AlgElem:
             if kx.kind != ky.kind:
                 continue
             key = BasisKey(kx.kind, _check_index(kx.index + ky.index))
-            tot = acc.get(key, Scalar(0)) + cx * cy
-            if tot.is_zero:
-                acc.pop(key, None)
-            else:
-                acc[key] = tot
+            accumulate(acc, key, cx * cy)
     return AlgElem(acc)
 
 
@@ -152,11 +146,7 @@ def trilinear(key_fn: Callable) -> Callable:
                     if hit is None:
                         continue
                     coeff, key = hit
-                    tot = acc.get(key, Scalar(0)) + cxy * cz * coeff
-                    if tot.is_zero:
-                        acc.pop(key, None)
-                    else:
-                        acc[key] = tot
+                    accumulate(acc, key, cxy * cz * coeff)
         return AlgElem(acc)
 
     return apply
@@ -254,14 +244,15 @@ def _fi_scan(first_keys: tuple, keys: tuple, kb: Optional[Callable]) -> list:
     return entries
 
 
-def _resolve_parallelism(parallelism: int, grid: int) -> int:
+def _resolve_parallelism(parallelism: int, grid: int, chunks: int) -> int:
+    # never more workers than CPUs or non-empty chunks; 0 means auto
     if parallelism == 1:
         return 1
     if parallelism == 0:
         if grid < 50000:
             return 1
-        return min(os.cpu_count() or 1, 8)
-    return parallelism
+        parallelism = 8
+    return max(1, min(parallelism, os.cpu_count() or 1, chunks))
 
 
 def check_fundamental(window: Iterable[int] = DEFAULT_FI_WINDOW,
@@ -275,7 +266,7 @@ def check_fundamental(window: Iterable[int] = DEFAULT_FI_WINDOW,
     """
     keys = _window_keys(window)
     cases = len(keys) ** 5
-    workers = _resolve_parallelism(parallelism, cases)
+    workers = _resolve_parallelism(parallelism, cases, len(keys))
     if key_bracket is not None or workers <= 1:
         entries = _fi_scan(keys, keys, key_bracket)
     else:
@@ -283,7 +274,7 @@ def check_fundamental(window: Iterable[int] = DEFAULT_FI_WINDOW,
         entries = []
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_fi_scan, chunk, keys, None)
-                       for chunk in chunks if chunk]
+                       for chunk in chunks]
             for fut in futures:
                 entries.extend(fut.result())
     return DefectReport("fundamental-identity", cases, entries)

@@ -2,7 +2,9 @@
 
 Subcommands: ``bracket``, ``check``, ``decompose``, ``orbit``, ``weights``.
 Exit codes are a contract: 0 when the expected verdict holds, 1 when a
-check lands on an unexpected verdict, 2 for parse or configuration errors.
+check lands on an unexpected verdict, 2 for parse or configuration errors
+and for inputs the exact arithmetic refuses (index, exponent or window out of
+bounds), each reported as one ``error:`` line on stderr.
 
 ``check pullback-phi`` inverts the usual convention on purpose: that suite
 documents a designed failure, so finding the nonzero defect is the expected
@@ -30,14 +32,14 @@ from typing import Optional
 from .algebra import bracket, bracket_det, check_fundamental
 from .derivations import (check_pqxz_table, deriv_equal, deriv_to_pqxz,
                           pqxz_to_deriv)
-from .errors import ConfigError, NotAModule, NotEigenvector, ParseError
+from .errors import (ConfigError, ExponentOverflow, IndexOverflow, NotAModule,
+                     NotEigenvector, ParseError, WindowTooSmall, ZeroDivisor)
 from .parsing import parse_deriv, parse_elem, parse_weight_key
-from .repmod import (ModVec, check_induced, check_lie_module,
-                     check_tri_axiom1, check_tri_axiom2, counterexample_phi,
-                     orbit_probe, pullback_candidate, shift_action,
-                     weight_action, weight_key, weight_report,
+from .repmod import (ModVec, _within_parameter_gate, check_induced,
+                     check_lie_module, check_tri_axiom1, check_tri_axiom2,
+                     counterexample_phi, orbit_probe, pullback_candidate,
+                     shift_action, weight_action, weight_key, weight_report,
                      zero_twist_action)
-from .scalar import MU, Scalar, divides
 
 PARALLELISM_ENV = "NAMBU3_PARALLELISM"
 
@@ -153,10 +155,6 @@ def _emit_check(report, config, extra_text=(), expect_pass=True) -> None:
         print("verdict:", "pass" if report.passed else "FAIL")
 
 
-def _vec_divisible(vec: ModVec, d: Scalar) -> bool:
-    return all(divides(d, c) for _, c in vec.items())
-
-
 # -- subcommands -------------------------------------------------------------
 
 
@@ -205,10 +203,7 @@ def cmd_check(args) -> int:
         report = r1.merged_with(r2, "module-t")
         extra = []
         if config.mu is None:
-            gate = Scalar(MU) ** 2 - Scalar(MU)
-            divisible = (r1.passed and
-                         all(_vec_divisible(e.defect, gate)
-                             for e in r2.entries))
+            divisible = _within_parameter_gate(action, report)
             extra.append("all defects divisible by mu^2 - mu: "
                          + ("yes" if divisible else "NO"))
             ok = divisible
@@ -459,7 +454,8 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.func(args)
-    except (ParseError, ConfigError) as exc:
+    except (ParseError, ConfigError, IndexOverflow, ExponentOverflow,
+            WindowTooSmall, ZeroDivisor) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

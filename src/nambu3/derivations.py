@@ -32,11 +32,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple
 
 from .algebra import AlgElem, BasisKey, L, M, _check_index, bracket_keys
 from .errors import WindowTooSmall
-from .linear import LinComb
+from .linear import LinComb, accumulate
 from .reports import DefectEntry, DefectReport
 from .scalar import Scalar
 
@@ -117,11 +117,7 @@ def ad_apply(d: DerivExpr, x: AlgElem) -> AlgElem:
             if hit is None:
                 continue
             coeff, out_key = hit
-            tot = acc.get(out_key, Scalar(0)) + c * ck * coeff
-            if tot.is_zero:
-                acc.pop(out_key, None)
-            else:
-                acc[out_key] = tot
+            accumulate(acc, out_key, c * ck * coeff)
     return AlgElem(acc)
 
 
@@ -162,14 +158,6 @@ def pqxz_to_deriv(b) -> DerivExpr:
 def deriv_to_pqxz(d: DerivExpr) -> PqxzElem:
     """Decompose a rational-coefficient DerivExpr over the generator basis."""
     acc: dict = {}
-
-    def add(key: PqxzKey, c: Fraction) -> None:
-        tot = acc.get(key, Fraction(0)) + c
-        if tot:
-            acc[key] = tot
-        else:
-            acc.pop(key, None)
-
     for (u, v), coeff in d._terms.items():
         if not coeff.is_rational:
             raise ValueError(
@@ -178,12 +166,12 @@ def deriv_to_pqxz(d: DerivExpr) -> PqxzElem:
         c = coeff.as_rational
         r, s = u.index, v.index
         if u.kind == "L" and v.kind == "L":
-            add(X(r + s), c * (r - s))
+            accumulate(acc, X(r + s), c * (r - s))
         elif u.kind == "M" and v.kind == "M":
-            add(Z(-(r + s)), c * (r - s))
+            accumulate(acc, Z(-(r + s)), c * (r - s))
         else:
-            add(P(r - s), c)
-            add(Q(r - s), -c * Fraction(r + s, 2))
+            accumulate(acc, P(r - s), c)
+            accumulate(acc, Q(r - s), -c * Fraction(r + s, 2))
     return PqxzElem(list(acc.items()))
 
 
@@ -227,11 +215,7 @@ def pqxz_apply(k: PqxzKey, x: AlgElem) -> AlgElem:
         if hit is None:
             continue
         coeff, out_key = hit
-        tot = acc.get(out_key, Scalar(0)) + c * coeff
-        if tot.is_zero:
-            acc.pop(out_key, None)
-        else:
-            acc[out_key] = tot
+        accumulate(acc, out_key, c * coeff)
     return AlgElem(acc)
 
 
@@ -325,28 +309,20 @@ def check_pqxz_table(window: Iterable[int] = DEFAULT_PAIR_WINDOW,
             for probe in probes:
                 cases += 1
                 acc: dict = {}
-
-                def add(c: Fraction, key: BasisKey) -> None:
-                    tot = acc.get(key, 0) + c
-                    if tot:
-                        acc[key] = tot
-                    else:
-                        acc.pop(key, None)
-
                 hit = key_apply(kb, probe)
                 if hit is not None:
                     back = key_apply(ka, hit[1])
                     if back is not None:
-                        add(hit[0] * back[0], back[1])
+                        accumulate(acc, back[1], hit[0] * back[0])
                 hit = key_apply(ka, probe)
                 if hit is not None:
                     back = key_apply(kb, hit[1])
                     if back is not None:
-                        add(-hit[0] * back[0], back[1])
+                        accumulate(acc, back[1], -hit[0] * back[0])
                 for kt, ct in table._terms.items():
                     hit = key_apply(kt, probe)
                     if hit is not None:
-                        add(-ct.as_rational * hit[0], hit[1])
+                        accumulate(acc, hit[1], -ct.as_rational * hit[0])
                 if acc:
                     entries.append(DefectEntry(
                         axiom="generator-commutator",

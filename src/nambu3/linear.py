@@ -9,9 +9,19 @@ type, which catches category mixups early.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Tuple
+from typing import Mapping
 
 from .scalar import Indeterminate, Scalar, ScalarLike
+
+
+def accumulate(acc: dict, key, coeff) -> None:
+    """Add coeff into acc[key], dropping the key when the sum is zero."""
+    tot = acc.get(key)
+    tot = coeff if tot is None else tot + coeff
+    if tot:
+        acc[key] = tot
+    else:
+        acc.pop(key, None)
 
 
 class LinComb:
@@ -22,13 +32,7 @@ class LinComb:
         acc: dict = {}
         for key, coeff in items:
             self._check_key(key)
-            c = Scalar.coerce(coeff)
-            if key in acc:
-                c = acc[key] + c
-            if c.is_zero:
-                acc.pop(key, None)
-            else:
-                acc[key] = c
+            accumulate(acc, key, Scalar.coerce(coeff))
         object.__setattr__(self, "_terms", acc)
 
     def __setattr__(self, name, value):
@@ -84,11 +88,7 @@ class LinComb:
     def _merged(self, other, sign: int):
         acc = dict(self._terms)
         for key, c in other._terms.items():
-            tot = acc.get(key, Scalar(0)) + (c if sign > 0 else -c)
-            if tot.is_zero:
-                acc.pop(key, None)
-            else:
-                acc[key] = tot
+            accumulate(acc, key, c if sign > 0 else -c)
         out = object.__new__(type(self))
         object.__setattr__(out, "_terms", acc)
         return out

@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .algebra import AlgElem, BasisKey, basis_elem
+from .algebra import INDEX_LIMIT, AlgElem, BasisKey, basis_elem
 from .derivations import DerivExpr, PQXZ_FAMILIES, PqxzKey, ad, pqxz_to_deriv
 from .errors import ParseError
 from .repmod import WeightKey, weight_key
@@ -95,8 +95,11 @@ class _Parser:
 
     def index_suffix(self) -> int:
         self.expect("[")
+        pos = self.peek()[2]
         value = self.signed_int()
         self.expect("]")
+        if not -INDEX_LIMIT <= value <= INDEX_LIMIT:
+            raise ParseError(f"index {value} outside +/-2^40", pos)
         return value
 
     def rational(self) -> Fraction:

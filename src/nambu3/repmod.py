@@ -49,15 +49,15 @@ from math import floor
 from typing import Iterable, NamedTuple, Union
 
 from .algebra import AlgElem, BasisKey, L, M, bracket_keys
-from .derivations import (DerivExpr, PQXZ_FAMILIES, PqxzElem, PqxzKey,
-                          pair_to_pqxz, pqxz_key_bracket, pqxz_to_deriv)
+from .derivations import (DEFAULT_PAIR_WINDOW, DerivExpr, PQXZ_FAMILIES,
+                          PqxzElem, PqxzKey, pair_to_pqxz, pqxz_key_bracket,
+                          pqxz_to_deriv)
 from .errors import NotAModule, NotEigenvector
-from .linear import LinComb
+from .linear import LinComb, accumulate
 from .reports import DefectEntry, DefectReport
 from .scalar import LAMBDA, MU, Indeterminate, Scalar, divides
 
 DEFAULT_AXIOM_WINDOW = range(-2, 3)
-DEFAULT_PAIR_WINDOW = range(-3, 4)
 
 
 class WeightKey(NamedTuple):
@@ -111,9 +111,14 @@ def weight_key(tag, offset: int = 0) -> WeightKey:
         if not sym.is_weight_tag:
             raise ValueError(f"{tag!r} is not a weight tag symbol")
         return WeightKey(tag, offset)
+    if isinstance(tag, int):
+        return WeightKey(0, offset + tag)
     frac = Fraction(tag)
     fold = floor(frac)
-    return WeightKey(frac - fold, offset + fold)
+    rest = frac - fold
+    # an integral tag is stored as int 0: it compares and hashes like
+    # Fraction(0) but is far cheaper to hash in the kernel cache keys
+    return WeightKey(rest if rest else 0, offset + fold)
 
 
 class ModVec(LinComb):
@@ -264,25 +269,16 @@ def _tri_key_terms(action, x: BasisKey, y: BasisKey, key: WeightKey) -> tuple:
         acc: dict = {}
         for pk, c in pair_to_pqxz(x, y)._terms.items():
             for k2, c2 in _lie_key_terms(action.lie, pk, key):
-                _accumulate(acc, k2, c2 * c)
+                accumulate(acc, k2, c2 * c)
         return tuple(acc.items())
     raise TypeError(f"not a ternary action: {action!r}")
-
-
-def _accumulate(acc: dict, key, coeff) -> None:
-    tot = acc.get(key)
-    tot = coeff if tot is None else tot + coeff
-    if tot:
-        acc[key] = tot
-    else:
-        acc.pop(key, None)
 
 
 def _compose_into(acc: dict, action, x, y, terms, sign: int = 1) -> None:
     for key, c in terms:
         for k2, c2 in _tri_key_terms(action, x, y, key):
             prod = c * c2
-            _accumulate(acc, k2, prod if sign > 0 else -prod)
+            accumulate(acc, k2, prod if sign > 0 else -prod)
 
 
 # -- applying actions ----------------------------------------------------------
@@ -293,7 +289,7 @@ def tri_apply(action: TriAction, x: BasisKey, y: BasisKey, v: ModVec) -> ModVec:
     acc: dict = {}
     for key, c in v._terms.items():
         for k2, c2 in _tri_key_terms(action, x, y, key):
-            _accumulate(acc, k2, c * c2)
+            accumulate(acc, k2, c * c2)
     return ModVec(acc)
 
 
@@ -314,7 +310,7 @@ def lie_apply(action: LieAction, k: PqxzKey, v: ModVec) -> ModVec:
     acc: dict = {}
     for key, c in v._terms.items():
         for k2, c2 in _lie_key_terms(action, k, key):
-            _accumulate(acc, k2, c * c2)
+            accumulate(acc, k2, c * c2)
     return ModVec(acc)
 
 
@@ -369,11 +365,11 @@ def check_tri_axiom1(action: TriAction,
                         if b123 is not None:
                             c, k = b123
                             for k2, c2 in _tri_key_terms(action, k, x4, probe):
-                                _accumulate(acc, k2, c2 * (-c))
+                                accumulate(acc, k2, c2 * (-c))
                         if b124 is not None:
                             c, k = b124
                             for k2, c2 in _tri_key_terms(action, x3, k, probe):
-                                _accumulate(acc, k2, c2 * (-c))
+                                accumulate(acc, k2, c2 * (-c))
                         if acc:
                             entries.append(DefectEntry(
                                 axiom="tri-axiom-1",
@@ -416,7 +412,7 @@ def check_tri_axiom2(action: TriAction,
                         if b123 is not None:
                             c, k = b123
                             for k2, c2 in _tri_key_terms(action, k, x4, probe):
-                                _accumulate(acc, k2, c2 * (-c))
+                                accumulate(acc, k2, c2 * (-c))
                         if acc:
                             entries.append(DefectEntry(
                                 axiom="tri-axiom-2",
@@ -568,33 +564,43 @@ def check_lie_module(action: LieAction,
 
 
 @lru_cache(maxsize=64)
-def _module_gate(action, window: tuple) -> DefectReport:
+def _module_gate(action, window: tuple) -> tuple:
+    """The cached module verdict: (axiom report, accepted)."""
     r1 = check_tri_axiom1(action, window)
     r2 = check_tri_axiom2(action, window)
-    return r1.merged_with(r2, "module-axioms")
+    report = r1.merged_with(r2, "module-axioms")
+    return report, report.passed or _within_parameter_gate(action, report)
+
+
+def _verdict(action, window: Iterable[int]) -> tuple:
+    return _module_gate(action, tuple(sorted(set(window))))
 
 
 def verify_module(action: TriAction,
                   window: Iterable[int] = DEFAULT_AXIOM_WINDOW) -> DefectReport:
     """Both ternary module axioms on the window, cached per action."""
-    return _module_gate(action, tuple(sorted(set(window))))
+    return _verdict(action, window)[0]
 
 
 def _within_parameter_gate(tri, report: DefectReport) -> bool:
-    # fully symbolic mu is acceptable when every residual defect sits in
-    # the ideal (mu^2 - mu): such parameters specialize to real modules
+    # fully symbolic mu is acceptable when the first axiom holds and every
+    # residual defect sits in the ideal (mu^2 - mu): such parameters
+    # specialize to real modules.  The sweeps repeat a handful of distinct
+    # coefficients thousands of times, so each is tested once.
     mu = getattr(tri, "mu", None)
     if not isinstance(mu, Scalar) or mu.is_rational:
         return False
+    if any(entry.axiom != "tri-axiom-2" for entry in report.entries):
+        return False
     gate = mu * mu - mu
-    return all(entry.axiom == "tri-axiom-2"
-               and all(divides(gate, c) for _, c in entry.defect.items())
-               for entry in report.entries)
+    coeffs = {c for entry in report.entries
+              for c in entry.defect._terms.values()}
+    return all(divides(gate, c) for c in coeffs)
 
 
 def _gate_or_raise(tri: TriAction, axiom_window) -> None:
-    report = verify_module(tri, axiom_window)
-    if report.passed or _within_parameter_gate(tri, report):
+    report, accepted = _verdict(tri, axiom_window)
+    if accepted:
         return
     raise NotAModule(
         f"cannot induce from {action_family(tri)}"

@@ -1,11 +1,16 @@
 """Exact scalar coefficients: rationals and sparse polynomials in named symbols.
 
 Every coefficient in the package is a Scalar: a finitely supported map from
-monomials to Fraction with no zero entries stored, so structural equality is
-mathematical equality.  Monomials are tuples of (symbol, exponent) pairs kept
-in a fixed symbol order, and terms are ranked graded-lexicographically (total
-degree first, then the symbol order).  That single canonical order drives
-formatting, hashing, and leading-term division.
+monomials to rationals with no zero entries stored, so structural equality is
+mathematical equality.  Integral coefficients are stored as ``int`` and only
+those with a denominator as ``Fraction`` (``_q`` normalizes each coefficient
+as it is made), so integer arithmetic skips Fraction's gcd-normalizing
+constructor.  ``3 == Fraction(3)`` with equal hash and ``str``, so equality,
+hashing and formatting are those of an all-Fraction store.  Monomials are
+tuples of (symbol, exponent) pairs kept in a fixed symbol order, and terms
+are ranked graded-lexicographically (total degree first, then the symbol
+order).  That single canonical order drives formatting, hashing, and
+leading-term division.
 
 Symbols are restricted to the two reserved parameters ``lam`` and ``mu`` plus
 the weight tags ``a0``, ``a1``, ...  Exponents are capped at 16 bits; blowing
@@ -16,7 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Union
+from typing import Mapping, Optional, Union
 
 from .errors import ExponentOverflow, ZeroDivisor
 
@@ -99,8 +104,13 @@ def _mono_str(m: Mono) -> str:
 ScalarLike = Union["Scalar", Indeterminate, Fraction, int]
 
 
+def _q(c):
+    """A rational as an ``int`` when integral, else as the Fraction."""
+    return c.numerator if c.denominator == 1 else c
+
+
 class Scalar:
-    """Sparse polynomial over Fraction in lam, mu, and weight tags."""
+    """Sparse polynomial over the rationals in lam, mu, and weight tags."""
 
     __slots__ = ("_terms", "_hash")
 
@@ -108,9 +118,9 @@ class Scalar:
         if isinstance(value, Scalar):
             terms = dict(value._terms)
         elif isinstance(value, Indeterminate):
-            terms = {((value.name, 1),): Fraction(1)}
+            terms = {((value.name, 1),): 1}
         elif isinstance(value, (int, Fraction)):
-            q = Fraction(value)
+            q = _q(value)
             terms = {(): q} if q else {}
         else:
             raise TypeError(f"cannot build a Scalar from {type(value).__name__}")
@@ -149,7 +159,7 @@ class Scalar:
         if not self._terms:
             return Fraction(0)
         if set(self._terms) == {()}:
-            return self._terms[()]
+            return Fraction(self._terms[()])
         raise ValueError(f"{self} is not a rational constant")
 
     def terms(self) -> list:
@@ -173,7 +183,7 @@ class Scalar:
         for m, c in other._terms.items():
             tot = merged.get(m, 0) + c
             if tot:
-                merged[m] = tot
+                merged[m] = _q(tot)
             else:
                 merged.pop(m, None)
         return Scalar._make(merged)
@@ -195,10 +205,10 @@ class Scalar:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
+            q = _q(other)
             if not q:
                 return Scalar._make({})
-            return Scalar._make({m: c * q for m, c in self._terms.items()})
+            return Scalar._make({m: _q(c * q) for m, c in self._terms.items()})
         if isinstance(other, Indeterminate):
             other = Scalar(other)
         if not isinstance(other, Scalar):
@@ -209,7 +219,7 @@ class Scalar:
                 m = _mono_mul(m1, m2)
                 tot = out.get(m, 0) + c1 * c2
                 if tot:
-                    out[m] = tot
+                    out[m] = _q(tot)
                 else:
                     out.pop(m, None)
         return Scalar._make(out)
@@ -235,7 +245,7 @@ class Scalar:
                 raise ValueError(f"unknown symbol {name!r} in assignment")
             if not isinstance(val, (int, Fraction)):
                 raise TypeError("assignment values must be rational")
-            values[name] = Fraction(val)
+            values[name] = _q(val)
         out: dict = {}
         for mono, coeff in self._terms.items():
             c = coeff
@@ -250,7 +260,7 @@ class Scalar:
             m = tuple(rest)
             tot = out.get(m, 0) + c
             if tot:
-                out[m] = tot
+                out[m] = _q(tot)
             else:
                 out.pop(m, None)
         return Scalar._make(out)
@@ -337,7 +347,7 @@ def exact_quotient(a: ScalarLike, d: ScalarLike) -> Optional[Scalar]:
         q_mono = _mono_quotient(r_mono, d_mono)
         if q_mono is None:
             return None
-        q_coeff = r_coeff / d_coeff
+        q_coeff = _q(Fraction(r_coeff, 1) / d_coeff)
         quot[q_mono] = quot.get(q_mono, 0) + q_coeff
         for m, c in d._terms.items():
             mm = _mono_mul(m, q_mono)
@@ -346,7 +356,7 @@ def exact_quotient(a: ScalarLike, d: ScalarLike) -> Optional[Scalar]:
                 rem[mm] = tot
             else:
                 rem.pop(mm, None)
-    return Scalar._make({m: c for m, c in quot.items() if c})
+    return Scalar._make({m: _q(c) for m, c in quot.items() if c})
 
 
 def divides(d: ScalarLike, a: ScalarLike) -> bool:

@@ -1,11 +1,15 @@
 """Ternary bracket, its determinant oracle, and the identity checker."""
 
+import os
+from concurrent.futures import Future
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nambu3.algebra import (AlgElem, L, M, assoc_mul, basis_elem, bracket,
-                            bracket_det, bracket_keys, check_fundamental,
-                            delta, omega)
+from nambu3 import algebra
+from nambu3.algebra import (AlgElem, L, M, _resolve_parallelism, assoc_mul,
+                            basis_elem, bracket, bracket_det, bracket_keys,
+                            check_fundamental, delta, omega)
 from nambu3.errors import IndexOverflow
 from nambu3.scalar import LAMBDA, Scalar
 
@@ -143,6 +147,43 @@ def test_fundamental_identity_parallel_matches_serial():
     parallel = check_fundamental(range(-1, 2), parallelism=2)
     assert serial.passed and parallel.passed
     assert serial.cases == parallel.cases
+
+
+def test_worker_count_is_clamped(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert _resolve_parallelism(10 ** 6, 10 ** 6, 14) == 4
+    assert _resolve_parallelism(3, 10 ** 6, 14) == 3
+    assert _resolve_parallelism(8, 10 ** 6, 2) == 2
+    assert _resolve_parallelism(0, 10 ** 6, 14) == 4
+    assert _resolve_parallelism(0, 100, 14) == 1
+    assert _resolve_parallelism(1, 10 ** 6, 14) == 1
+
+
+def test_fundamental_pool_size_is_clamped(monkeypatch):
+    # a huge request on a many-CPU host still gets one worker per chunk;
+    # the pool is a serial stand-in, so no process starts
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fut = Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    monkeypatch.setattr(algebra, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    report = check_fundamental(range(-1, 2), parallelism=10 ** 6)
+    assert sizes == [6]
+    assert report.passed and report.cases == 6 ** 5
 
 
 def test_fault_injection_is_detected():

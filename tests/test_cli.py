@@ -281,6 +281,24 @@ def test_parse_error_exits_2(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("argv", [
+    # index above the +/-2^40 cap, with a nonzero and a zero bracket
+    ("bracket", "L[99999999999999]", "L[1]", "M[0]"),
+    ("bracket", "L[99999999999999]", "L[1]", "L[0]"),
+    # in-range inputs whose bracket index leaves the cap
+    ("bracket", "L[1099511627776]", "L[1099511627775]", "M[-1099511627776]"),
+    # exponent 2^16 by one squaring
+    ("bracket", "(mu^256)^256 L[1]", "L[1]", "M[3]"),
+    # two points cannot decide action equality
+    ("decompose", "ad(L[1],M[2])", "--verify", "--window", "0..1"),
+])
+def test_library_errors_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_unknown_suite_exits_2(capsys):
     code, _, err = run(capsys, "check", "nonsense")
     assert code == 2

@@ -148,6 +148,15 @@ def test_parse_error_unbalanced():
         parse_scalar("(lam + 1")
 
 
+def test_parse_error_index_outside_cap():
+    assert parse_elem("L[1099511627776]") == basis_elem(L(1 << 40))
+    for text, parse in (("L[-1099511627777]", parse_elem),
+                        ("ad(L[1],M[99999999999999])", parse_deriv),
+                        ("p[1099511627777]", parse_deriv)):
+        with pytest.raises(ParseError, match="outside"):
+            parse(text)
+
+
 def test_whitespace_is_insignificant():
     assert parse_elem("  L[ 1 ]  +  2  M[ -2 ]  ") == (
         basis_elem(L(1)) + basis_elem(M(-2)) * 2)

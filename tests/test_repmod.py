@@ -340,6 +340,28 @@ def test_induce_apply_gate_admits_symbolic_parameters():
                         axiom_window=range(-1, 2)).is_zero
 
 
+def test_module_gate_tests_each_distinct_coefficient_once(monkeypatch):
+    import nambu3.repmod as repmod
+
+    # one gate sweep, then five cached verdicts: 18 distinct defect
+    # coefficients among the 14,400 defects, each tested exactly once
+    tri = weight_action()
+    calls = []
+
+    def counting_divides(d, a):
+        calls.append(a)
+        return divides(d, a)
+
+    repmod._module_gate.cache_clear()
+    monkeypatch.setattr(repmod, "divides", counting_divides)
+    for probe in default_probes():
+        assert induce_apply(tri, KERNEL_RELATION, ModVec.term(probe)).is_zero
+    report = verify_module(tri)
+    distinct = {c for e in report.entries for _, c in e.defect.items()}
+    assert len(report.entries) == 14400
+    assert len(calls) == len(set(calls)) == len(distinct) == 18
+
+
 def test_induced_formula_matches_shift_action_for_any_mu():
     # formula-level agreement holds even at mu=2; only the gate fails there
     tri = weight_action(None, 2)

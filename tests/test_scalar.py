@@ -133,3 +133,48 @@ def test_equality_coercion_and_hash():
     assert lam == LAMBDA
     assert lam != mu
     assert hash(lam + 1) == hash(Scalar(LAMBDA) + 1)
+
+
+# -- coefficient representation ------------------------------------------------
+
+
+def _coeff_types(s):
+    return {type(c) for c in s._terms.values()}
+
+
+@given(st.lists(st.tuples(st.sampled_from(["add", "mul"]), st.integers(0, 3),
+                          st.integers(-30, 30)), max_size=5))
+@settings(max_examples=60)
+def test_int_built_scalar_equals_fraction_built(program):
+    gens = [Scalar(1), lam, mu, a0]
+    by_int, by_frac = Scalar(1), Scalar(Fraction(1))
+    for op, g, c in program:
+        if op == "add":
+            by_int = by_int + gens[g] * c
+            by_frac = by_frac + gens[g] * Fraction(c)
+        else:
+            by_int = by_int * (gens[g] + c)
+            by_frac = by_frac * (gens[g] + Fraction(c))
+    assert by_int == by_frac
+    assert hash(by_int) == hash(by_frac)
+    assert str(by_int) == str(by_frac)
+    assert _coeff_types(by_frac) <= {int}
+
+
+@given(scalars(), scalars())
+@settings(max_examples=60)
+def test_coefficients_are_canonical_and_never_float(a, d):
+    values = [a, d, a + d, a - d, a * d, a.substitute({"mu": Fraction(1, 3)})]
+    if not d.is_zero:
+        values.append(exact_quotient(a * d, d))
+    for s in values:
+        for c in s._terms.values():
+            assert type(c) in (int, Fraction)
+            assert type(c) is int or c.denominator != 1
+
+
+def test_symbols_and_quotients_keep_exact_coefficients():
+    assert _coeff_types(lam + mu) == {int}
+    assert exact_quotient(mu, mu * 2) == Scalar(Fraction(1, 2))
+    assert _coeff_types(exact_quotient(mu * 4, mu * 2)) == {int}
+    assert type(Scalar(3).as_rational) is Fraction

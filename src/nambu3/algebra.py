@@ -189,34 +189,26 @@ def _window_keys(window: Iterable[int]) -> tuple:
 
 def _fi_defect(kb: Callable, x1, x2, x3, x4, x5) -> Optional[dict]:
     acc: dict = {}
-
-    def add(c: int, key: BasisKey) -> None:
-        tot = acc.get(key, 0) + c
-        if tot:
-            acc[key] = tot
-        else:
-            acc.pop(key, None)
-
     inner = kb(x3, x4, x5)
     if inner is not None:
         hit = kb(x1, x2, inner[1])
         if hit is not None:
-            add(inner[0] * hit[0], hit[1])
+            accumulate(acc, hit[1], inner[0] * hit[0])
     first = kb(x1, x2, x3)
     if first is not None:
         hit = kb(first[1], x4, x5)
         if hit is not None:
-            add(-first[0] * hit[0], hit[1])
+            accumulate(acc, hit[1], -first[0] * hit[0])
     second = kb(x1, x2, x4)
     if second is not None:
         hit = kb(x3, second[1], x5)
         if hit is not None:
-            add(-second[0] * hit[0], hit[1])
+            accumulate(acc, hit[1], -second[0] * hit[0])
     third = kb(x1, x2, x5)
     if third is not None:
         hit = kb(x3, x4, third[1])
         if hit is not None:
-            add(-third[0] * hit[0], hit[1])
+            accumulate(acc, hit[1], -third[0] * hit[0])
     return acc or None
 
 

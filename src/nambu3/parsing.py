@@ -20,9 +20,9 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .algebra import INDEX_LIMIT, AlgElem, BasisKey, basis_elem
+from .algebra import AlgElem, BasisKey, _check_index, basis_elem
 from .derivations import DerivExpr, PQXZ_FAMILIES, PqxzKey, ad, pqxz_to_deriv
-from .errors import ParseError
+from .errors import IndexOverflow, ParseError
 from .repmod import WeightKey, weight_key
 from .scalar import Indeterminate, Scalar, _NAME_RE
 
@@ -98,9 +98,10 @@ class _Parser:
         pos = self.peek()[2]
         value = self.signed_int()
         self.expect("]")
-        if not -INDEX_LIMIT <= value <= INDEX_LIMIT:
-            raise ParseError(f"index {value} outside +/-2^40", pos)
-        return value
+        try:
+            return _check_index(value)
+        except IndexOverflow as exc:
+            raise ParseError(str(exc), pos) from None
 
     def rational(self) -> Fraction:
         kind, text, pos = self.peek()

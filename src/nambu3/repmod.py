@@ -111,8 +111,6 @@ def weight_key(tag, offset: int = 0) -> WeightKey:
         if not sym.is_weight_tag:
             raise ValueError(f"{tag!r} is not a weight tag symbol")
         return WeightKey(tag, offset)
-    if isinstance(tag, int):
-        return WeightKey(0, offset + tag)
     frac = Fraction(tag)
     fold = floor(frac)
     rest = frac - fold

@@ -305,7 +305,9 @@ def check_pqxz_table(window: Iterable[int] = DEFAULT_PAIR_WINDOW,
     cases = 0
     for ka in gens:
         for kb in gens:
-            table = key_bracket(ka, kb)
+            # negated table coefficients, converted once per generator pair
+            table = [(kt, -ct.as_rational)
+                     for kt, ct in key_bracket(ka, kb)._terms.items()]
             for probe in probes:
                 cases += 1
                 acc: dict = {}
@@ -319,10 +321,10 @@ def check_pqxz_table(window: Iterable[int] = DEFAULT_PAIR_WINDOW,
                     back = key_apply(kb, hit[1])
                     if back is not None:
                         accumulate(acc, back[1], -hit[0] * back[0])
-                for kt, ct in table._terms.items():
+                for kt, ct in table:
                     hit = key_apply(kt, probe)
                     if hit is not None:
-                        accumulate(acc, hit[1], -ct.as_rational * hit[0])
+                        accumulate(acc, hit[1], ct * hit[0])
                 if acc:
                     entries.append(DefectEntry(
                         axiom="generator-commutator",

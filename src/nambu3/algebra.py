@@ -187,51 +187,57 @@ def _window_keys(window: Iterable[int]) -> tuple:
     return tuple([BasisKey("L", i) for i in idx] + [BasisKey("M", i) for i in idx])
 
 
-def _fi_defect(kb: Callable, x1, x2, x3, x4, x5) -> Optional[dict]:
-    acc: dict = {}
-    inner = kb(x3, x4, x5)
-    if inner is not None:
-        hit = kb(x1, x2, inner[1])
-        if hit is not None:
-            accumulate(acc, hit[1], inner[0] * hit[0])
-    first = kb(x1, x2, x3)
-    if first is not None:
-        hit = kb(first[1], x4, x5)
-        if hit is not None:
-            accumulate(acc, hit[1], -first[0] * hit[0])
-    second = kb(x1, x2, x4)
-    if second is not None:
-        hit = kb(x3, second[1], x5)
-        if hit is not None:
-            accumulate(acc, hit[1], -second[0] * hit[0])
-    third = kb(x1, x2, x5)
-    if third is not None:
-        hit = kb(x3, x4, third[1])
-        if hit is not None:
-            accumulate(acc, hit[1], -third[0] * hit[0])
-    return acc or None
-
-
 def _fi_scan(first_keys: tuple, keys: tuple, kb: Optional[Callable]) -> list:
+    """Defects of [x1,x2,[x3,x4,x5]] = [[x1,x2,x3],x4,x5]
+    + [x3,[x1,x2,x4],x5] + [x3,x4,[x1,x2,x5]] for x1 in ``first_keys``.
+
+    Each inner bracket [x3,x4,x5] is made once per sweep, and ad(x1, x2)
+    once per pair as a table over the window keys and the keys the inner
+    brackets land on: the same bracket calls as evaluating every case on
+    its own, only fewer times.
+    """
     if kb is None:
         kb = bracket_keys
+    inners = [[[kb(x3, x4, x5) for x5 in keys] for x4 in keys] for x3 in keys]
+    targets = dict.fromkeys(keys)
+    targets.update(dict.fromkeys(
+        hit[1] for plane in inners for row in plane for hit in row if hit))
     entries = []
     for x1 in first_keys:
         for x2 in keys:
-            for x3 in keys:
-                for x4 in keys:
-                    for x5 in keys:
-                        defect = _fi_defect(kb, x1, x2, x3, x4, x5)
-                        if defect is None:
+            ad = {k: kb(x1, x2, k) for k in targets}
+            for x3, plane in zip(keys, inners):
+                first = ad[x3]
+                for x4, row in zip(keys, plane):
+                    second = ad[x4]
+                    for x5, inner in zip(keys, row):
+                        third = ad[x5]
+                        acc: dict = {}
+                        if inner is not None:
+                            hit = ad[inner[1]]
+                            if hit is not None:
+                                accumulate(acc, hit[1], inner[0] * hit[0])
+                        if first is not None:
+                            hit = kb(first[1], x4, x5)
+                            if hit is not None:
+                                accumulate(acc, hit[1], -first[0] * hit[0])
+                        if second is not None:
+                            hit = kb(x3, second[1], x5)
+                            if hit is not None:
+                                accumulate(acc, hit[1], -second[0] * hit[0])
+                        if third is not None:
+                            hit = kb(x3, x4, third[1])
+                            if hit is not None:
+                                accumulate(acc, hit[1], -third[0] * hit[0])
+                        if not acc:
                             continue
-                        elem = AlgElem(list(defect.items()))
                         indices = (x1.kind, x1.index, x2.kind, x2.index,
                                    x3.kind, x3.index, x4.kind, x4.index,
                                    x5.kind, x5.index)
                         entries.append(DefectEntry(
                             axiom="fundamental-identity",
                             indices=indices,
-                            defect=elem,
+                            defect=AlgElem(list(acc.items())),
                             family="algebra"))
     return entries
 

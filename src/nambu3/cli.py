@@ -29,17 +29,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .algebra import bracket, bracket_det, check_fundamental
-from .derivations import (check_pqxz_table, deriv_equal, deriv_to_pqxz,
-                          pqxz_to_deriv)
+from .algebra import (DEFAULT_FI_WINDOW, bracket, bracket_det,
+                      check_fundamental)
+from .derivations import (DEFAULT_PAIR_WINDOW, check_pqxz_table, deriv_equal,
+                          deriv_to_pqxz, pqxz_to_deriv)
 from .errors import (ConfigError, ExponentOverflow, IndexOverflow, NotAModule,
                      NotEigenvector, ParseError, WindowTooSmall, ZeroDivisor)
 from .parsing import parse_deriv, parse_elem, parse_weight_key
-from .repmod import (ModVec, _within_parameter_gate, check_induced,
-                     check_lie_module, check_tri_axiom1, check_tri_axiom2,
-                     counterexample_phi, orbit_probe, pullback_candidate,
-                     shift_action, weight_action, weight_key, weight_report,
-                     zero_twist_action)
+from .repmod import (DEFAULT_AXIOM_WINDOW, ModVec, _within_parameter_gate,
+                     check_induced, check_lie_module, check_tri_axiom1,
+                     check_tri_axiom2, counterexample_phi, orbit_probe,
+                     pullback_candidate, shift_action, weight_action,
+                     weight_key, weight_report, zero_twist_action)
 
 PARALLELISM_ENV = "NAMBU3_PARALLELISM"
 
@@ -48,13 +49,13 @@ _WINDOW_SPAN_LIMIT = 64
 
 # quintuple/4-tuple grids default to the small window, pairwise to the wide
 _SUITE_WINDOWS = {
-    "fi": range(-2, 3),
-    "module-t": range(-2, 3),
-    "pullback-phi": range(-2, 3),
-    "table": range(-3, 4),
-    "lie-psi": range(-3, 4),
-    "lie-phi": range(-3, 4),
-    "induced-psi": range(-3, 4),
+    "fi": DEFAULT_FI_WINDOW,
+    "module-t": DEFAULT_AXIOM_WINDOW,
+    "pullback-phi": DEFAULT_AXIOM_WINDOW,
+    "table": DEFAULT_PAIR_WINDOW,
+    "lie-psi": DEFAULT_PAIR_WINDOW,
+    "lie-phi": DEFAULT_PAIR_WINDOW,
+    "induced-psi": DEFAULT_PAIR_WINDOW,
 }
 
 
@@ -277,7 +278,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    config = _build_config(args, range(-3, 4))
+    config = _build_config(args, DEFAULT_PAIR_WINDOW)
     expr = parse_deriv(args.expr)
     coords = deriv_to_pqxz(expr)
     verified = None
@@ -297,7 +298,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_orbit(args) -> int:
-    config = _build_config(args, range(-3, 4))
+    config = _build_config(args, DEFAULT_PAIR_WINDOW)
     start = parse_weight_key(args.start)
     if args.family == "T":
         action = weight_action(config.lam, config.mu)
@@ -387,12 +388,10 @@ def build_parser() -> argparse.ArgumentParser:
                            help="also run the determinant formula and compare")
     p_bracket.add_argument("--output", choices=("text", "machine"),
                            default="text")
-    p_bracket.set_defaults(func=cmd_bracket)
 
     p_check = sub.add_parser("check", help="run a verification suite")
     p_check.add_argument("suite", choices=sorted(_SUITE_WINDOWS))
     _add_config_flags(p_check, probes=True, parallelism=True)
-    p_check.set_defaults(func=cmd_check)
 
     p_dec = sub.add_parser(
         "decompose", help="coordinates of a derivation in the p/q/x/z basis")
@@ -402,21 +401,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec.add_argument("--output", choices=("text", "machine"),
                        default="text")
     p_dec.add_argument("--window", metavar="LO..HI")
-    p_dec.set_defaults(func=cmd_decompose)
 
     p_orbit = sub.add_parser(
         "orbit", help="reachability of weight lines under one action family")
     p_orbit.add_argument("family", choices=("T", "psi", "phi"))
     p_orbit.add_argument("--start", default="a0", metavar="KEY")
     _add_config_flags(p_orbit)
-    p_orbit.set_defaults(func=cmd_orbit)
 
     p_weights = sub.add_parser(
         "weights", help="weight table of the pair action on a coset window")
     p_weights.add_argument("family", choices=("T",))
     p_weights.add_argument("--start", default="a0", metavar="KEY")
     _add_config_flags(p_weights)
-    p_weights.set_defaults(func=cmd_weights)
 
     return parser
 
@@ -441,19 +437,26 @@ def _fuse_flag_values(argv) -> list:
     return out
 
 
+_parser: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv=None) -> int:
+    global _parser
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
+    if _parser is None:
+        # built on first use, not at import, and kept for the process
+        _parser = build_parser()
     try:
-        args = parser.parse_args(_fuse_flag_values(argv))
+        args = _parser.parse_args(_fuse_flag_values(argv))
     except SystemExit as exc:
         code = exc.code
         if code in (None, 0):
             return 0
         return code if isinstance(code, int) else 2
     try:
-        return args.func(args)
+        # resolved per call, so a rebound cmd_* takes effect at once
+        return globals()[f"cmd_{args.command}"](args)
     except (ParseError, ConfigError, IndexOverflow, ExponentOverflow,
             WindowTooSmall, ZeroDivisor) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -38,7 +38,7 @@ from .algebra import AlgElem, BasisKey, L, M, _check_index, bracket_keys
 from .errors import WindowTooSmall
 from .linear import LinComb, accumulate
 from .reports import DefectEntry, DefectReport
-from .scalar import Scalar
+from .scalar import Scalar, _q
 
 DEFAULT_PAIR_WINDOW = range(-3, 4)
 
@@ -185,25 +185,30 @@ def pair_to_pqxz(u: BasisKey, v: BasisKey) -> PqxzElem:
 
 
 def pqxz_key_apply(k: PqxzKey, b: BasisKey):
-    """Action of one generator on one basis key: (Fraction, key) or None."""
+    """Action of one generator on one basis key: (coefficient, key) or None.
+
+    The coefficient is an ``int`` unless it is halved: only p[r] with odd r
+    gives a ``Fraction``.
+    """
     family, r = k
     kind, t = b
     if family == "p":
+        half = Fraction(r, 2) if r % 2 else r // 2
         if kind == "L":
-            coeff = Fraction(r, 2) - t
+            coeff = half - t
             return (coeff, L(t + r)) if coeff else None
-        coeff = t + Fraction(r, 2)
+        coeff = t + half
         return (coeff, M(t - r)) if coeff else None
     if family == "q":
         if kind == "L":
-            return (Fraction(-1), L(t + r))
-        return (Fraction(1), M(t - r))
+            return (-1, L(t + r))
+        return (1, M(t - r))
     if family == "x":
         if kind == "L":
             return None
-        return (Fraction(-1), L(r - t))
+        return (-1, L(r - t))
     if kind == "L":
-        return (Fraction(-1), M(-r - t))
+        return (-1, M(-r - t))
     return None
 
 
@@ -301,28 +306,37 @@ def check_pqxz_table(window: Iterable[int] = DEFAULT_PAIR_WINDOW,
     points = sorted(set(window))
     gens = [PqxzKey(f, r) for f in PQXZ_FAMILIES for r in points]
     probes = [L(t) for t in points] + [M(t) for t in points]
+    memo: dict = {}
+
+    def act(k, b):
+        # one key_apply call per distinct (generator, key) in this sweep
+        hit = memo.get((k, b), memo)
+        if hit is memo:
+            hit = memo[k, b] = key_apply(k, b)
+        return hit
+
     entries = []
     cases = 0
     for ka in gens:
         for kb in gens:
             # negated table coefficients, converted once per generator pair
-            table = [(kt, -ct.as_rational)
+            table = [(kt, -_q(ct.as_rational))
                      for kt, ct in key_bracket(ka, kb)._terms.items()]
             for probe in probes:
                 cases += 1
                 acc: dict = {}
-                hit = key_apply(kb, probe)
+                hit = act(kb, probe)
                 if hit is not None:
-                    back = key_apply(ka, hit[1])
+                    back = act(ka, hit[1])
                     if back is not None:
                         accumulate(acc, back[1], hit[0] * back[0])
-                hit = key_apply(ka, probe)
+                hit = act(ka, probe)
                 if hit is not None:
-                    back = key_apply(kb, hit[1])
+                    back = act(kb, hit[1])
                     if back is not None:
                         accumulate(acc, back[1], -hit[0] * back[0])
                 for kt, ct in table:
-                    hit = key_apply(kt, probe)
+                    hit = act(kt, probe)
                     if hit is not None:
                         accumulate(acc, hit[1], ct * hit[0])
                 if acc:

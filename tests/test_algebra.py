@@ -1,5 +1,6 @@
 """Ternary bracket, its determinant oracle, and the identity checker."""
 
+import itertools
 import os
 from concurrent.futures import Future
 
@@ -11,6 +12,8 @@ from nambu3.algebra import (AlgElem, L, M, _resolve_parallelism, assoc_mul,
                             basis_elem, bracket, bracket_det, bracket_keys,
                             check_fundamental, delta, omega)
 from nambu3.errors import IndexOverflow
+from nambu3.linear import accumulate
+from nambu3.reports import DefectEntry, DefectReport
 from nambu3.scalar import LAMBDA, Scalar
 
 
@@ -159,49 +162,120 @@ def test_worker_count_is_clamped(monkeypatch):
     assert _resolve_parallelism(1, 10 ** 6, 14) == 1
 
 
+class SerialPool:
+    """ProcessPoolExecutor stand-in: runs each task when it is submitted."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        fut = Future()
+        fut.set_result(fn(*args))
+        return fut
+
+
+def _serial_pool(monkeypatch) -> list:
+    # installs the stand-in; returns the pool sizes requested, in order
+    sizes = []
+
+    def pool(max_workers):
+        sizes.append(max_workers)
+        return SerialPool()
+
+    monkeypatch.setattr(algebra, "ProcessPoolExecutor", pool)
+    return sizes
+
+
 def test_fundamental_pool_size_is_clamped(monkeypatch):
     # a huge request on a many-CPU host still gets one worker per chunk;
     # the pool is a serial stand-in, so no process starts
-    sizes = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            fut = Future()
-            fut.set_result(fn(*args))
-            return fut
-
-    monkeypatch.setattr(algebra, "ProcessPoolExecutor", SerialPool)
+    sizes = _serial_pool(monkeypatch)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     report = check_fundamental(range(-1, 2), parallelism=10 ** 6)
     assert sizes == [6]
     assert report.passed and report.cases == 6 ** 5
 
 
-def test_fault_injection_is_detected():
-    def skewed(k1, k2, k3):
-        hit = bracket_keys(k1, k2, k3)
-        if hit is None:
-            return None
-        c, key = hit
-        # corrupt one structure constant family by an index shift
-        if key.kind == "L":
-            return c, L(key.index + 1)
-        return c, key
+def _skewed(k1, k2, k3):
+    hit = bracket_keys(k1, k2, k3)
+    if hit is None:
+        return None
+    c, key = hit
+    # corrupt one structure constant family by an index shift
+    if key.kind == "L":
+        return c, L(key.index + 1)
+    return c, key
 
-    report = check_fundamental(range(-1, 2), key_bracket=skewed)
+
+def test_fault_injection_is_detected():
+    report = check_fundamental(range(-1, 2), key_bracket=_skewed)
     assert not report.passed
     entry = report.entries[0]
     assert entry.axiom == "fundamental-identity"
     assert not entry.defect.is_zero
+
+
+def _fi_defect(kb, x1, x2, x3, x4, x5):
+    # reference route: each case on its own, with no shared tables
+    acc: dict = {}
+    inner = kb(x3, x4, x5)
+    if inner is not None:
+        hit = kb(x1, x2, inner[1])
+        if hit is not None:
+            accumulate(acc, hit[1], inner[0] * hit[0])
+    first = kb(x1, x2, x3)
+    if first is not None:
+        hit = kb(first[1], x4, x5)
+        if hit is not None:
+            accumulate(acc, hit[1], -first[0] * hit[0])
+    second = kb(x1, x2, x4)
+    if second is not None:
+        hit = kb(x3, second[1], x5)
+        if hit is not None:
+            accumulate(acc, hit[1], -second[0] * hit[0])
+    third = kb(x1, x2, x5)
+    if third is not None:
+        hit = kb(x3, x4, third[1])
+        if hit is not None:
+            accumulate(acc, hit[1], -third[0] * hit[0])
+    return acc or None
+
+
+def _reference_fi_records(window, kb):
+    keys = [L(i) for i in window] + [M(i) for i in window]
+    entries = []
+    for x1, x2, x3, x4, x5 in itertools.product(keys, repeat=5):
+        defect = _fi_defect(kb, x1, x2, x3, x4, x5)
+        if defect is not None:
+            entries.append(DefectEntry(
+                axiom="fundamental-identity",
+                indices=(x1.kind, x1.index, x2.kind, x2.index, x3.kind,
+                         x3.index, x4.kind, x4.index, x5.kind, x5.index),
+                defect=AlgElem(list(defect.items())),
+                family="algebra"))
+    report = DefectReport("fundamental-identity", len(keys) ** 5, entries)
+    return [e.record() for e in report.entries]
+
+
+def _records(report):
+    return [e.record() for e in report.entries]
+
+
+@pytest.mark.parametrize("window", [range(-1, 2), range(-2, 3)])
+def test_fi_sweep_matches_reference_route(window, monkeypatch):
+    expected = _reference_fi_records(window, _skewed)
+    assert expected
+    assert _records(check_fundamental(window, key_bracket=_skewed)) == expected
+    # the pool path: same scan on chunks of first keys, the bracket table
+    # looked up as a module global; the stand-in pool starts no process
+    sizes = _serial_pool(monkeypatch)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(algebra, "bracket_keys", _skewed)
+    assert _records(check_fundamental(window, parallelism=2)) == expected
+    assert sizes == [2]
 
 
 def test_index_overflow_guard():

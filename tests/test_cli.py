@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from nambu3.cli import PARALLELISM_ENV, main
+from nambu3 import cli
+from nambu3.cli import PARALLELISM_ENV, build_parser, main
 
 
 def run(capsys, *argv):
@@ -299,6 +300,20 @@ def test_library_errors_exit_2(capsys, argv):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("check", "fi", "--window", "1099511627774..1099511627776"),
+    ("check", "fi", "--window", "1099511627774..1099511627776",
+     "--parallelism", "2"),
+    ("check", "table", "--window", "1099511627770..1099511627776"),
+])
+def test_index_cap_exits_2_through_the_sweeps(capsys, argv):
+    # in-range window keys whose brackets or generator actions leave the cap
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: basis index ") and err.count("\n") == 1
+
+
 def test_unknown_suite_exits_2(capsys):
     code, _, err = run(capsys, "check", "nonsense")
     assert code == 2
@@ -334,3 +349,42 @@ def test_bad_probe_is_config_error(capsys):
     code, _, err = run(capsys, "check", "module-t", "--window", "-1..1",
                        "--probes", "v0")
     assert code == 2
+
+
+# -- one parser per process -------------------------------------------------------
+
+
+def test_parser_is_built_once(capsys, monkeypatch):
+    built = []
+
+    def counted():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counted)
+    assert run(capsys, "check", "fi", "--window", "-1..1")[0] == 0
+    assert run(capsys, "bracket", "L[1]", "L[2]", "M[3]")[0] == 0
+    assert run(capsys, "check", "nonsense")[0] == 2
+    assert run(capsys, "weights", "T")[0] == 0
+    assert built == [1]
+
+
+def test_consecutive_calls_share_no_state(capsys):
+    code, out, _ = run(capsys, "check", "fi", "--window", "-1..1",
+                       "--output", "machine")
+    assert (code, out) == (0, "")
+    code, out, _ = run(capsys, "check", "fi")
+    assert code == 0
+    assert "window: -2..2" in out
+    code, out, _ = run(capsys, "bracket", "L[1]", "L[2]", "M[3]", "--oracle")
+    assert "oracle:" in out
+    code, out, _ = run(capsys, "bracket", "L[1]", "L[2]", "M[3]")
+    assert (code, out) == (0, "L[0]\n")
+
+
+def test_subcommands_resolve_at_call_time(capsys, monkeypatch):
+    # the cached parser must not pin the cmd_* functions it was built with
+    main(["bracket", "L[1]", "L[2]", "M[3]"])
+    monkeypatch.setattr(cli, "cmd_bracket", lambda args: 7)
+    assert main(["bracket", "L[1]", "L[2]", "M[3]"]) == 7

@@ -172,6 +172,50 @@ def test_table_check_detects_injected_fault():
                for e in report.entries)
 
 
+def test_generator_action_coefficients_are_int_unless_halved():
+    for r in range(-4, 5):
+        for gen in (P(r), Q(r), X(r), Z(r)):
+            for t in range(-4, 5):
+                for probe in (L(t), M(t)):
+                    hit = pqxz_key_apply(gen, probe)
+                    if hit is None:
+                        continue
+                    coeff = hit[0]
+                    if gen.family == "p" and r % 2:
+                        assert type(coeff) is Fraction
+                        assert coeff.denominator == 2
+                    else:
+                        assert type(coeff) is int
+
+
+def test_wide_table_check_and_injected_fault():
+    report = check_pqxz_table(range(-8, 9))
+    assert report.passed
+    assert report.cases == 68 * 68 * 34 == 157216
+
+    def skewed(k1, k2):
+        out = pqxz_key_bracket(k1, k2)
+        if (k1.family, k2.family) == ("q", "x"):
+            return -out
+        return out
+
+    caught = check_pqxz_table(range(-8, 9), key_bracket=skewed)
+    assert not caught.passed
+    assert {e.indices[0] + e.indices[2] for e in caught.entries} == {"qx"}
+
+
+def test_table_check_applies_each_generator_once_per_key():
+    calls = []
+
+    def counted(k, b):
+        calls.append((k, b))
+        return pqxz_key_apply(k, b)
+
+    report = check_pqxz_table(range(-2, 3), key_apply=counted)
+    assert report.passed
+    assert calls and len(calls) == len(set(calls))
+
+
 def test_elem_bracket_is_bilinear():
     a = pqxz_key_bracket(P(1), P(0))  # p[1]
     combo = deriv_to_pqxz(ad(L(2), M(2)))  # p[0] - 2 q[0]

@@ -306,13 +306,18 @@ def check_pqxz_table(window: Iterable[int] = DEFAULT_PAIR_WINDOW,
     points = sorted(set(window))
     gens = [PqxzKey(f, r) for f in PQXZ_FAMILIES for r in points]
     probes = [L(t) for t in points] + [M(t) for t in points]
-    memo: dict = {}
+    memo: dict = {}                    # generator -> {key: hit}
+    hits: dict = {}                    # each distinct hit stored once
 
     def act(k, b):
         # one key_apply call per distinct (generator, key) in this sweep
-        hit = memo.get((k, b), memo)
-        if hit is memo:
-            hit = memo[k, b] = key_apply(k, b)
+        row = memo.get(k)
+        if row is None:
+            row = memo[k] = {}
+        hit = row.get(b, row)
+        if hit is row:
+            hit = key_apply(k, b)
+            hit = row[b] = hits.setdefault(hit, hit)
         return hit
 
     entries = []

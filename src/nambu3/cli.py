@@ -38,9 +38,10 @@ from .errors import (ConfigError, ExponentOverflow, IndexOverflow, NotAModule,
 from .parsing import parse_deriv, parse_elem, parse_weight_key
 from .repmod import (DEFAULT_AXIOM_WINDOW, ModVec, _within_parameter_gate,
                      check_induced, check_lie_module, check_tri_axiom1,
-                     check_tri_axiom2, counterexample_phi, orbit_probe,
-                     pullback_candidate, shift_action, weight_action,
-                     weight_key, weight_report, zero_twist_action)
+                     check_tri_axiom2, counterexample_phi, default_probes,
+                     orbit_probe, pullback_candidate, shift_action,
+                     weight_action, weight_key, weight_report,
+                     zero_twist_action)
 
 PARALLELISM_ENV = "NAMBU3_PARALLELISM"
 
@@ -56,6 +57,26 @@ _SUITE_WINDOWS = {
     "lie-psi": DEFAULT_PAIR_WINDOW,
     "lie-phi": DEFAULT_PAIR_WINDOW,
     "induced-psi": DEFAULT_PAIR_WINDOW,
+}
+
+
+# Refuse larger grids before any sweep starts: at the span cap, fi alone
+# would ask for 130^5 cases.  The default windows stay under 10^6.
+CASE_BUDGET = 10 ** 8
+
+_AXIOM_GATE_CASES = 2 * (2 * len(DEFAULT_AXIOM_WINDOW)) ** 4 * len(
+    default_probes())
+
+# cases each suite's sweeps run, from window points n and probe count p
+_SUITE_CASES = {
+    "fi": lambda n, p: (2 * n) ** 5,
+    "table": lambda n, p: (4 * n) ** 2 * 2 * n,
+    "module-t": lambda n, p: 2 * (2 * n) ** 4 * p,
+    "pullback-phi": lambda n, p: (2 * n) ** 4 * p,
+    "lie-psi": lambda n, p: (4 * n) ** 2 * p,
+    "lie-phi": lambda n, p: (4 * n) ** 2 * p,
+    # the module gate always sweeps the default axiom window
+    "induced-psi": lambda n, p: _AXIOM_GATE_CASES + 4 * n * p,
 }
 
 
@@ -136,6 +157,16 @@ def _window_str(window: range) -> str:
     return f"{window[0]}..{window[-1]}"
 
 
+def _check_case_budget(suite: str, config: RunConfig) -> None:
+    probes = len(config.probes if config.probes is not None
+                 else default_probes())
+    cases = _SUITE_CASES[suite](len(config.window), probes)
+    if cases > CASE_BUDGET:
+        raise ConfigError(
+            f"check {suite} on window {_window_str(config.window)} needs "
+            f"{cases:,} cases, over the budget of {CASE_BUDGET:,}")
+
+
 def _print_json(record: dict) -> None:
     import json
 
@@ -185,6 +216,7 @@ def cmd_bracket(args) -> int:
 def cmd_check(args) -> int:
     config = _build_config(args, _SUITE_WINDOWS[args.suite])
     suite = args.suite
+    _check_case_budget(suite, config)
 
     if suite == "fi":
         report = check_fundamental(config.window,

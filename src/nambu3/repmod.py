@@ -31,7 +31,11 @@ coefficients are polynomials of degree <= 2 in each index, so a 5-point
 window per slot is conclusive for the coefficient identities; that rationale
 is documentation, not a runtime assertion.
 
-Single-key applications are memoized and the axiom sweeps accumulate plain
+Single-key applications are memoized in bounded caches.  Each axiom sweep
+also keeps two tables of its own, freed when it returns: a row per basis
+pair ``(x, y)`` mapping weight keys to their single-key terms, looked up
+once per loop level rather than once per probe, and the products of
+composed coefficients keyed by value.  Cases accumulate plain
 (key -> Scalar) dicts, building a vector only for an actual defect; the
 grids are large and the per-case algebra is small.
 
@@ -58,6 +62,9 @@ from .reports import DefectEntry, DefectReport
 from .scalar import LAMBDA, MU, Indeterminate, Scalar, divides
 
 DEFAULT_AXIOM_WINDOW = range(-2, 3)
+
+# bound of each per-action kernel cache below
+KERNEL_CACHE_SIZE = 1 << 15
 
 
 class WeightKey(NamedTuple):
@@ -95,7 +102,7 @@ class WeightKey(NamedTuple):
         return str(self.tag)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=KERNEL_CACHE_SIZE)
 def _alpha(key: WeightKey) -> Scalar:
     if key.is_generic:
         return Scalar(Indeterminate(key.tag)) + key.offset
@@ -218,10 +225,11 @@ def action_parameters(action) -> tuple:
 # -- single-key kernels -------------------------------------------------------
 
 # Term tuples (key, Scalar) with zero coefficients dropped; memoized because
-# the axiom sweeps revisit the same (pair, key) combinations constantly.
+# the sweeps and the induced actions revisit the same (pair, key)
+# combinations constantly.
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=KERNEL_CACHE_SIZE)
 def _lie_key_terms(action, k: PqxzKey, key: WeightKey) -> tuple:
     if isinstance(action, LieShiftAction):
         if k.family != "p":
@@ -246,7 +254,7 @@ def _lie_key_terms(action, k: PqxzKey, key: WeightKey) -> tuple:
     raise TypeError(f"not a closed-form Lie action: {action!r}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=KERNEL_CACHE_SIZE)
 def _tri_key_terms(action, x: BasisKey, y: BasisKey, key: WeightKey) -> tuple:
     if isinstance(action, TriWeightAction):
         if x.kind == y.kind:
@@ -272,11 +280,63 @@ def _tri_key_terms(action, x: BasisKey, y: BasisKey, key: WeightKey) -> tuple:
     raise TypeError(f"not a ternary action: {action!r}")
 
 
-def _compose_into(acc: dict, action, x, y, terms, sign: int = 1) -> None:
-    for key, c in terms:
-        for k2, c2 in _tri_key_terms(action, x, y, key):
-            prod = c * c2
-            accumulate(acc, k2, prod if sign > 0 else -prod)
+class _PairRow(dict):
+    """weight key -> ``_tri_key_terms(action, x, y, key)``, filled on a miss."""
+
+    __slots__ = ("tables", "x", "y")
+
+    def __init__(self, tables: "_SweepTables", x: BasisKey, y: BasisKey):
+        super().__init__()
+        self.tables, self.x, self.y = tables, x, y
+
+    def __missing__(self, key: WeightKey) -> tuple:
+        tables = self.tables
+        terms = _tri_key_terms(tables.action, self.x, self.y, key)
+        # one object per distinct coefficient, so product lookups match
+        # keys by identity
+        coeffs = tables.coeffs
+        terms = self[key] = tuple((k, coeffs.setdefault(c, c))
+                                  for k, c in terms)
+        return terms
+
+
+class _SweepTables:
+    """The pair rows and coefficient products of one axiom sweep."""
+
+    def __init__(self, action):
+        self.action = action
+        self.rows: dict = {}
+        self.coeffs: dict = {}
+        self.prods: dict = {}
+
+    def row(self, x: BasisKey, y: BasisKey) -> _PairRow:
+        row = self.rows.get((x, y))
+        if row is None:
+            row = self.rows[(x, y)] = _PairRow(self, x, y)
+        return row
+
+    def compose_into(self, acc: dict, row: _PairRow, terms,
+                     sign: int = 1) -> None:
+        """Add sign * (row's pair applied to the vector ``terms``)."""
+        prods = self.prods
+        for key, c in terms:
+            for k2, c2 in row[key]:
+                pk = (c, c2, sign)
+                prod = prods.get(pk)
+                if prod is None:
+                    prod = c * c2
+                    prod = prods[pk] = prod if sign > 0 else -prod
+                accumulate(acc, k2, prod)
+
+    def scale_into(self, acc: dict, terms, c) -> None:
+        """Add each term of ``terms`` times the rational ``c``."""
+        prods = self.prods
+        for k2, c2 in terms:
+            pk = (c2, c)
+            prod = prods.get(pk)
+            if prod is None:
+                prod = prods[pk] = c2 * c
+            accumulate(acc, k2, prod)
 
 
 # -- applying actions ----------------------------------------------------------
@@ -344,30 +404,31 @@ def check_tri_axiom1(action: TriAction,
     probe_keys = _probe_keys(probes)
     family = action_family(action)
     params = action_parameters(action)
+    tables = _SweepTables(action)
+    row, compose_into, scale_into = \
+        tables.row, tables.compose_into, tables.scale_into
     entries = []
     cases = 0
     for x1 in keys:
         for x2 in keys:
+            r12 = row(x1, x2)
+            b12 = {x: bracket_keys(x1, x2, x) for x in keys}
             for x3 in keys:
+                b123 = b12[x3]
                 for x4 in keys:
-                    b123 = bracket_keys(x1, x2, x3)
-                    b124 = bracket_keys(x1, x2, x4)
+                    r34 = row(x3, x4)
+                    b124 = b12[x4]
+                    r123 = row(b123[1], x4) if b123 is not None else None
+                    r124 = row(x3, b124[1]) if b124 is not None else None
                     for probe in probe_keys:
                         cases += 1
                         acc: dict = {}
-                        _compose_into(acc, action, x1, x2,
-                                      _tri_key_terms(action, x3, x4, probe))
-                        _compose_into(acc, action, x3, x4,
-                                      _tri_key_terms(action, x1, x2, probe),
-                                      sign=-1)
-                        if b123 is not None:
-                            c, k = b123
-                            for k2, c2 in _tri_key_terms(action, k, x4, probe):
-                                accumulate(acc, k2, c2 * (-c))
-                        if b124 is not None:
-                            c, k = b124
-                            for k2, c2 in _tri_key_terms(action, x3, k, probe):
-                                accumulate(acc, k2, c2 * (-c))
+                        compose_into(acc, r12, r34[probe])
+                        compose_into(acc, r34, r12[probe], sign=-1)
+                        if r123 is not None:
+                            scale_into(acc, r123[probe], -b123[0])
+                        if r124 is not None:
+                            scale_into(acc, r124[probe], -b124[0])
                         if acc:
                             entries.append(DefectEntry(
                                 axiom="tri-axiom-1",
@@ -391,26 +452,32 @@ def check_tri_axiom2(action: TriAction,
     probe_keys = _probe_keys(probes)
     family = action_family(action)
     params = action_parameters(action)
+    tables = _SweepTables(action)
+    row, compose_into, scale_into = \
+        tables.row, tables.compose_into, tables.scale_into
     entries = []
     cases = 0
     for x1 in keys:
         for x2 in keys:
+            r12 = row(x1, x2)
+            b12 = {x: bracket_keys(x1, x2, x) for x in keys}
             for x3 in keys:
+                r23 = row(x2, x3)
+                r31 = row(x3, x1)
+                b123 = b12[x3]
                 for x4 in keys:
-                    b123 = bracket_keys(x1, x2, x3)
+                    r34 = row(x3, x4)
+                    r14 = row(x1, x4)
+                    r24 = row(x2, x4)
+                    r123 = row(b123[1], x4) if b123 is not None else None
                     for probe in probe_keys:
                         cases += 1
                         acc: dict = {}
-                        _compose_into(acc, action, x1, x2,
-                                      _tri_key_terms(action, x3, x4, probe))
-                        _compose_into(acc, action, x2, x3,
-                                      _tri_key_terms(action, x1, x4, probe))
-                        _compose_into(acc, action, x3, x1,
-                                      _tri_key_terms(action, x2, x4, probe))
-                        if b123 is not None:
-                            c, k = b123
-                            for k2, c2 in _tri_key_terms(action, k, x4, probe):
-                                accumulate(acc, k2, c2 * (-c))
+                        compose_into(acc, r12, r34[probe])
+                        compose_into(acc, r23, r14[probe])
+                        compose_into(acc, r31, r24[probe])
+                        if r123 is not None:
+                            scale_into(acc, r123[probe], -b123[0])
                         if acc:
                             entries.append(DefectEntry(
                                 axiom="tri-axiom-2",

@@ -14,18 +14,25 @@ leading-term division.
 
 Symbols are restricted to the two reserved parameters ``lam`` and ``mu`` plus
 the weight tags ``a0``, ``a1``, ...  Exponents are capped at 16 bits; blowing
-the cap is a hard error rather than silent wraparound.
+the cap is a hard error rather than silent wraparound.  Monomial products are
+memoized in a bounded LRU cache, since the module checks multiply under
+twenty distinct monomial pairs tens of thousands of times.  Only a product
+that passed the exponent check is ever cached.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping, Optional, Union
 
 from .errors import ExponentOverflow, ZeroDivisor
 
 EXPONENT_LIMIT = 1 << 16
+
+# bound of the monomial product memo
+MONO_MEMO_SIZE = 4096
 
 _NAME_RE = re.compile(r"\A(?:lam|mu|a(?:0|[1-9][0-9]*))\Z")
 
@@ -72,6 +79,7 @@ def _symbol_rank(name: str) -> tuple:
 Mono = tuple
 
 
+@lru_cache(maxsize=MONO_MEMO_SIZE)
 def _mono_mul(m1: Mono, m2: Mono) -> Mono:
     if not m1:
         return m2
@@ -175,10 +183,10 @@ class Scalar:
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, Indeterminate)):
-            other = Scalar(other)
         if not isinstance(other, Scalar):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction, Indeterminate)):
+                return NotImplemented
+            other = Scalar(other)
         merged = dict(self._terms)
         for m, c in other._terms.items():
             tot = merged.get(m, 0) + c
@@ -194,25 +202,26 @@ class Scalar:
         return Scalar._make({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, Indeterminate)):
-            other = Scalar(other)
         if not isinstance(other, Scalar):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction, Indeterminate)):
+                return NotImplemented
+            other = Scalar(other)
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            q = _q(other)
-            if not q:
-                return Scalar._make({})
-            return Scalar._make({m: _q(c * q) for m, c in self._terms.items()})
-        if isinstance(other, Indeterminate):
-            other = Scalar(other)
         if not isinstance(other, Scalar):
-            return NotImplemented
+            if isinstance(other, (int, Fraction)):
+                q = _q(other)
+                if not q:
+                    return Scalar._make({})
+                return Scalar._make({m: _q(c * q)
+                                     for m, c in self._terms.items()})
+            if not isinstance(other, Indeterminate):
+                return NotImplemented
+            other = Scalar(other)
         out: dict = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
@@ -268,10 +277,10 @@ class Scalar:
     # -- comparison / hashing -----------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, Indeterminate)):
-            other = Scalar(other)
         if not isinstance(other, Scalar):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction, Indeterminate)):
+                return NotImplemented
+            other = Scalar(other)
         return self._terms == other._terms
 
     def __hash__(self):

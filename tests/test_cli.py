@@ -6,6 +6,7 @@ import pytest
 
 from nambu3 import cli
 from nambu3.cli import PARALLELISM_ENV, build_parser, main
+from nambu3.reports import DefectReport
 
 
 def run(capsys, *argv):
@@ -312,6 +313,71 @@ def test_index_cap_exits_2_through_the_sweeps(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: basis index ") and err.count("\n") == 1
+
+
+_SWEEPS = ("check_fundamental", "check_pqxz_table", "check_tri_axiom1",
+           "check_tri_axiom2", "check_lie_module", "check_induced")
+
+
+def _stub_sweeps(monkeypatch, sweep):
+    for name in _SWEEPS:
+        monkeypatch.setattr(cli, name, sweep)
+    monkeypatch.setattr("nambu3.algebra.ProcessPoolExecutor", _no_pool)
+
+
+def _no_pool(*args, **kwargs):
+    pytest.fail("a worker pool was started")
+
+
+def _no_sweep(*args, **kwargs):
+    pytest.fail("a sweep was started")
+
+
+@pytest.mark.parametrize("argv, cases", [
+    (("check", "fi", "--window", "-64..0"), "37,129,300,000"),
+    (("check", "fi", "--window", "-64..0", "--parallelism", "2"),
+     "37,129,300,000"),
+    (("check", "module-t", "--window", "-30..30"), "2,658,401,472"),
+    (("check", "pullback-phi", "--window", "-32..32"), "1,713,660,000"),
+])
+def test_over_budget_grid_exits_2_before_any_sweep(capsys, monkeypatch,
+                                                   argv, cases):
+    _stub_sweeps(monkeypatch, _no_sweep)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: check {argv[1]} on window ")
+    assert f"needs {cases} cases" in err
+    assert f"{cli.CASE_BUDGET:,}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "fi", "--window", "-3..3"),
+    ("check", "fi", "--window", "-3..3", "--parallelism", "2"),
+    ("check", "fi"),
+    ("check", "table", "--window", "-8..8"),
+    ("check", "table"),
+    ("check", "module-t", "--output", "machine"),
+    ("check", "module-t", "--mu", "2", "--output", "machine"),
+    ("check", "pullback-phi"),
+    ("check", "induced-psi", "--mu", "1"),
+    ("check", "lie-psi"),
+    ("check", "lie-phi"),
+])
+def test_default_and_benchmark_windows_are_within_budget(capsys, monkeypatch,
+                                                         argv):
+    ran = []
+
+    def empty(*args, **kwargs):
+        ran.append(1)
+        return DefectReport("stub", 0)
+
+    _stub_sweeps(monkeypatch, empty)
+    code, _, err = run(capsys, *argv)
+    assert code in (0, 1)
+    assert err == ""
+    assert ran
 
 
 def test_unknown_suite_exits_2(capsys):

@@ -1,21 +1,25 @@
 """Weight modules: pair action, axioms, orbits, induction, counterexample."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nambu3.algebra import L, M
+from nambu3.algebra import L, M, bracket_keys
 from nambu3.derivations import P, Q, X, Z, ad, pqxz_to_deriv
 from nambu3.errors import NotAModule
-from nambu3.repmod import (InducedLieAction, ModVec, WeightKey,
-                           check_induced, check_lie_module,
-                           check_tri_axiom1, check_tri_axiom2,
-                           counterexample_phi, default_probes, induce_apply,
-                           lie_apply, orbit_probe, pullback_candidate,
-                           shift_action, tri_apply, verify_module,
-                           weight_action, weight_key, weight_report,
-                           zero_twist_action)
+from nambu3.linear import accumulate
+from nambu3.reports import DefectEntry, DefectReport
+from nambu3.repmod import (InducedLieAction, ModVec, WeightKey, _alpha,
+                           _lie_key_terms, _tri_key_terms, action_family,
+                           action_parameters, check_induced,
+                           check_lie_module, check_tri_axiom1,
+                           check_tri_axiom2, counterexample_phi,
+                           default_probes, induce_apply, lie_apply,
+                           orbit_probe, pullback_candidate, shift_action,
+                           tri_apply, verify_module, weight_action,
+                           weight_key, weight_report, zero_twist_action)
 from nambu3.scalar import LAMBDA, MU, Scalar, divides, weight_tag
 
 lam = Scalar(LAMBDA)
@@ -145,6 +149,94 @@ def test_axiom2_symbolic_defect_at_pinned_pattern():
     hits = [e for e in report.entries
             if e.indices == ("L", 0, "L", 1, "M", 0, "M", 1)]
     assert hits[0].defect == V("a0") * (mu - mu * mu)
+
+
+def _reference_axiom_report(action, window, probes, axiom):
+    # every case evaluated on its own through the single-key kernel
+    def compose_into(acc, x, y, terms, sign=1):
+        for key, c in terms:
+            for k2, c2 in _tri_key_terms(action, x, y, key):
+                prod = c * c2
+                accumulate(acc, k2, prod if sign > 0 else -prod)
+
+    def scale_into(acc, terms, c):
+        for k2, c2 in terms:
+            accumulate(acc, k2, c2 * c)
+
+    points = sorted(set(window))
+    keys = [L(i) for i in points] + [M(i) for i in points]
+    probe_keys = default_probes() if probes is None else probes
+    label = f"tri-axiom-{axiom}"
+    entries = []
+    cases = 0
+    for x1, x2, x3, x4 in itertools.product(keys, repeat=4):
+        b123 = bracket_keys(x1, x2, x3)
+        b124 = bracket_keys(x1, x2, x4)
+        for probe in probe_keys:
+            cases += 1
+            acc = {}
+            compose_into(acc, x1, x2, _tri_key_terms(action, x3, x4, probe))
+            if axiom == 1:
+                compose_into(acc, x3, x4,
+                             _tri_key_terms(action, x1, x2, probe), sign=-1)
+            else:
+                compose_into(acc, x2, x3,
+                             _tri_key_terms(action, x1, x4, probe))
+                compose_into(acc, x3, x1,
+                             _tri_key_terms(action, x2, x4, probe))
+            if b123 is not None:
+                scale_into(acc, _tri_key_terms(action, b123[1], x4, probe),
+                           -b123[0])
+            if axiom == 1 and b124 is not None:
+                scale_into(acc, _tri_key_terms(action, x3, b124[1], probe),
+                           -b124[0])
+            if acc:
+                entries.append(DefectEntry(
+                    axiom=label,
+                    indices=(x1.kind, x1.index, x2.kind, x2.index,
+                             x3.kind, x3.index, x4.kind, x4.index),
+                    defect=ModVec(acc),
+                    probe=f"v[{probe}]",
+                    family=action_family(action),
+                    parameters=action_parameters(action)))
+    return DefectReport(label, cases, entries)
+
+
+_SWEEP_ACTIONS = {
+    "T": weight_action(),
+    "T-mu2": weight_action(mu=2),
+    "pullback-phi": pullback_candidate(zero_twist_action()),
+    "pullback-psi": pullback_candidate(shift_action()),
+}
+
+
+def _assert_matches_reference(action, window, probes=None):
+    for axiom, sweep in ((1, check_tri_axiom1), (2, check_tri_axiom2)):
+        got = sweep(action, window, probes)
+        want = _reference_axiom_report(action, window, probes, axiom)
+        assert got.cases == want.cases
+        assert ([e.record() for e in got.entries]
+                == [e.record() for e in want.entries])
+
+
+@pytest.mark.parametrize("window", [range(-1, 2), range(-2, 3)],
+                         ids=["-1..1", "-2..2"])
+@pytest.mark.parametrize("name", sorted(_SWEEP_ACTIONS))
+def test_axiom_sweeps_match_the_per_case_reference(name, window):
+    _assert_matches_reference(_SWEEP_ACTIONS[name], window)
+
+
+@pytest.mark.parametrize("name", sorted(_SWEEP_ACTIONS))
+def test_axiom_sweeps_match_the_reference_on_rational_tags(name):
+    # Fraction coefficients go through the sweep's product table
+    probes = (weight_key(Fraction(1, 2)), weight_key(Fraction(-2, 3), 1),
+              weight_key("a1", -1))
+    _assert_matches_reference(_SWEEP_ACTIONS[name], range(-1, 2), probes)
+
+
+def test_kernel_caches_are_bounded():
+    for cache in (_tri_key_terms, _lie_key_terms, _alpha):
+        assert cache.cache_info().maxsize is not None
 
 
 def test_verify_module_is_cached_and_merged():

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nambu3.errors import ExponentOverflow, ZeroDivisor
-from nambu3.scalar import (LAMBDA, MU, Indeterminate, Scalar, divides,
+from nambu3.scalar import (EXPONENT_LIMIT, LAMBDA, MONO_MEMO_SIZE, MU,
+                           Indeterminate, Scalar, _mono_mul, divides,
                            exact_quotient, weight_tag)
 
 lam = Scalar(LAMBDA)
@@ -105,6 +106,39 @@ def test_exponent_overflow_guard():
     big = mu ** 60000
     with pytest.raises(ExponentOverflow):
         big * (mu ** 60000)
+
+
+def test_monomial_memo_keeps_products_exact():
+    _mono_mul.cache_clear()
+    assert (mu ** 3) * (mu ** 2) == mu ** 5
+    assert _mono_mul.cache_info().currsize > 0
+    assert (mu ** 3) * (mu ** 2) == mu ** 5
+    assert _mono_mul.cache_info().hits > 0
+
+
+def test_monomial_memo_never_caches_an_overflow():
+    top = Scalar._make({(("mu", EXPONENT_LIMIT - 1),): 1})
+    _mono_mul.cache_clear()
+    with pytest.raises(ExponentOverflow):
+        top * mu
+    # warm the memo with the operands' other products, then overflow again
+    assert top * 1 == top
+    assert mu * mu == mu ** 2
+    with pytest.raises(ExponentOverflow):
+        top * mu
+    assert _mono_mul.cache_info().currsize == 2
+
+
+def test_monomial_memo_is_bounded():
+    _mono_mul.cache_clear()
+    tags = [Scalar(weight_tag(k)) for k in range(200)]
+    for a in tags:
+        for b in tags[:30]:
+            assert (a * b) * mu == a * (b * mu)
+    info = _mono_mul.cache_info()
+    assert info.maxsize == MONO_MEMO_SIZE
+    assert info.misses > MONO_MEMO_SIZE
+    assert info.currsize == MONO_MEMO_SIZE
 
 
 def test_indeterminate_names():

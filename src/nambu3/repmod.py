@@ -405,8 +405,8 @@ def check_tri_axiom1(action: TriAction,
     family = action_family(action)
     params = action_parameters(action)
     tables = _SweepTables(action)
-    row, compose_into, scale_into = \
-        tables.row, tables.compose_into, tables.scale_into
+    row = tables.row
+    compose_into, scale_into = tables.compose_into, tables.scale_into
     entries = []
     cases = 0
     for x1 in keys:
@@ -453,8 +453,8 @@ def check_tri_axiom2(action: TriAction,
     family = action_family(action)
     params = action_parameters(action)
     tables = _SweepTables(action)
-    row, compose_into, scale_into = \
-        tables.row, tables.compose_into, tables.scale_into
+    row = tables.row
+    compose_into, scale_into = tables.compose_into, tables.scale_into
     entries = []
     cases = 0
     for x1 in keys:

@@ -31,10 +31,10 @@ coefficients are polynomials of degree <= 2 in each index, so a 5-point
 window per slot is conclusive for the coefficient identities; that rationale
 is documentation, not a runtime assertion.
 
-Single-key applications are memoized in bounded caches.  Each axiom sweep
-also keeps two tables of its own, freed when it returns: a row per basis
-pair ``(x, y)`` mapping weight keys to their single-key terms, looked up
-once per loop level rather than once per probe, and the products of
+Single-key applications are memoized in bounded caches.  The axiom sweeps
+keep tables of their own instead, freed when each sweep returns: a row per
+basis pair ``(x, y)`` mapping weight keys to their single-key terms, looked
+up once per loop level rather than once per probe, and the products of
 composed coefficients keyed by value.  Cases accumulate plain
 (key -> Scalar) dicts, building a vector only for an actual defect; the
 grids are large and the per-case algebra is small.
@@ -226,7 +226,8 @@ def action_parameters(action) -> tuple:
 
 # Term tuples (key, Scalar) with zero coefficients dropped; memoized because
 # the sweeps and the induced actions revisit the same (pair, key)
-# combinations constantly.
+# combinations constantly.  The axiom sweeps memoize ternary terms in rows
+# of their own (``_PairRow``) rather than in ``_tri_key_terms``.
 
 
 @lru_cache(maxsize=KERNEL_CACHE_SIZE)
@@ -254,8 +255,7 @@ def _lie_key_terms(action, k: PqxzKey, key: WeightKey) -> tuple:
     raise TypeError(f"not a closed-form Lie action: {action!r}")
 
 
-@lru_cache(maxsize=KERNEL_CACHE_SIZE)
-def _tri_key_terms(action, x: BasisKey, y: BasisKey, key: WeightKey) -> tuple:
+def _tri_terms(action, x: BasisKey, y: BasisKey, key: WeightKey) -> tuple:
     if isinstance(action, TriWeightAction):
         if x.kind == y.kind:
             return ()
@@ -280,23 +280,29 @@ def _tri_key_terms(action, x: BasisKey, y: BasisKey, key: WeightKey) -> tuple:
     raise TypeError(f"not a ternary action: {action!r}")
 
 
+_tri_key_terms = lru_cache(maxsize=KERNEL_CACHE_SIZE)(_tri_terms)
+
+
 class _PairRow(dict):
-    """weight key -> ``_tri_key_terms(action, x, y, key)``, filled on a miss."""
+    """weight key -> ``_tri_terms(action, x, y, key)``, filled on a miss.
 
-    __slots__ = ("tables", "x", "y")
+    Each coefficient is replaced by the first equal one in ``coeffs``, so
+    product lookups match their keys by identity.  A row holds no reference
+    to the tables that hold it, so a sweep's tables are freed on return
+    without waiting for the cycle collector.
+    """
 
-    def __init__(self, tables: "_SweepTables", x: BasisKey, y: BasisKey):
+    __slots__ = ("action", "x", "y", "coeffs")
+
+    def __init__(self, action, x: BasisKey, y: BasisKey, coeffs: dict):
         super().__init__()
-        self.tables, self.x, self.y = tables, x, y
+        self.action, self.x, self.y, self.coeffs = action, x, y, coeffs
 
     def __missing__(self, key: WeightKey) -> tuple:
-        tables = self.tables
-        terms = _tri_key_terms(tables.action, self.x, self.y, key)
-        # one object per distinct coefficient, so product lookups match
-        # keys by identity
-        coeffs = tables.coeffs
-        terms = self[key] = tuple((k, coeffs.setdefault(c, c))
-                                  for k, c in terms)
+        coeffs = self.coeffs
+        terms = self[key] = tuple(
+            (k, coeffs.setdefault(c, c))
+            for k, c in _tri_terms(self.action, self.x, self.y, key))
         return terms
 
 
@@ -312,7 +318,8 @@ class _SweepTables:
     def row(self, x: BasisKey, y: BasisKey) -> _PairRow:
         row = self.rows.get((x, y))
         if row is None:
-            row = self.rows[(x, y)] = _PairRow(self, x, y)
+            row = self.rows[(x, y)] = _PairRow(self.action, x, y,
+                                               self.coeffs)
         return row
 
     def compose_into(self, acc: dict, row: _PairRow, terms,
@@ -329,7 +336,7 @@ class _SweepTables:
                 accumulate(acc, k2, prod)
 
     def scale_into(self, acc: dict, terms, c) -> None:
-        """Add each term of ``terms`` times the rational ``c``."""
+        """Add each term of ``terms`` times the bracket coefficient ``c``."""
         prods = self.prods
         for k2, c2 in terms:
             pk = (c2, c)

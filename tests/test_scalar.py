@@ -121,11 +121,12 @@ def test_monomial_memo_never_caches_an_overflow():
     _mono_mul.cache_clear()
     with pytest.raises(ExponentOverflow):
         top * mu
-    # warm the memo with the operands' other products, then overflow again
-    assert top * 1 == top
-    assert mu * mu == mu ** 2
+    # warm the memo with other products of both operands, then overflow again
+    assert top * Scalar(1) == top
+    assert mu * mu == Scalar._make({(("mu", 2),): 1})
     with pytest.raises(ExponentOverflow):
         top * mu
+    # only the two products that passed the exponent check are cached
     assert _mono_mul.cache_info().currsize == 2
 
 

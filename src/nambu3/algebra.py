@@ -17,11 +17,12 @@ The ternary bracket comes in two deliberately independent routes:
 The two must agree everywhere; keeping both gives a structural oracle for
 the table.  ``check_fundamental`` sweeps the ternary Jacobi identity over a
 finite index window.  Indices are Laurent-mode integers capped at +/-2^40;
-index arithmetic that leaves the cap raises IndexOverflow.  The bracket
-lowers no degree bound and shifts indices by at most the sum of its inputs,
-so a window check exercises every structure constant whose indices fit:
-coefficients are affine in each index and the identity is index-translation
-covariant, which is why small windows are conclusive for the table.
+a window index (sweeps take their keys from ``window_keys``) or index
+arithmetic that leaves the cap raises IndexOverflow.  The bracket lowers no
+degree bound and shifts indices by at most the sum of its inputs, so a window
+check exercises every structure constant whose indices fit: coefficients are
+affine in each index and the identity is index-translation covariant, which
+is why small windows are conclusive for the table.
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ from typing import Callable, Iterable, NamedTuple, Optional
 
 from .errors import IndexOverflow
 from .linear import LinComb, accumulate
-from .reports import DefectEntry, DefectReport
+from .reports import DefectReport, sweep_report
 
 INDEX_LIMIT = 1 << 40
 
@@ -182,14 +183,16 @@ def bracket_det(x: AlgElem, y: AlgElem, z: AlgElem) -> AlgElem:
 # -- fundamental identity sweep ------------------------------------------------
 
 
-def _window_keys(window: Iterable[int]) -> tuple:
+def window_keys(window: Iterable[int]) -> tuple:
+    """Cap-checked L keys, then M keys, at the window's sorted indices."""
     idx = sorted(set(window))
-    return tuple([BasisKey("L", i) for i in idx] + [BasisKey("M", i) for i in idx])
+    return tuple([L(i) for i in idx] + [M(i) for i in idx])
 
 
 def _fi_scan(first_keys: tuple, keys: tuple, kb: Optional[Callable]) -> list:
     """Defects of [x1,x2,[x3,x4,x5]] = [[x1,x2,x3],x4,x5]
-    + [x3,[x1,x2,x4],x5] + [x3,x4,[x1,x2,x5]] for x1 in ``first_keys``.
+    + [x3,[x1,x2,x4],x5] + [x3,x4,[x1,x2,x5]] for x1 in ``first_keys``,
+    as ``sweep_report`` triples.
 
     Each inner bracket [x3,x4,x5] is made once per sweep, and ad(x1, x2)
     once per pair as a table over the window keys and the keys the inner
@@ -202,7 +205,7 @@ def _fi_scan(first_keys: tuple, keys: tuple, kb: Optional[Callable]) -> list:
     targets = dict.fromkeys(keys)
     targets.update(dict.fromkeys(
         hit[1] for plane in inners for row in plane for hit in row if hit))
-    entries = []
+    found = []
     for x1 in first_keys:
         for x2 in keys:
             ad = {k: kb(x1, x2, k) for k in targets}
@@ -229,17 +232,10 @@ def _fi_scan(first_keys: tuple, keys: tuple, kb: Optional[Callable]) -> list:
                             hit = kb(x3, x4, third[1])
                             if hit is not None:
                                 accumulate(acc, hit[1], -third[0] * hit[0])
-                        if not acc:
-                            continue
-                        indices = (x1.kind, x1.index, x2.kind, x2.index,
-                                   x3.kind, x3.index, x4.kind, x4.index,
-                                   x5.kind, x5.index)
-                        entries.append(DefectEntry(
-                            axiom="fundamental-identity",
-                            indices=indices,
-                            defect=AlgElem(list(acc.items())),
-                            family="algebra"))
-    return entries
+                        if acc:
+                            found.append(((x1, x2, x3, x4, x5), None,
+                                          AlgElem(list(acc.items()))))
+    return found
 
 
 def _resolve_parallelism(parallelism: int, grid: int, chunks: int) -> int:
@@ -262,17 +258,18 @@ def check_fundamental(window: Iterable[int] = DEFAULT_FI_WINDOW,
     a custom ``key_bracket`` (fault injection) always runs serially.
     Entries are sorted either way, so the report is deterministic.
     """
-    keys = _window_keys(window)
+    keys = window_keys(window)
     cases = len(keys) ** 5
     workers = _resolve_parallelism(parallelism, cases, len(keys))
     if key_bracket is not None or workers <= 1:
-        entries = _fi_scan(keys, keys, key_bracket)
+        found = _fi_scan(keys, keys, key_bracket)
     else:
         chunks = [keys[i::workers] for i in range(workers)]
-        entries = []
+        found = []
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_fi_scan, chunk, keys, None)
                        for chunk in chunks]
             for fut in futures:
-                entries.extend(fut.result())
-    return DefectReport("fundamental-identity", cases, entries)
+                found.extend(fut.result())
+    return sweep_report("fundamental-identity", cases, found,
+                        axiom="fundamental-identity", family="algebra")

@@ -7,6 +7,10 @@ check lands on an unexpected verdict, 2 for parse or configuration errors
 arithmetic refuses (index, exponent or window out of bounds), each reported
 as one ``error:`` line on stderr.
 
+``_SUITES`` holds each suite's default window and case-count formula, checked
+against the budget before any sweep; ``_emit_check`` prints a report with its
+verdict line and returns the exit code.
+
 ``check pullback-phi`` inverts the usual convention on purpose: that suite
 documents a designed failure, so finding the nonzero defect is the expected
 verdict and exits 0.  All other suites exit 0 only on a clean pass (for
@@ -37,9 +41,9 @@ from .derivations import (DEFAULT_PAIR_WINDOW, check_pqxz_table, deriv_equal,
 from .errors import (ConfigError, ExponentOverflow, IndexOverflow, NotAModule,
                      NotEigenvector, ParseError, WindowTooSmall, ZeroDivisor)
 from .parsing import parse_deriv, parse_elem, parse_weight_key
-from .repmod import (DEFAULT_AXIOM_WINDOW, ModVec, _within_parameter_gate,
-                     check_induced, check_lie_module, check_tri_axiom1,
-                     check_tri_axiom2, counterexample_phi, default_probes,
+from .repmod import (DEFAULT_AXIOM_WINDOW, ModVec, _probe_keys,
+                     _within_parameter_gate, check_induced, check_lie_module,
+                     check_tri_axiom1, check_tri_axiom2, counterexample_phi,
                      orbit_probe, pullback_candidate, shift_action,
                      weight_action, weight_key, weight_report,
                      zero_twist_action)
@@ -49,32 +53,21 @@ PARALLELISM_ENV = "NAMBU3_PARALLELISM"
 _WINDOW_RE = re.compile(r"(-?\d+)\.\.(-?\d+)")
 _WINDOW_SPAN_LIMIT = 64
 
-# quintuple/4-tuple grids default to the small window, pairwise to the wide
-_SUITE_WINDOWS = {
-    "fi": DEFAULT_FI_WINDOW,
-    "module-t": DEFAULT_AXIOM_WINDOW,
-    "pullback-phi": DEFAULT_AXIOM_WINDOW,
-    "table": DEFAULT_PAIR_WINDOW,
-    "lie-psi": DEFAULT_PAIR_WINDOW,
-    "lie-phi": DEFAULT_PAIR_WINDOW,
-    "induced-psi": DEFAULT_PAIR_WINDOW,
-}
-
-
 # Refuse larger grids before any sweep starts: at the span cap, fi alone
 # would ask for 130^5 cases.  The default windows stay under 10^6.
 CASE_BUDGET = 10 ** 8
 
-# cases of each suite's report, from window points n and probe count p
-# (induced-psi's module gate always sweeps the fixed default axiom window)
-_SUITE_CASES = {
-    "fi": lambda n, p: (2 * n) ** 5,
-    "table": lambda n, p: (4 * n) ** 2 * 2 * n,
-    "module-t": lambda n, p: 2 * (2 * n) ** 4 * p,
-    "pullback-phi": lambda n, p: (2 * n) ** 4 * p,
-    "lie-psi": lambda n, p: (4 * n) ** 2 * p,
-    "lie-phi": lambda n, p: (4 * n) ** 2 * p,
-    "induced-psi": lambda n, p: 4 * n * p,
+# suite -> (default window, report cases from window points n and probes p);
+# 5- and 4-tuple grids default to the small window, pairwise ones to the
+# wide.  induced-psi's module gate sweeps a fixed window and is not counted.
+_SUITES = {
+    "fi": (DEFAULT_FI_WINDOW, lambda n, p: (2 * n) ** 5),
+    "table": (DEFAULT_PAIR_WINDOW, lambda n, p: (4 * n) ** 2 * 2 * n),
+    "module-t": (DEFAULT_AXIOM_WINDOW, lambda n, p: 2 * (2 * n) ** 4 * p),
+    "pullback-phi": (DEFAULT_AXIOM_WINDOW, lambda n, p: (2 * n) ** 4 * p),
+    "lie-psi": (DEFAULT_PAIR_WINDOW, lambda n, p: (4 * n) ** 2 * p),
+    "lie-phi": (DEFAULT_PAIR_WINDOW, lambda n, p: (4 * n) ** 2 * p),
+    "induced-psi": (DEFAULT_PAIR_WINDOW, lambda n, p: 4 * n * p),
 }
 
 
@@ -155,34 +148,28 @@ def _window_str(window: range) -> str:
     return f"{window[0]}..{window[-1]}"
 
 
-def _check_case_budget(suite: str, config: RunConfig) -> None:
-    probes = len(config.probes if config.probes is not None
-                 else default_probes())
-    cases = _SUITE_CASES[suite](len(config.window), probes)
-    if cases > CASE_BUDGET:
-        raise ConfigError(
-            f"check {suite} on window {_window_str(config.window)} needs "
-            f"{cases:,} cases, over the budget of {CASE_BUDGET:,}")
-
-
 def _print_json(record: dict) -> None:
     import json
 
     print(json.dumps(record, sort_keys=True, separators=(",", ":")))
 
 
-def _emit_check(report, config, extra_text=(), expect_pass=True) -> None:
+def _emit_check(report, config, extra=(), ok=None) -> int:
+    """Print a report and its verdict, ``ok`` or else a clean pass, and
+    return the exit code."""
+    if ok is None:
+        ok = report.passed
     if config.output == "machine":
         for line in report.machine_lines():
             print(line)
-        return
-    print(f"window: {_window_str(config.window)}")
-    for line in report.text_lines():
-        print(line)
-    for line in extra_text:
-        print(line)
-    if expect_pass:
-        print("verdict:", "pass" if report.passed else "FAIL")
+    else:
+        print(f"window: {_window_str(config.window)}")
+        for line in report.text_lines():
+            print(line)
+        for line in extra:
+            print(line)
+        print("verdict:", "pass" if ok else "FAIL")
+    return 0 if ok else 1
 
 
 # -- subcommands -------------------------------------------------------------
@@ -212,20 +199,21 @@ def cmd_bracket(args) -> int:
 
 
 def cmd_check(args) -> int:
-    config = _build_config(args, _SUITE_WINDOWS[args.suite])
     suite = args.suite
-    _check_case_budget(suite, config)
+    window, count = _SUITES[suite]
+    config = _build_config(args, window)
+    cases = count(len(config.window), len(_probe_keys(config.probes)))
+    if cases > CASE_BUDGET:
+        raise ConfigError(
+            f"check {suite} on window {_window_str(config.window)} needs "
+            f"{cases:,} cases, over the budget of {CASE_BUDGET:,}")
 
     if suite == "fi":
-        report = check_fundamental(config.window,
-                                   parallelism=config.parallelism)
-        _emit_check(report, config)
-        return 0 if report.passed else 1
+        return _emit_check(check_fundamental(
+            config.window, parallelism=config.parallelism), config)
 
     if suite == "table":
-        report = check_pqxz_table(config.window)
-        _emit_check(report, config)
-        return 0 if report.passed else 1
+        return _emit_check(check_pqxz_table(config.window), config)
 
     if suite == "module-t":
         action = weight_action(config.lam, config.mu)
@@ -234,28 +222,18 @@ def cmd_check(args) -> int:
         report = r1.merged_with(r2, "module-t")
         extra = []
         if config.mu is None:
-            divisible = _within_parameter_gate(action, report)
+            ok = _within_parameter_gate(action, report)
             extra.append("all defects divisible by mu^2 - mu: "
-                         + ("yes" if divisible else "NO"))
-            ok = divisible
+                         + ("yes" if ok else "NO"))
         else:
             ok = config.mu in (0, 1) and report.passed
-        _emit_check(report, config, extra, expect_pass=False)
-        if config.output == "text":
-            print("verdict:", "pass" if ok else "FAIL")
-        return 0 if ok else 1
+        return _emit_check(report, config, extra, ok)
 
-    if suite == "lie-psi":
-        report = check_lie_module(shift_action(config.lam, config.mu),
-                                  config.window, config.probes)
-        _emit_check(report, config)
-        return 0 if report.passed else 1
-
-    if suite == "lie-phi":
-        report = check_lie_module(zero_twist_action(config.mu),
-                                  config.window, config.probes)
-        _emit_check(report, config)
-        return 0 if report.passed else 1
+    if suite in ("lie-psi", "lie-phi"):
+        action = (shift_action(config.lam, config.mu) if suite == "lie-psi"
+                  else zero_twist_action(config.mu))
+        return _emit_check(check_lie_module(action, config.window,
+                                            config.probes), config)
 
     if suite == "induced-psi":
         tri = weight_action(config.lam, config.mu)
@@ -276,10 +254,7 @@ def cmd_check(args) -> int:
         extra = []
         if config.mu is None:
             extra.append("induction is gated on mu in {0, 1}; mu is symbolic")
-        _emit_check(report, config, extra, expect_pass=False)
-        if config.output == "text":
-            print("verdict:", "pass" if ok else "FAIL")
-        return 0 if ok else 1
+        return _emit_check(report, config, extra, ok)
 
     if suite == "pullback-phi":
         candidate = pullback_candidate(zero_twist_action(config.mu))
@@ -420,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
                            default="text")
 
     p_check = sub.add_parser("check", help="run a verification suite")
-    p_check.add_argument("suite", choices=sorted(_SUITE_WINDOWS))
+    p_check.add_argument("suite", choices=sorted(_SUITES))
     _add_config_flags(p_check, probes=True, parallelism=True)
 
     p_dec = sub.add_parser(

@@ -34,10 +34,11 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple
 
-from .algebra import AlgElem, BasisKey, L, M, _check_index, bracket_keys
+from .algebra import (AlgElem, BasisKey, L, M, _check_index, bracket_keys,
+                      window_keys)
 from .errors import WindowTooSmall
 from .linear import LinComb, accumulate
-from .reports import DefectEntry, DefectReport
+from .reports import DefectReport, sweep_report
 from .scalar import Scalar, _q
 
 DEFAULT_PAIR_WINDOW = range(-3, 4)
@@ -67,6 +68,12 @@ def X(r: int) -> PqxzKey:
 
 def Z(r: int) -> PqxzKey:
     return PqxzKey("z", _check_index(r))
+
+
+def window_generators(window: Iterable[int]) -> tuple:
+    """Cap-checked p, q, x, then z keys at the window's sorted indices."""
+    points = sorted(set(window))
+    return tuple(gen(r) for gen in (P, Q, X, Z) for r in points)
 
 
 class PqxzElem(LinComb):
@@ -303,9 +310,8 @@ def check_pqxz_table(window: Iterable[int] = DEFAULT_PAIR_WINDOW,
     bracket applied to the probe.  ``key_apply``/``key_bracket`` are
     injectable so a deliberately corrupted table is detectable.
     """
-    points = sorted(set(window))
-    gens = [PqxzKey(f, r) for f in PQXZ_FAMILIES for r in points]
-    probes = [L(t) for t in points] + [M(t) for t in points]
+    gens = window_generators(window)
+    probes = window_keys(window)
     memo: dict = {}                    # generator -> {key: hit}
     hits: dict = {}                    # each distinct hit stored once
 
@@ -320,15 +326,13 @@ def check_pqxz_table(window: Iterable[int] = DEFAULT_PAIR_WINDOW,
             hit = row[b] = hits.setdefault(hit, hit)
         return hit
 
-    entries = []
-    cases = 0
+    found = []
     for ka in gens:
         for kb in gens:
             # negated table coefficients, converted once per generator pair
             table = [(kt, -_q(ct.as_rational))
                      for kt, ct in key_bracket(ka, kb)._terms.items()]
             for probe in probes:
-                cases += 1
                 acc: dict = {}
                 hit = act(kb, probe)
                 if hit is not None:
@@ -345,10 +349,8 @@ def check_pqxz_table(window: Iterable[int] = DEFAULT_PAIR_WINDOW,
                     if hit is not None:
                         accumulate(acc, hit[1], ct * hit[0])
                 if acc:
-                    entries.append(DefectEntry(
-                        axiom="generator-commutator",
-                        indices=(ka.family, ka.index, kb.family, kb.index,
-                                 probe.kind, probe.index),
-                        defect=AlgElem(list(acc.items())),
-                        family="derivations"))
-    return DefectReport("generator-commutator-table", cases, entries)
+                    found.append(((ka, kb, probe), None,
+                                  AlgElem(list(acc.items()))))
+    return sweep_report("generator-commutator-table",
+                        len(gens) ** 2 * len(probes), found,
+                        axiom="generator-commutator", family="derivations")

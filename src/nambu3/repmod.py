@@ -31,6 +31,10 @@ coefficients are polynomials of degree <= 2 in each index, so a 5-point
 window per slot is conclusive for the coefficient identities; that rationale
 is documentation, not a runtime assertion.
 
+Every sweep takes cap-checked keys from ``window_keys`` or
+``window_generators``, counts its cases from the grid sizes and builds its
+report with ``sweep_report``.
+
 Single-key applications are memoized in bounded caches.  The axiom sweeps
 keep tables of their own instead, freed when each sweep returns: a row per
 basis pair ``(x, y)`` mapping weight keys to their single-key terms, looked
@@ -52,13 +56,13 @@ from functools import lru_cache
 from math import floor
 from typing import Iterable, NamedTuple, Union
 
-from .algebra import AlgElem, BasisKey, L, M, bracket_keys
-from .derivations import (DEFAULT_PAIR_WINDOW, DerivExpr, PQXZ_FAMILIES,
-                          PqxzElem, PqxzKey, pair_to_pqxz, pqxz_key_bracket,
-                          pqxz_to_deriv)
+from .algebra import AlgElem, BasisKey, L, M, bracket_keys, window_keys
+from .derivations import (DEFAULT_PAIR_WINDOW, DerivExpr, PqxzElem, PqxzKey,
+                          pair_to_pqxz, pqxz_key_bracket, pqxz_to_deriv,
+                          window_generators)
 from .errors import NotAModule, NotEigenvector
 from .linear import LinComb, accumulate
-from .reports import DefectEntry, DefectReport
+from .reports import DefectReport, sweep_report
 from .scalar import LAMBDA, MU, Indeterminate, Scalar, divides
 
 DEFAULT_AXIOM_WINDOW = range(-2, 3)
@@ -406,16 +410,12 @@ def check_tri_axiom1(action: TriAction,
                      probes=None) -> DefectReport:
     """Pair actions must close: commuting two pairs equals acting by the
     bracketed arguments, summed over the two insertion slots."""
-    points = sorted(set(window))
-    keys = [L(i) for i in points] + [M(i) for i in points]
+    keys = window_keys(window)
     probe_keys = _probe_keys(probes)
-    family = action_family(action)
-    params = action_parameters(action)
     tables = _SweepTables(action)
     row = tables.row
     compose_into, scale_into = tables.compose_into, tables.scale_into
-    entries = []
-    cases = 0
+    found = []
     for x1 in keys:
         for x2 in keys:
             r12 = row(x1, x2)
@@ -428,7 +428,6 @@ def check_tri_axiom1(action: TriAction,
                     r123 = row(b123[1], x4) if b123 is not None else None
                     r124 = row(x3, b124[1]) if b124 is not None else None
                     for probe in probe_keys:
-                        cases += 1
                         acc: dict = {}
                         compose_into(acc, r12, r34[probe])
                         compose_into(acc, r34, r12[probe], sign=-1)
@@ -437,15 +436,11 @@ def check_tri_axiom1(action: TriAction,
                         if r124 is not None:
                             scale_into(acc, r124[probe], -b124[0])
                         if acc:
-                            entries.append(DefectEntry(
-                                axiom="tri-axiom-1",
-                                indices=(x1.kind, x1.index, x2.kind, x2.index,
-                                         x3.kind, x3.index, x4.kind, x4.index),
-                                defect=ModVec(acc),
-                                probe=f"v[{probe}]",
-                                family=family,
-                                parameters=params))
-    return DefectReport("tri-axiom-1", cases, entries)
+                            found.append(((x1, x2, x3, x4), probe,
+                                          ModVec(acc)))
+    return sweep_report("tri-axiom-1", len(keys) ** 4 * len(probe_keys), found,
+                        axiom="tri-axiom-1", family=action_family(action),
+                        parameters=action_parameters(action))
 
 
 def check_tri_axiom2(action: TriAction,
@@ -454,16 +449,12 @@ def check_tri_axiom2(action: TriAction,
     """Acting by a bracketed triple must match the cyclic sum of composed
     pair actions.  Defects are reported as composed-products side minus
     bracket-action side."""
-    points = sorted(set(window))
-    keys = [L(i) for i in points] + [M(i) for i in points]
+    keys = window_keys(window)
     probe_keys = _probe_keys(probes)
-    family = action_family(action)
-    params = action_parameters(action)
     tables = _SweepTables(action)
     row = tables.row
     compose_into, scale_into = tables.compose_into, tables.scale_into
-    entries = []
-    cases = 0
+    found = []
     for x1 in keys:
         for x2 in keys:
             r12 = row(x1, x2)
@@ -478,7 +469,6 @@ def check_tri_axiom2(action: TriAction,
                     r24 = row(x2, x4)
                     r123 = row(b123[1], x4) if b123 is not None else None
                     for probe in probe_keys:
-                        cases += 1
                         acc: dict = {}
                         compose_into(acc, r12, r34[probe])
                         compose_into(acc, r23, r14[probe])
@@ -486,15 +476,11 @@ def check_tri_axiom2(action: TriAction,
                         if r123 is not None:
                             scale_into(acc, r123[probe], -b123[0])
                         if acc:
-                            entries.append(DefectEntry(
-                                axiom="tri-axiom-2",
-                                indices=(x1.kind, x1.index, x2.kind, x2.index,
-                                         x3.kind, x3.index, x4.kind, x4.index),
-                                defect=ModVec(acc),
-                                probe=f"v[{probe}]",
-                                family=family,
-                                parameters=params))
-    return DefectReport("tri-axiom-2", cases, entries)
+                            found.append(((x1, x2, x3, x4), probe,
+                                          ModVec(acc)))
+    return sweep_report("tri-axiom-2", len(keys) ** 4 * len(probe_keys), found,
+                        axiom="tri-axiom-2", family=action_family(action),
+                        parameters=action_parameters(action))
 
 
 # -- weights -------------------------------------------------------------------------
@@ -548,13 +534,12 @@ class OrbitReport:
 
 
 def _orbit_generators(action, window):
-    points = sorted(set(window))
     if isinstance(action, (TriWeightAction, PullbackTriAction)):
-        keys = [L(i) for i in points] + [M(i) for i in points]
+        keys = window_keys(window)
         return [(lambda v, a=x, b=y: tri_apply(action, a, b, v))
                 for x in keys for y in keys if x != y]
-    gens = [PqxzKey(f, r) for f in PQXZ_FAMILIES for r in points]
-    return [(lambda v, k=g: lie_apply(action, k, v)) for g in gens]
+    return [(lambda v, k=g: lie_apply(action, k, v))
+            for g in window_generators(window)]
 
 
 def orbit_probe(action, start: WeightKey,
@@ -606,30 +591,21 @@ def check_lie_module(action: LieAction,
                      window: Iterable[int] = DEFAULT_PAIR_WINDOW,
                      probes=None) -> DefectReport:
     """Generator commutators must act as the bracketed generator does."""
-    points = sorted(set(window))
-    gens = [PqxzKey(f, r) for f in PQXZ_FAMILIES for r in points]
+    gens = window_generators(window)
     pv = [(p, ModVec.term(p)) for p in _probe_keys(probes)]
-    family = action_family(action)
-    params = action_parameters(action)
-    entries = []
-    cases = 0
+    found = []
     for ka in gens:
         for kb in gens:
             table = pqxz_key_bracket(ka, kb)
             for probe, v in pv:
-                cases += 1
                 defect = (lie_apply(action, ka, lie_apply(action, kb, v))
                           - lie_apply(action, kb, lie_apply(action, ka, v))
                           - lie_elem_apply(action, table, v))
                 if defect:
-                    entries.append(DefectEntry(
-                        axiom="lie-commutator",
-                        indices=(ka.family, ka.index, kb.family, kb.index),
-                        defect=defect,
-                        probe=f"v[{probe}]",
-                        family=family,
-                        parameters=params))
-    return DefectReport("lie-commutator", cases, entries)
+                    found.append(((ka, kb), probe, defect))
+    return sweep_report("lie-commutator", len(gens) ** 2 * len(pv), found,
+                        axiom="lie-commutator", family=action_family(action),
+                        parameters=action_parameters(action))
 
 
 # -- induced actions ------------------------------------------------------------------------
@@ -714,28 +690,20 @@ def check_induced(tri: TriAction, lie: LieAction,
     axioms on the axiom window.
     """
     _gate_or_raise(tri, axiom_window)
-    points = sorted(set(window))
-    gens = [PqxzKey(f, r) for f in PQXZ_FAMILIES for r in points]
+    gens = window_generators(window)
     pv = [(p, ModVec.term(p)) for p in _probe_keys(probes)]
-    family = f"{action_family(lie)} vs induced({action_family(tri)})"
-    params = action_parameters(lie)
-    entries = []
-    cases = 0
+    found = []
     for k in gens:
         expanded = pqxz_to_deriv(k)
         for probe, v in pv:
-            cases += 1
             defect = (induce_apply(tri, expanded, v, require_module=False)
                       - lie_apply(lie, k, v))
             if defect:
-                entries.append(DefectEntry(
-                    axiom="induced-match",
-                    indices=(k.family, k.index),
-                    defect=defect,
-                    probe=f"v[{probe}]",
-                    family=family,
-                    parameters=params))
-    return DefectReport("induced-match", cases, entries)
+                found.append(((k,), probe, defect))
+    return sweep_report(
+        "induced-match", len(gens) * len(pv), found, axiom="induced-match",
+        family=f"{action_family(lie)} vs induced({action_family(tri)})",
+        parameters=action_parameters(lie))
 
 
 # -- the designed failure ----------------------------------------------------------------------

@@ -74,3 +74,16 @@ class DefectReport:
     def merged_with(self, other: "DefectReport", label: str) -> "DefectReport":
         return DefectReport(label, self.cases + other.cases,
                             self.entries + other.entries)
+
+
+def sweep_report(label: str, cases: int, found: list, *, axiom: str,
+                 family: str, parameters: tuple = ()) -> DefectReport:
+    """A sweep's report from its ``(keys, probe, defect)`` triples, replacing
+    each triple in ``found`` by its entry so no sweep holds both at once.
+    Keys flatten into the indices; ``probe`` is a weight key or None."""
+    for i, (keys, probe, defect) in enumerate(found):
+        found[i] = DefectEntry(
+            axiom=axiom, indices=tuple(part for key in keys for part in key),
+            defect=defect, probe="" if probe is None else f"v[{probe}]",
+            family=family, parameters=parameters)
+    return DefectReport(label, cases, found)

@@ -1,6 +1,7 @@
 """Command line contract: pinned outputs, exit codes, machine format."""
 
 import json
+import re
 
 import pytest
 
@@ -293,6 +294,9 @@ def test_parse_error_exits_2(capsys):
     ("bracket", "(mu^256)^256 L[1]", "L[1]", "M[3]"),
     # two points cannot decide action equality
     ("decompose", "ad(L[1],M[2])", "--verify", "--window", "0..1"),
+    # window indices above the cap, for the Lie families' generators
+    ("orbit", "psi", "--window", "99999999999999..99999999999999"),
+    ("orbit", "phi", "--window", "99999999999999..99999999999999"),
 ])
 def test_library_errors_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -306,9 +310,13 @@ def test_library_errors_exit_2(capsys, argv):
     ("check", "fi", "--window", "1099511627774..1099511627776",
      "--parallelism", "2"),
     ("check", "table", "--window", "1099511627770..1099511627776"),
+    ("check", "fi", "--window", "99999999999999..99999999999999"),
+    ("check", "fi", "--window", "99999999999999..99999999999999",
+     "--parallelism", "2"),
 ])
 def test_index_cap_exits_2_through_the_sweeps(capsys, argv):
-    # in-range window keys whose brackets or generator actions leave the cap
+    # window keys above the cap, or in-range ones whose brackets or
+    # generator actions leave it
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
@@ -378,6 +386,22 @@ def test_default_and_benchmark_windows_are_within_budget(capsys, monkeypatch,
     assert code in (0, 1)
     assert err == ""
     assert ran
+
+
+@pytest.mark.parametrize("suite", sorted(cli._SUITES))
+@pytest.mark.parametrize("window, points", [("-1..1", 3), ("-2..2", 5)])
+@pytest.mark.parametrize("probes, count", [(None, 6), ("0,a0,1/2", 3)])
+def test_suite_case_formula_matches_the_sweep(capsys, suite, window, points,
+                                              probes, count):
+    argv = ["check", suite, "--window", window]
+    if probes is not None:
+        argv += ["--probes", probes]
+    if suite == "induced-psi":
+        argv += ["--mu", "1"]
+    code, out, _ = run(capsys, *argv)
+    assert code in (0, 1)
+    printed = re.findall(r"^[\w-]+: (\d+) cases, ", out, re.M)
+    assert [int(n) for n in printed] == [cli._SUITES[suite][1](points, count)]
 
 
 def test_unknown_suite_exits_2(capsys):

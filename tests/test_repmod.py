@@ -383,6 +383,24 @@ def test_check_lie_module_rational_parameters():
                             range(-2, 3)).passed
 
 
+def test_check_lie_module_reports_a_skewed_table(monkeypatch):
+    import nambu3.repmod as repmod
+    from nambu3.derivations import PqxzElem, pqxz_key_bracket
+
+    # one table entry off by p[1]: [p[1], p[0]] = 2 p[1] instead of p[1]
+    def skewed(k1, k2):
+        out = pqxz_key_bracket(k1, k2)
+        return out + PqxzElem.term(P(1)) if (k1, k2) == (P(1), P(0)) else out
+
+    monkeypatch.setattr(repmod, "pqxz_key_bracket", skewed)
+    report = check_lie_module(shift_action(1, 1), range(-1, 2))
+    assert (report.cases, len(report.entries)) == (864, 5)
+    assert {e.indices for e in report.entries} == {("p", 1, "p", 0)}
+    assert ('{"axiom":"lie-commutator","defect":"-1 v[0]","family":"psi",'
+            '"indices":["p","1","p","0"],"parameters":{"lam":"1","mu":"1"},'
+            '"probe":"v[1]"}') in report.machine_lines()
+
+
 def test_induced_action_satisfies_lie_commutators():
     induced = InducedLieAction(weight_action(None, 1),
                                axiom_window=tuple(range(-1, 2)))
@@ -399,6 +417,18 @@ def test_check_induced_passes_for_module_parameters(mu_val):
     report = check_induced(tri, lie, range(-2, 3),
                            axiom_window=range(-1, 2))
     assert report.passed
+
+
+def test_check_induced_reports_a_mismatched_lie_action():
+    # lam = 0 on the ternary side and 1 on the Lie side: each p generator is
+    # off by its shifted probe, while q, x and z act as zero on both sides
+    report = check_induced(weight_action(0, 1), shift_action(1, 1),
+                           range(-1, 2), axiom_window=range(-1, 2))
+    assert (report.cases, len(report.entries)) == (72, 18)
+    assert ('{"axiom":"induced-match","defect":"-1 v[0]",'
+            '"family":"psi vs induced(T)","indices":["p","-1"],'
+            '"parameters":{"lam":"1","mu":"1"},"probe":"v[-1]"}'
+            ) in report.machine_lines()
 
 
 def test_check_induced_rejects_mu2():

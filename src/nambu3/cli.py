@@ -7,17 +7,20 @@ check lands on an unexpected verdict, 2 for parse or configuration errors
 arithmetic refuses (index, exponent or window out of bounds), each reported
 as one ``error:`` line on stderr.
 
-``_SUITES`` holds each suite's default window and case-count formula, checked
-against the budget before any sweep; ``_emit_check`` prints a report with its
-verdict line and returns the exit code.
+``_SUITES`` holds each suite's default window, its case-count formula,
+checked against the budget before any sweep, and the optional flags it
+reads; any other explicit flag exits 2.  ``_emit_check`` prints a report
+with its verdict line and returns the exit code.
 
 ``check pullback-phi`` inverts the usual convention on purpose: that suite
 documents a designed failure, so finding the nonzero defect is the expected
-verdict and exits 0.  All other suites exit 0 only on a clean pass (for
-``module-t`` a symbolic run also passes when every defect is divisible by
-mu^2 - mu; rational mu outside {0, 1} cannot pass; ``induced-psi``
-additionally requires mu to be literally 0 or 1, so a symbolic run exits 1
-even though the generator formulas agree).
+verdict and exits 0.  ``module-t`` exits with the library's module verdict
+(``repmod._module_verdict``): a rational mu passes only when it is 0 or 1
+and the window shows no defect, a symbolic mu when every defect is divisible
+by mu^2 - mu.  ``induced-psi`` exits 0 only when the induced action matches
+and the gated module's own axiom report is clean, so a symbolic run exits 1
+even though the generator formulas agree.  The other suites exit 0 only on a
+clean pass.
 
 ``--output machine`` prints one JSON record per defect (or per result row),
 sorted and canonically formatted, so the byte stream is deterministic for a
@@ -41,10 +44,10 @@ from .derivations import (DEFAULT_PAIR_WINDOW, check_pqxz_table, deriv_equal,
 from .errors import (ConfigError, ExponentOverflow, IndexOverflow, NotAModule,
                      NotEigenvector, ParseError, WindowTooSmall, ZeroDivisor)
 from .parsing import parse_deriv, parse_elem, parse_weight_key
-from .repmod import (DEFAULT_AXIOM_WINDOW, ModVec, _probe_keys,
-                     _within_parameter_gate, check_induced, check_lie_module,
-                     check_tri_axiom1, check_tri_axiom2, counterexample_phi,
-                     orbit_probe, pullback_candidate, shift_action,
+from .repmod import (DEFAULT_AXIOM_WINDOW, ModVec, _module_verdict,
+                     _probe_keys, check_induced, check_lie_module,
+                     check_tri_axiom2, counterexample_phi, orbit_probe,
+                     pullback_candidate, shift_action, verify_module,
                      weight_action, weight_key, weight_report,
                      zero_twist_action)
 
@@ -57,18 +60,28 @@ _WINDOW_SPAN_LIMIT = 64
 # would ask for 130^5 cases.  The default windows stay under 10^6.
 CASE_BUDGET = 10 ** 8
 
-# suite -> (default window, report cases from window points n and probes p);
-# 5- and 4-tuple grids default to the small window, pairwise ones to the
-# wide.  induced-psi's module gate sweeps a fixed window and is not counted.
+# suite -> (default window, report cases from window points n and probes p,
+# the optional flags it reads, by dest); 5- and 4-tuple grids default to the
+# small window, pairwise ones to the wide.  induced-psi's module gate sweeps
+# a fixed window and is not counted.
 _SUITES = {
-    "fi": (DEFAULT_FI_WINDOW, lambda n, p: (2 * n) ** 5),
-    "table": (DEFAULT_PAIR_WINDOW, lambda n, p: (4 * n) ** 2 * 2 * n),
-    "module-t": (DEFAULT_AXIOM_WINDOW, lambda n, p: 2 * (2 * n) ** 4 * p),
-    "pullback-phi": (DEFAULT_AXIOM_WINDOW, lambda n, p: (2 * n) ** 4 * p),
-    "lie-psi": (DEFAULT_PAIR_WINDOW, lambda n, p: (4 * n) ** 2 * p),
-    "lie-phi": (DEFAULT_PAIR_WINDOW, lambda n, p: (4 * n) ** 2 * p),
-    "induced-psi": (DEFAULT_PAIR_WINDOW, lambda n, p: 4 * n * p),
+    "fi": (DEFAULT_FI_WINDOW, lambda n, p: (2 * n) ** 5, ("parallelism",)),
+    "table": (DEFAULT_PAIR_WINDOW, lambda n, p: (4 * n) ** 2 * 2 * n, ()),
+    "module-t": (DEFAULT_AXIOM_WINDOW, lambda n, p: 2 * (2 * n) ** 4 * p,
+                 ("lam", "mu", "probes")),
+    "pullback-phi": (DEFAULT_AXIOM_WINDOW, lambda n, p: (2 * n) ** 4 * p,
+                     ("mu", "probes")),
+    "lie-psi": (DEFAULT_PAIR_WINDOW, lambda n, p: (4 * n) ** 2 * p,
+                ("lam", "mu", "probes")),
+    "lie-phi": (DEFAULT_PAIR_WINDOW, lambda n, p: (4 * n) ** 2 * p,
+                ("mu", "probes")),
+    "induced-psi": (DEFAULT_PAIR_WINDOW, lambda n, p: 4 * n * p,
+                    ("lam", "mu", "probes")),
 }
+
+# dest -> option string of the flags some suites or families ignore
+_OPTIONAL_FLAGS = {"lam": "--lambda", "mu": "--mu", "probes": "--probes",
+                   "parallelism": "--parallelism"}
 
 
 @dataclass(frozen=True)
@@ -129,6 +142,14 @@ def _parse_parallelism(value: Optional[int]) -> int:
     if value < 0:
         raise ConfigError("parallelism must be >= 0 (0 = auto)")
     return value
+
+
+def _refuse_unread(args, name: str, reads) -> None:
+    """Refuse explicit flags that ``name`` would silently ignore."""
+    unread = [flag for dest, flag in _OPTIONAL_FLAGS.items()
+              if dest not in reads and getattr(args, dest, None) is not None]
+    if unread:
+        raise ConfigError(f"{name} does not use {', '.join(unread)}")
 
 
 def _build_config(args, default_window: range) -> RunConfig:
@@ -200,7 +221,8 @@ def cmd_bracket(args) -> int:
 
 def cmd_check(args) -> int:
     suite = args.suite
-    window, count = _SUITES[suite]
+    window, count, reads = _SUITES[suite]
+    _refuse_unread(args, f"check {suite}", reads)
     config = _build_config(args, window)
     cases = count(len(config.window), len(_probe_keys(config.probes)))
     if cases > CASE_BUDGET:
@@ -216,17 +238,12 @@ def cmd_check(args) -> int:
         return _emit_check(check_pqxz_table(config.window), config)
 
     if suite == "module-t":
-        action = weight_action(config.lam, config.mu)
-        r1 = check_tri_axiom1(action, config.window, config.probes)
-        r2 = check_tri_axiom2(action, config.window, config.probes)
-        report = r1.merged_with(r2, "module-t")
+        report, ok = _module_verdict(weight_action(config.lam, config.mu),
+                                     config.window, config.probes, "module-t")
         extra = []
         if config.mu is None:
-            ok = _within_parameter_gate(action, report)
             extra.append("all defects divisible by mu^2 - mu: "
                          + ("yes" if ok else "NO"))
-        else:
-            ok = config.mu in (0, 1) and report.passed
         return _emit_check(report, config, extra, ok)
 
     if suite in ("lie-psi", "lie-phi"):
@@ -250,7 +267,7 @@ def cmd_check(args) -> int:
                     print(line)
                 print("verdict: FAIL")
             return 1
-        ok = report.passed and config.mu in (0, 1)
+        ok = report.passed and verify_module(tri).passed
         extra = []
         if config.mu is None:
             extra.append("induction is gated on mu in {0, 1}; mu is symbolic")
@@ -261,10 +278,8 @@ def cmd_check(args) -> int:
         lhs, rhs, defect = counterexample_phi(config.mu)
         report = check_tri_axiom2(candidate, config.window, config.probes)
         expected = ModVec.term(weight_key(-4)) * (-4)
-        constant_defect = any(
-            any(c.is_rational and not c.is_zero for _, c in e.defect.items())
-            for e in report.entries)
-        found = (not report.passed) and constant_defect and defect == expected
+        found = defect == expected and any(
+            c.is_rational for e in report.entries for _, c in e.defect.items())
         if config.output == "machine":
             for line in report.machine_lines():
                 print(line)
@@ -303,6 +318,8 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_orbit(args) -> int:
+    _refuse_unread(args, f"orbit {args.family}",
+                   ("mu",) if args.family == "phi" else ("lam", "mu"))
     config = _build_config(args, DEFAULT_PAIR_WINDOW)
     start = parse_weight_key(args.start)
     if args.family == "T":

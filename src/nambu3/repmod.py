@@ -528,10 +528,6 @@ class OrbitReport:
     reached: tuple
     missed: tuple
 
-    @property
-    def is_trivial_line(self) -> bool:
-        return self.classification == "trivial-line"
-
 
 def _orbit_generators(action, window):
     if isinstance(action, (TriWeightAction, PullbackTriAction)):
@@ -611,13 +607,17 @@ def check_lie_module(action: LieAction,
 # -- induced actions ------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=64)
-def _module_gate(action, window: tuple) -> tuple:
-    """The cached module verdict: (axiom report, accepted)."""
-    r1 = check_tri_axiom1(action, window)
-    r2 = check_tri_axiom2(action, window)
-    report = r1.merged_with(r2, "module-axioms")
-    return report, report.passed or _within_parameter_gate(action, report)
+def _module_verdict(action, window: Iterable[int], probes=None,
+                    label: str = "module-axioms") -> tuple:
+    """Both module axioms on the window: (report under label, accepted)."""
+    r1 = check_tri_axiom1(action, window, probes)
+    r2 = check_tri_axiom2(action, window, probes)
+    report = r1.merged_with(r2, label)
+    return report, _within_parameter_gate(action, report)
+
+
+# the cached verdict the induced actions read; keyed by normalized windows
+_module_gate = lru_cache(maxsize=64)(_module_verdict)
 
 
 def _verdict(action, window: Iterable[int]) -> tuple:
@@ -631,16 +631,18 @@ def verify_module(action: TriAction,
 
 
 def _within_parameter_gate(tri, report: DefectReport) -> bool:
-    # fully symbolic mu is acceptable when the first axiom holds and every
-    # residual defect sits in the ideal (mu^2 - mu): such parameters
-    # specialize to real modules.  The sweeps repeat a handful of distinct
-    # coefficients thousands of times, so each is tested once.
+    # The one rule for which parameters give a module.  Pullbacks and
+    # rational mu need a clean report, and mu a root of mu^2 - mu.  Symbolic
+    # mu needs a clean first axiom and each distinct defect coefficient in
+    # the ideal (mu^2 - mu): such parameters specialize to real modules.
     mu = getattr(tri, "mu", None)
-    if not isinstance(mu, Scalar) or mu.is_rational:
-        return False
+    if mu is None:
+        return report.passed
+    gate = mu * mu - mu
+    if mu.is_rational:
+        return report.passed and not gate
     if any(entry.axiom != "tri-axiom-2" for entry in report.entries):
         return False
-    gate = mu * mu - mu
     coeffs = {c for entry in report.entries
               for c in entry.defect._terms.values()}
     return all(divides(gate, c) for c in coeffs)
@@ -663,8 +665,10 @@ def induce_apply(tri: TriAction, d: DerivExpr, v: ModVec, *,
     """Evaluate a derivation expression through a ternary action.
 
     Inducing a Lie action this way is only sound when the ternary action
-    satisfies the module axioms, so that is checked (cached) and NotAModule
-    raised otherwise.  Fully symbolic parameters pass the gate as long as
+    satisfies the module axioms on ``axiom_window``, so the cached verdict
+    of ``_within_parameter_gate`` is read and NotAModule raised when it
+    rejects the action.  A rational mu must be 0 or 1 even where the window
+    is too small to show a defect; a fully symbolic mu passes as long as
     every residual defect is divisible by mu^2 - mu, since those actions
     specialize to genuine modules.  ``require_module=False`` skips the gate
     entirely for callers probing well-definedness itself.

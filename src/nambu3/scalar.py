@@ -174,9 +174,6 @@ class Scalar:
         """(monomial, coefficient) pairs in descending graded-lex order."""
         return sorted(self._terms.items(), key=lambda it: _mono_rank_desc(it[0]))
 
-    def total_degree(self) -> int:
-        return max((_mono_degree(m) for m in self._terms), default=0)
-
     def __len__(self) -> int:
         return len(self._terms)
 

@@ -2,10 +2,12 @@
 
 import json
 import re
+from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
-from nambu3 import cli
+from nambu3 import cli, repmod
 from nambu3.cli import PARALLELISM_ENV, build_parser, main
 from nambu3.reports import DefectReport
 
@@ -323,13 +325,20 @@ def test_index_cap_exits_2_through_the_sweeps(capsys, argv):
     assert err.startswith("error: basis index ") and err.count("\n") == 1
 
 
-_SWEEPS = ("check_fundamental", "check_pqxz_table", "check_tri_axiom1",
-           "check_tri_axiom2", "check_lie_module", "check_induced")
+# each sweep with the modules that look it up by name when ``check`` runs:
+# the module verdict sweeps both axioms inside ``repmod``
+_SWEEPS = {"check_fundamental": (cli,), "check_pqxz_table": (cli,),
+           "check_tri_axiom1": (repmod,), "check_tri_axiom2": (cli, repmod),
+           "check_lie_module": (cli,), "check_induced": (cli,)}
 
 
 def _stub_sweeps(monkeypatch, sweep):
-    for name in _SWEEPS:
-        monkeypatch.setattr(cli, name, sweep)
+    for name, modules in _SWEEPS.items():
+        for module in modules:
+            monkeypatch.setattr(module, name, sweep)
+    # a fresh gate cache, so no verdict built from stubs outlives the test
+    monkeypatch.setattr(repmod, "_module_gate",
+                        lru_cache(maxsize=64)(repmod._module_verdict))
     monkeypatch.setattr("nambu3.algebra.ProcessPoolExecutor", _no_pool)
 
 
@@ -388,9 +397,18 @@ def test_default_and_benchmark_windows_are_within_budget(capsys, monkeypatch,
     assert ran
 
 
-@pytest.mark.parametrize("suite", sorted(cli._SUITES))
-@pytest.mark.parametrize("window, points", [("-1..1", 3), ("-2..2", 5)])
-@pytest.mark.parametrize("probes, count", [(None, 6), ("0,a0,1/2", 3)])
+# --probes only for the suites that read it; the others refuse the flag
+_FORMULA_CASES = [
+    pytest.param(suite, window, points, probes, count,
+                 id=f"{probes}-{count}-{window}-{points}-{suite}")
+    for suite, (_, _, reads) in sorted(cli._SUITES.items())
+    for window, points in (("-1..1", 3), ("-2..2", 5))
+    for probes, count in ((None, 6), ("0,a0,1/2", 3))
+    if probes is None or "probes" in reads]
+
+
+@pytest.mark.parametrize("suite, window, points, probes, count",
+                         _FORMULA_CASES)
 def test_suite_case_formula_matches_the_sweep(capsys, suite, window, points,
                                               probes, count):
     argv = ["check", suite, "--window", window]
@@ -402,6 +420,53 @@ def test_suite_case_formula_matches_the_sweep(capsys, suite, window, points,
     assert code in (0, 1)
     printed = re.findall(r"^[\w-]+: (\d+) cases, ", out, re.M)
     assert [int(n) for n in printed] == [cli._SUITES[suite][1](points, count)]
+
+
+@pytest.mark.parametrize("argv, unused", [
+    (("check", "lie-phi", "--lambda", "5", "--window", "-1..1"), "--lambda"),
+    (("check", "fi", "--probes", "0,a0", "--mu", "7", "--window", "-1..1"),
+     "--mu, --probes"),
+    (("check", "table", "--lambda", "3"), "--lambda"),
+    (("check", "table", "--probes", "0", "--window", "-1..1"), "--probes"),
+    (("check", "module-t", "--parallelism", "2", "--window", "-1..1"),
+     "--parallelism"),
+    (("check", "pullback-phi", "--lambda", "sym"), "--lambda"),
+    (("check", "induced-psi", "--mu", "1", "--parallelism", "0"),
+     "--parallelism"),
+    (("orbit", "phi", "--lambda", "5", "--start", "1"), "--lambda"),
+])
+def test_flags_a_suite_ignores_exit_2(capsys, monkeypatch, argv, unused):
+    _stub_sweeps(monkeypatch, _no_sweep)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {argv[0]} {argv[1]} does not use {unused}\n"
+
+
+def test_parallelism_env_is_not_a_refused_flag(capsys, monkeypatch):
+    monkeypatch.setenv(PARALLELISM_ENV, "2")
+    code, out, _ = run(capsys, "check", "table", "--window", "-1..1")
+    assert code == 0
+    assert out.rstrip().endswith("verdict: pass")
+
+
+@pytest.mark.parametrize("window", ["0..0", "-1..1"])
+@pytest.mark.parametrize("mu", ["sym", "0", "1", "2", "1/2"])
+def test_module_t_exits_with_the_library_verdict(capsys, mu, window):
+    lo, hi = (int(end) for end in window.rsplit("..", 1))
+    action = repmod.weight_action(None, None if mu == "sym" else Fraction(mu))
+    _, accepted = repmod._module_verdict(action, range(lo, hi + 1))
+    assert accepted == (mu in ("sym", "0", "1"))
+    code, _, _ = run(capsys, "check", "module-t", "--mu", mu,
+                     "--window", window)
+    assert code == (0 if accepted else 1)
+
+
+def test_module_t_leaves_the_gate_cache_alone(capsys):
+    before = repmod._module_gate.cache_info()
+    run(capsys, "check", "module-t", "--mu", "1", "--window", "-1..0")
+    after = repmod._module_gate.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
 
 
 def test_unknown_suite_exits_2(capsys):

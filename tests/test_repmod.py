@@ -12,8 +12,8 @@ from nambu3.errors import NotAModule
 from nambu3.linear import accumulate
 from nambu3.reports import DefectEntry, DefectReport
 from nambu3.repmod import (InducedLieAction, ModVec, WeightKey, _alpha,
-                           _lie_key_terms, _tri_key_terms, action_family,
-                           action_parameters, check_induced,
+                           _lie_key_terms, _tri_key_terms, _verdict,
+                           action_family, action_parameters, check_induced,
                            check_lie_module, check_tri_axiom1,
                            check_tri_axiom2, counterexample_phi,
                            default_probes, induce_apply, lie_apply,
@@ -449,6 +449,17 @@ def test_induce_apply_gate():
     with pytest.raises(NotAModule):
         induce_apply(weight_action(None, Fraction(1, 3)), ad(L(1), M(0)),
                      V("a0"), axiom_window=range(-1, 2))
+
+
+def test_gate_refuses_rational_mu_outside_0_1_on_a_clean_window():
+    # both axioms hold on the one-point window at mu = 2, but 2 is not a
+    # root of mu^2 - mu, so the action is still no module
+    tri = weight_action(None, 2)
+    report, accepted = _verdict(tri, range(0, 1))
+    assert report.passed and not accepted
+    with pytest.raises(NotAModule):
+        induce_apply(tri, pqxz_to_deriv(P(1)), ModVec.term(weight_key(0)),
+                     axiom_window=range(0, 1))
 
 
 def test_induce_apply_gate_admits_symbolic_parameters():

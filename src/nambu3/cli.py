@@ -2,10 +2,12 @@
 
 Subcommands: ``bracket``, ``check``, ``decompose``, ``orbit``, ``weights``.
 Exit codes are a contract: 0 when the expected verdict holds, 1 when a
-check lands on an unexpected verdict, 2 for parse or configuration errors
-(a check grid over ``CASE_BUDGET`` cases among them) and for inputs the exact
-arithmetic refuses (index, exponent or window out of bounds), each reported
-as one ``error:`` line on stderr.
+check lands on an unexpected verdict, 2 for usage, parse or configuration
+errors (a check grid over ``CASE_BUDGET`` cases among them) and for inputs the
+exact arithmetic refuses (index, exponent or window out of bounds), each
+reported as one ``error:`` line on stderr by the one ``except`` in ``main``.
+Flag values are numbers in ``parsing``'s grammar (``parse_int`` for windows,
+``parse_rational`` for ``--lambda`` and ``--mu``).
 
 ``_SUITES`` holds each suite's default window, its case-count formula,
 checked against the budget before any sweep, and the optional flags it
@@ -31,7 +33,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,7 +44,8 @@ from .derivations import (DEFAULT_PAIR_WINDOW, check_pqxz_table, deriv_equal,
                           deriv_to_pqxz, pqxz_to_deriv)
 from .errors import (ConfigError, ExponentOverflow, IndexOverflow, NotAModule,
                      NotEigenvector, ParseError, WindowTooSmall, ZeroDivisor)
-from .parsing import parse_deriv, parse_elem, parse_weight_key
+from .parsing import (parse_deriv, parse_elem, parse_int, parse_rational,
+                      parse_weight_key)
 from .repmod import (DEFAULT_AXIOM_WINDOW, ModVec, _module_verdict,
                      _probe_keys, check_induced, check_lie_module,
                      check_tri_axiom2, counterexample_phi, orbit_probe,
@@ -53,7 +55,6 @@ from .repmod import (DEFAULT_AXIOM_WINDOW, ModVec, _module_verdict,
 
 PARALLELISM_ENV = "NAMBU3_PARALLELISM"
 
-_WINDOW_RE = re.compile(r"(-?\d+)\.\.(-?\d+)")
 _WINDOW_SPAN_LIMIT = 64
 
 # Refuse larger grids before any sweep starts: at the span cap, fi alone
@@ -95,10 +96,11 @@ class RunConfig:
 
 
 def _parse_window(text: str) -> range:
-    m = _WINDOW_RE.fullmatch(text)
-    if m is None:
-        raise ConfigError(f"bad window {text!r}: expected lo..hi")
-    lo, hi = int(m.group(1)), int(m.group(2))
+    lo, _, hi = text.partition("..")
+    try:
+        lo, hi = parse_int(lo), parse_int(hi)
+    except ParseError:
+        raise ConfigError(f"bad window {text!r}: expected lo..hi") from None
     if lo > hi:
         raise ConfigError(f"bad window {text!r}: lo must not exceed hi")
     if hi - lo > _WINDOW_SPAN_LIMIT:
@@ -111,8 +113,8 @@ def _parse_param(text: Optional[str], name: str) -> Optional[Fraction]:
     if text is None or text == "sym":
         return None
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
+        return parse_rational(text)
+    except ParseError:
         raise ConfigError(
             f"bad {name} {text!r}: expected a rational p/q or 'sym'") from None
 
@@ -353,7 +355,7 @@ def cmd_orbit(args) -> int:
 
 
 def cmd_weights(args) -> int:
-    config = _build_config(args, range(-3, 4))
+    config = _build_config(args, DEFAULT_PAIR_WINDOW)
     start = parse_weight_key(args.start)
     action = weight_action(config.lam, config.mu)
     keys = [start.shift(m) for m in config.window]
@@ -394,8 +396,17 @@ def _add_config_flags(sub, *, params=True, probes=False, parallelism=False):
         sub.add_argument("--parallelism", type=int, metavar="N")
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises its refusals as ConfigError, for ``main`` to print as one
+    ``error:`` line; subparsers are built from the same class."""
+
+    def error(self, message):
+        # argparse quotes most values, but prints unrecognized ones raw
+        raise ConfigError(message.replace("\n", "\\n"))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="nambu3",
         description="Exact checks for a ternary algebra on paired Laurent "
                     "modes, its inner derivations, and their weight modules.")
@@ -471,14 +482,11 @@ def main(argv=None) -> int:
         _parser = build_parser()
     try:
         args = _parser.parse_args(_fuse_flag_values(argv))
-    except SystemExit as exc:
-        code = exc.code
-        if code in (None, 0):
-            return 0
-        return code if isinstance(code, int) else 2
-    try:
         # resolved per call, so a rebound cmd_* takes effect at once
         return globals()[f"cmd_{args.command}"](args)
+    except SystemExit:
+        # only --help exits, after printing the help text
+        return 0
     except (ParseError, ConfigError, IndexOverflow, ExponentOverflow,
             WindowTooSmall, ZeroDivisor) as exc:
         print(f"error: {exc}", file=sys.stderr)

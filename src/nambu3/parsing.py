@@ -1,6 +1,6 @@
 """Expression parsing for the CLI and tests.
 
-One tokenizer feeds four small recursive-descent entry points:
+One tokenizer feeds small recursive-descent entry points:
 
 * ``parse_scalar``: rationals, the symbols lam/mu/a0/a1/..., ``+ - *``,
   ``^`` with a nonnegative integer exponent, parentheses.
@@ -10,6 +10,14 @@ One tokenizer feeds four small recursive-descent entry points:
   generators with rational coefficients, returned as a pair-basis
   expression (generators are expanded).
 * ``parse_weight_key``: a rational, a generic tag ``aK``, or ``aK+m``.
+* ``parse_int`` and ``parse_rational``: ``[-]n`` and ``[-]p[/q]``, the
+  numbers the CLI reads from its flags.
+
+The three sums share one rule, an optional sign and then terms joined by
+``+``/``-``, and every integer is read by one reader.  That reader refuses a
+literal longer than ``MAX_LITERAL_DIGITS`` digits before ``int()`` sees it,
+so a product of three parsed coefficients, as in a bracket, stays under
+Python's 4,300-digit limit for printing an int.
 
 Every syntax failure raises ParseError carrying the offset and what was
 expected there.  The grammars accept everything the formatters emit, so
@@ -31,6 +39,9 @@ _TOKEN_RE = re.compile(
     r"|(?P<int>\d+)"
     r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
     r"|(?P<op>[-+*/^()\[\],])")
+
+# Longest integer literal, in decimal digits.
+MAX_LITERAL_DIGITS = 1000
 
 _KIND_NAMES = ("L", "M")
 
@@ -74,6 +85,13 @@ class _Parser:
         kind, text, _ = self.peek()
         return kind != "end" and text == value
 
+    def skip(self, value: str) -> bool:
+        """Consume ``value`` if it comes next."""
+        if self.at(value):
+            self.next()
+            return True
+        return False
+
     def done(self) -> bool:
         return self.peek()[0] == "end"
 
@@ -82,16 +100,20 @@ class _Parser:
 
     # shared pieces ------------------------------------------------------
 
-    def signed_int(self) -> int:
-        sign = 1
-        if self.at("-"):
-            self.next()
-            sign = -1
+    def integer(self, what: str) -> int:
+        """One unsigned integer literal; ``what`` names it in the error."""
         kind, text, pos = self.peek()
         if kind != "int":
-            self.fail("an integer", expected=("integer",))
+            self.fail(what, expected=("integer",))
+        if len(text) > MAX_LITERAL_DIGITS:
+            raise ParseError(
+                f"integer literal longer than {MAX_LITERAL_DIGITS} digits", pos)
         self.next()
-        return sign * int(text)
+        return int(text)
+
+    def signed_int(self) -> int:
+        sign = -1 if self.skip("-") else 1
+        return sign * self.integer("an integer")
 
     def index_suffix(self) -> int:
         self.expect("[")
@@ -104,60 +126,45 @@ class _Parser:
             raise ParseError(str(exc), pos) from None
 
     def rational(self) -> Fraction:
-        kind, text, pos = self.peek()
-        if kind != "int":
-            self.fail("a number", expected=("integer",))
-        self.next()
-        num = int(text)
-        if self.at("/"):
-            self.next()
-            kind, text, pos = self.peek()
-            if kind != "int":
-                raise ParseError("expected a denominator", pos,
-                                 expected=("integer",))
-            self.next()
-            den = int(text)
-            if den == 0:
-                raise ParseError("zero denominator", pos)
-            return Fraction(num, den)
-        return Fraction(num)
+        num = self.integer("a number")
+        if not self.skip("/"):
+            return Fraction(num)
+        pos = self.peek()[2]
+        den = self.integer("a denominator")
+        if den == 0:
+            raise ParseError("zero denominator", pos)
+        return Fraction(num, den)
+
+    def signed_rational(self) -> Fraction:
+        return -self.rational() if self.skip("-") else self.rational()
+
+    def signed_sum(self, term, acc):
+        """``[+|-] term {(+|-) term}`` added onto ``acc``; ``term(sign)``
+        reads one term and applies the sign."""
+        op = self.next()[1] if self.at("+") or self.at("-") else "+"
+        while True:
+            acc = acc + term(-1 if op == "-" else 1)
+            if not (self.at("+") or self.at("-")):
+                return acc
+            op = self.next()[1]
 
     # scalar grammar -----------------------------------------------------
 
     def scalar_expr(self) -> Scalar:
-        negate = False
-        if self.at("-"):
-            self.next()
-            negate = True
-        elif self.at("+"):
-            self.next()
-        acc = self.scalar_term()
-        if negate:
-            acc = -acc
-        while self.at("+") or self.at("-"):
-            op = self.next()[1]
-            term = self.scalar_term()
-            acc = acc - term if op == "-" else acc + term
-        return acc
+        return self.signed_sum(lambda sign: self.scalar_term() * sign,
+                               Scalar(0))
 
     def scalar_term(self) -> Scalar:
         acc = self.scalar_factor()
-        while self.at("*"):
-            self.next()
+        while self.skip("*"):
             acc = acc * self.scalar_factor()
         return acc
 
     def scalar_factor(self) -> Scalar:
         base = self.scalar_atom()
-        if self.at("^"):
-            self.next()
-            kind, text, pos = self.peek()
-            if kind != "int":
-                raise ParseError("expected a nonnegative integer exponent",
-                                 pos, expected=("integer",))
-            self.next()
-            return base ** int(text)
-        return base
+        if not self.skip("^"):
+            return base
+        return base ** self.integer("a nonnegative integer exponent")
 
     def scalar_atom(self) -> Scalar:
         kind, text, pos = self.peek()
@@ -170,13 +177,11 @@ class _Parser:
                     expected=("lam", "mu", "a<k>"))
             self.next()
             return Scalar(Indeterminate(text))
-        if text == "(":
-            self.next()
+        if self.skip("("):
             inner = self.scalar_expr()
             self.expect(")")
             return inner
-        if text == "-":
-            self.next()
+        if self.skip("-"):
             return -self.scalar_atom()
         self.fail("a scalar", expected=("number", "symbol", "("))
 
@@ -194,53 +199,32 @@ class _Parser:
         if self.peek()[1] == "0" and self.peek(1)[0] == "end":
             self.next()
             return AlgElem.zero()
-        acc = AlgElem.zero()
-        sign = 1
-        if self.at("-"):
-            self.next()
-            sign = -1
-        acc = acc + self.elem_term(sign)
-        while self.at("+") or self.at("-"):
-            op = self.next()[1]
-            acc = acc + self.elem_term(-1 if op == "-" else 1)
-        return acc
+        return self.signed_sum(self.elem_term, AlgElem.zero())
 
     def elem_term(self, sign: int) -> AlgElem:
         kind, text, _ = self.peek()
         if kind == "name" and text in _KIND_NAMES:
             return basis_elem(self.basis_key()) * sign
         coeff = self.scalar_term()
-        if self.at("*"):
-            self.next()
+        self.skip("*")
         key = self.basis_key()
         return AlgElem.term(key, coeff * sign)
 
     # derivation grammar -------------------------------------------------
 
     def deriv_expr(self) -> DerivExpr:
-        acc = DerivExpr.zero()
-        sign = 1
-        if self.at("-"):
-            self.next()
-            sign = -1
-        acc = acc + self.deriv_term(sign)
-        while self.at("+") or self.at("-"):
-            op = self.next()[1]
-            acc = acc + self.deriv_term(-1 if op == "-" else 1)
-        return acc
+        return self.signed_sum(self.deriv_term, DerivExpr.zero())
 
     def deriv_term(self, sign: int) -> DerivExpr:
         coeff = Fraction(sign)
         kind, text, _ = self.peek()
         if kind == "int" or text == "(":
-            if text == "(":
-                self.next()
+            if self.skip("("):
                 coeff = coeff * self.rational()
                 self.expect(")")
             else:
                 coeff = coeff * self.rational()
-            if self.at("*"):
-                self.next()
+            self.skip("*")
         return self.deriv_atom() * coeff
 
     def deriv_atom(self) -> DerivExpr:
@@ -266,26 +250,17 @@ class _Parser:
 
     def weight_key_expr(self) -> WeightKey:
         kind, text, pos = self.peek()
-        if kind == "name":
-            if not _NAME_RE.match(text) or not Indeterminate(text).is_weight_tag:
-                raise ParseError(f"unknown weight tag {text!r}", pos,
-                                 expected=("a<k>", "rational"))
-            self.next()
-            offset = 0
-            if self.at("+") or self.at("-"):
-                op = self.next()[1]
-                ktok, itext, ipos = self.peek()
-                if ktok != "int":
-                    raise ParseError("expected an integer offset", ipos,
-                                     expected=("integer",))
-                self.next()
-                offset = int(itext) if op == "+" else -int(itext)
-            return weight_key(text, offset)
-        sign = 1
-        if self.at("-"):
-            self.next()
-            sign = -1
-        return weight_key(sign * self.rational())
+        if kind != "name":
+            return weight_key(self.signed_rational())
+        if not _NAME_RE.match(text) or not Indeterminate(text).is_weight_tag:
+            raise ParseError(f"unknown weight tag {text!r}", pos,
+                             expected=("a<k>", "rational"))
+        self.next()
+        offset = 0
+        if self.at("+") or self.at("-"):
+            sign = -1 if self.next()[1] == "-" else 1
+            offset = sign * self.integer("an integer offset")
+        return weight_key(text, offset)
 
 
 def _run(text: str, method: str):
@@ -311,3 +286,11 @@ def parse_deriv(text: str) -> DerivExpr:
 
 def parse_weight_key(text: str) -> WeightKey:
     return _run(text, "weight_key_expr")
+
+
+def parse_int(text: str) -> int:
+    return _run(text, "signed_int")
+
+
+def parse_rational(text: str) -> Fraction:
+    return _run(text, "signed_rational")

@@ -3,7 +3,7 @@
 One tokenizer feeds small recursive-descent entry points:
 
 * ``parse_scalar``: rationals, the symbols lam/mu/a0/a1/..., ``+ - *``,
-  ``^`` with a nonnegative integer exponent, parentheses.
+  ``^`` with a nonnegative integer exponent below 2^16, parentheses.
 * ``parse_elem``: linear combinations of ``L[r]``/``M[r]`` with scalar
   coefficients; the single literal ``0`` denotes the zero element.
 * ``parse_deriv``: sums of ``ad(K[r],K[s])`` pair terms and ``p/q/x/z[r]``
@@ -15,9 +15,13 @@ One tokenizer feeds small recursive-descent entry points:
 
 The three sums share one rule, an optional sign and then terms joined by
 ``+``/``-``, and every integer is read by one reader.  That reader refuses a
-literal longer than ``MAX_LITERAL_DIGITS`` digits before ``int()`` sees it,
-so a product of three parsed coefficients, as in a bracket, stays under
-Python's 4,300-digit limit for printing an int.
+literal longer than ``MAX_LITERAL_DIGITS`` digits before ``int()`` sees it.
+A parsed sum or product is held to the same bound: written over the least
+common denominator of its coefficients, neither that denominator nor any
+numerator may be longer.  A power is refused before it is taken when its
+leading or trailing coefficient alone would break the bound.  A bracket is
+trilinear in its parsed arguments, and a product of three bounded values
+stays under Python's 4,300-digit limit for printing an int.
 
 Every syntax failure raises ParseError carrying the offset and what was
 expected there.  The grammars accept everything the formatters emit, so
@@ -27,12 +31,13 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 
 from .algebra import AlgElem, BasisKey, _check_index, basis_elem
 from .derivations import DerivExpr, PQXZ_FAMILIES, PqxzKey, ad, pqxz_to_deriv
 from .errors import IndexOverflow, ParseError
 from .repmod import WeightKey, weight_key
-from .scalar import Indeterminate, Scalar, _NAME_RE
+from .scalar import EXPONENT_LIMIT, Indeterminate, Scalar, _NAME_RE
 
 _TOKEN_RE = re.compile(
     r"(?P<ws>\s+)"
@@ -40,8 +45,13 @@ _TOKEN_RE = re.compile(
     r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
     r"|(?P<op>[-+*/^()\[\],])")
 
-# Longest integer literal, in decimal digits.
+# Longest integer literal, and longest numerator or common denominator of a
+# parsed value, in decimal digits.
 MAX_LITERAL_DIGITS = 1000
+_COEFF_LIMIT = 10 ** MAX_LITERAL_DIGITS
+# 2^_COEFF_BITS > _COEFF_LIMIT: an int of b bits raised to e is at least
+# 2^((b - 1) e), so (b - 1) e >= _COEFF_BITS proves the power too long.
+_COEFF_BITS = _COEFF_LIMIT.bit_length()
 
 _KIND_NAMES = ("L", "M")
 
@@ -60,6 +70,11 @@ def _tokenize(text: str):
     return tokens
 
 
+def _too_long(pos: int):
+    return ParseError(f"coefficients longer than {MAX_LITERAL_DIGITS} digits "
+                      "over a common denominator", pos)
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
@@ -76,21 +91,20 @@ class _Parser:
         return tok
 
     def expect(self, value: str):
-        kind, text, pos = self.peek()
-        if text != value or kind == "end":
-            raise ParseError(f"expected {value!r}", pos, expected=(value,))
+        if not self.at(value):
+            raise ParseError(f"expected {value!r}", self.peek()[2],
+                             expected=(value,))
         return self.next()
 
     def at(self, value: str) -> bool:
-        kind, text, _ = self.peek()
-        return kind != "end" and text == value
+        # the end token's text is empty, so no value matches it
+        return self.tokens[self.i][1] == value
 
     def skip(self, value: str) -> bool:
         """Consume ``value`` if it comes next."""
-        if self.at(value):
-            self.next()
-            return True
-        return False
+        found = self.at(value)
+        self.i += found
+        return found
 
     def done(self) -> bool:
         return self.peek()[0] == "end"
@@ -138,33 +152,62 @@ class _Parser:
     def signed_rational(self) -> Fraction:
         return -self.rational() if self.skip("-") else self.rational()
 
-    def signed_sum(self, term, acc):
-        """``[+|-] term {(+|-) term}`` added onto ``acc``; ``term(sign)``
-        reads one term and applies the sign."""
+    def signed_sum(self, term):
+        """``[+|-] term {(+|-) term}``; ``term(sign)`` reads one term and
+        applies the sign."""
+        start = self.i
         op = self.next()[1] if self.at("+") or self.at("-") else "+"
-        while True:
-            acc = acc + term(-1 if op == "-" else 1)
-            if not (self.at("+") or self.at("-")):
-                return acc
+        acc = term(-1 if op == "-" else 1)
+        while self.at("+") or self.at("-"):
             op = self.next()[1]
+            acc = acc + term(-1 if op == "-" else 1)
+        return self.bounded(acc, start)
+
+    def bounded(self, value, start: int):
+        """``value``, a Scalar or a combination of them, refused when its
+        coefficients over their least common denominator are too long;
+        ``start`` is the token it was read from."""
+        scalars = ([value] if isinstance(value, Scalar)
+                   else value._terms.values())
+        coeffs = [c for s in scalars for c in s._terms.values()]
+        den = lcm(*[c.denominator for c in coeffs])
+        if den >= _COEFF_LIMIT or any(
+                abs(c.numerator) * (den // c.denominator) >= _COEFF_LIMIT
+                for c in coeffs):
+            raise _too_long(self.tokens[start][2])
+        return value
 
     # scalar grammar -----------------------------------------------------
 
     def scalar_expr(self) -> Scalar:
-        return self.signed_sum(lambda sign: self.scalar_term() * sign,
-                               Scalar(0))
+        return self.signed_sum(
+            lambda sign: -self.scalar_term() if sign < 0 else self.scalar_term())
 
     def scalar_term(self) -> Scalar:
+        start = self.i
         acc = self.scalar_factor()
         while self.skip("*"):
-            acc = acc * self.scalar_factor()
+            acc = self.bounded(acc * self.scalar_factor(), start)
         return acc
 
     def scalar_factor(self) -> Scalar:
+        start = self.i
         base = self.scalar_atom()
         if not self.skip("^"):
             return base
-        return base ** self.integer("a nonnegative integer exponent")
+        exp_pos = self.peek()[2]
+        exp = self.integer("a nonnegative integer exponent")
+        if exp >= EXPONENT_LIMIT:
+            raise ParseError(f"exponent {exp} exceeds the 16-bit bound",
+                             exp_pos)
+        # the leading and trailing terms of base^exp are those of base to
+        # the power exp
+        terms = base.terms()
+        for _, c in terms[:1] + terms[-1:]:
+            for n in (abs(c.numerator), c.denominator):
+                if (n.bit_length() - 1) * exp >= _COEFF_BITS:
+                    raise _too_long(self.tokens[start][2])
+        return self.bounded(base ** exp, start)
 
     def scalar_atom(self) -> Scalar:
         kind, text, pos = self.peek()
@@ -199,7 +242,7 @@ class _Parser:
         if self.peek()[1] == "0" and self.peek(1)[0] == "end":
             self.next()
             return AlgElem.zero()
-        return self.signed_sum(self.elem_term, AlgElem.zero())
+        return self.signed_sum(self.elem_term)
 
     def elem_term(self, sign: int) -> AlgElem:
         kind, text, _ = self.peek()
@@ -213,7 +256,7 @@ class _Parser:
     # derivation grammar -------------------------------------------------
 
     def deriv_expr(self) -> DerivExpr:
-        return self.signed_sum(self.deriv_term, DerivExpr.zero())
+        return self.signed_sum(self.deriv_term)
 
     def deriv_term(self, sign: int) -> DerivExpr:
         coeff = Fraction(sign)

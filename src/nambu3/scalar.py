@@ -235,9 +235,15 @@ class Scalar:
     def __pow__(self, exp: int):
         if not isinstance(exp, int) or exp < 0:
             raise ValueError("scalar exponent must be a nonnegative integer")
-        acc = Scalar(1)
-        for _ in range(exp):
-            acc = acc * self
+        # square and multiply: the squares are self^(2^k) with 2^k <= exp,
+        # so none leaves the exponent bound unless the result does
+        acc, base = Scalar(1), self
+        while exp:
+            if exp & 1:
+                acc = acc * base
+            exp >>= 1
+            if exp:
+                base = base * base
         return acc
 
     # -- evaluation ---------------------------------------------------------

@@ -1,11 +1,16 @@
 """Command line contract: pinned outputs, exit codes, machine format."""
 
+import io
 import json
+import os
 import re
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from functools import lru_cache
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nambu3 import cli, repmod
 from nambu3.cli import PARALLELISM_ENV, build_parser, main
@@ -274,10 +279,25 @@ def test_bad_window_is_config_error(capsys, window):
 
 
 def test_bad_mu_is_config_error(capsys):
-    code, _, err = run(capsys, "check", "module-t", "--mu", "zebra",
-                       "--window", "-1..1")
-    assert code == 2
-    assert "error:" in err
+    # decimals, exponents, underscores and a plus sign are outside [-]p[/q]
+    for argv in (("check", "module-t", "--mu", "zebra", "--window", "-1..1"),
+                 ("weights", "T", "--mu", "0.5"),
+                 ("weights", "T", "--mu", "1e3"),
+                 ("weights", "T", "--mu", "1_0"),
+                 ("check", "module-t", "--mu", "+3", "--window", "0..0")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: bad --mu {argv[3]!r}: "
+                       "expected a rational p/q or 'sym'\n")
+
+
+@pytest.mark.parametrize("text, value", [
+    ("1/2", Fraction(1, 2)), ("-7/3", Fraction(-7, 3)), ("2/4", Fraction(1, 2)),
+    (" 0 ", Fraction(0)), ("sym", None), (None, None)])
+def test_params_parse_as_before(text, value):
+    got = cli._parse_param(text, "--lambda")
+    assert got == value and type(got) is type(value)
 
 
 def test_parse_error_exits_2(capsys):
@@ -299,6 +319,25 @@ def test_parse_error_exits_2(capsys):
     # window indices above the cap, for the Lie families' generators
     ("orbit", "psi", "--window", "99999999999999..99999999999999"),
     ("orbit", "phi", "--window", "99999999999999..99999999999999"),
+    # argparse's own refusals
+    ("check", "bogus"),
+    ("check", "fi", "--window"),
+    ("bracket", "L[1]"),
+    ("check", "fi", "--bogus", "3"),
+    ("orbit", "X"),
+    ("check", "fi", "--window", "-1..1", "--parallelism", "x"),
+    ("check", "fi", "--bo\ngus"),
+    # literals over the 1,000-digit bound, refused before int() reads them
+    ("bracket", f"L[{'9' * 5000}]", "L[2]", "M[3]"),
+    ("orbit", "T", "--start", "9" * 5000),
+    ("check", "fi", "--window", f"{'9' * 5000}..{'9' * 5000}"),
+    ("check", "module-t", "--mu", "9" * 3000, "--window", "0..1",
+     "--output", "machine"),
+    # coefficients over the bound built from short literals
+    ("bracket", "2^20000 L[1]", "L[2]", "M[3]"),
+    ("bracket", "*".join(["9" * 1000] * 5) + " L[1]", "L[2]", "M[3]"),
+    ("bracket", "1^100000000 L[1]", "L[2]", "M[3]"),
+    ("bracket", f"1/{'9' * 999}7 L[1] + 1/{'9' * 999}1 L[4]", "L[3]", "M[0]"),
 ])
 def test_library_errors_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -543,3 +582,59 @@ def test_subcommands_resolve_at_call_time(capsys, monkeypatch):
     main(["bracket", "L[1]", "L[2]", "M[3]"])
     monkeypatch.setattr(cli, "cmd_bracket", lambda args: 7)
     assert main(["bracket", "L[1]", "L[2]", "M[3]"]) == 7
+
+
+# -- the exit contract under random argv ------------------------------------------
+
+_FUZZ_VALUES = st.one_of(
+    # windows of at most three points, some reversed
+    st.builds("{}..{}".format, st.integers(-3, 3), st.integers(-3, 3)).filter(
+        lambda w: int(w.rsplit("..", 1)[1]) - int(w.split("..")[0]) <= 2),
+    st.sampled_from([
+        "", "0", "1", "-1", "2", "1/2", "-7/3", "1/0", "sym", "a0", "a0+1",
+        "a1-2", "0,a0", "0.5", "1e3", "1_0", "+3", "2^3", "mu^2", "2^20000",
+        "1^100000000", "(mu+1)^3", "L[1]", "2 L[1] - M[0]", "ad(L[1],M[2])",
+        "p[3]", "L[1", "x", "-", "--", "1..", "..1", "machine", "text",
+        "9" * 5000, "9" * 5000 + ".." + "9" * 5000, f"L[{'9' * 5000}]",
+        "*".join(["9" * 1000] * 5), "a\nb"]),
+    st.text(alphabet="0123456789-+./^()[]aLMmu ,", max_size=8))
+_FUZZ_FLAGS = st.sampled_from([
+    "--window", "--lambda", "--mu", "--probes", "--start", "--output",
+    "--oracle", "--verify", "--bogus", "-x", "--help"])
+
+
+@st.composite
+def _fuzz_argv(draw):
+    command = draw(st.sampled_from(
+        ["bracket", "check", "decompose", "orbit", "weights", "bogus"]))
+    argv = [command]
+    if command == "check":
+        argv.append(draw(st.sampled_from(sorted(cli._SUITES) + ["bogus"])))
+    elif command in ("orbit", "weights"):
+        argv.append(draw(st.sampled_from(["T", "psi", "phi", "X"])))
+    argv += draw(st.lists(_FUZZ_VALUES, max_size=3 if command == "bracket"
+                          else 1))
+    for _ in range(draw(st.integers(0, 3))):
+        argv.append(draw(_FUZZ_FLAGS))
+        argv.append(draw(_FUZZ_VALUES))
+    if draw(st.booleans()):
+        # never more than one worker: no process pool starts
+        argv += ["--parallelism", draw(st.sampled_from(["1", "-1", "x", ""]))]
+    return argv
+
+
+# induced-psi gates every new parameter pair on the default axiom window,
+# about half a second each, hence few examples and no deadline
+@given(_fuzz_argv())
+@settings(max_examples=60, deadline=None)
+def test_random_argv_keeps_the_exit_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ), redirect_stdout(out), \
+            redirect_stderr(err):
+        os.environ.pop(PARALLELISM_ENV, None)
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1

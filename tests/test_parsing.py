@@ -8,7 +8,8 @@ from hypothesis import given, strategies as st
 from nambu3.algebra import AlgElem, L, M, basis_elem
 from nambu3.derivations import P, Q, X, Z, ad, deriv_to_pqxz, pqxz_to_deriv
 from nambu3.errors import ParseError
-from nambu3.parsing import (parse_deriv, parse_elem, parse_scalar,
+from nambu3.parsing import (MAX_LITERAL_DIGITS, parse_deriv, parse_elem,
+                            parse_int, parse_rational, parse_scalar,
                             parse_weight_key)
 from nambu3.repmod import weight_key
 from nambu3.scalar import LAMBDA, MU, Scalar, weight_tag
@@ -127,6 +128,11 @@ def test_parse_error_bad_exponent():
         parse_scalar("mu^mu")
     with pytest.raises(ParseError):
         parse_scalar("mu^-1")
+    # exponents stop at the 16-bit bound monomials have
+    assert parse_scalar("mu^65535") == Scalar(MU) ** 65535
+    with pytest.raises(ParseError, match="exponent 65536 exceeds") as exc:
+        parse_scalar("1^65536")
+    assert exc.value.pos == 2
 
 
 def test_parse_error_zero_denominator():
@@ -161,3 +167,65 @@ def test_whitespace_is_insignificant():
     assert parse_elem("  L[ 1 ]  +  2  M[ -2 ]  ") == (
         basis_elem(L(1)) + basis_elem(M(-2)) * 2)
     assert parse_deriv(" ad( L[1] , M[0] ) ") == ad(L(1), M(0))
+
+
+def test_parse_int_and_rational():
+    assert parse_int("-12") == -12
+    assert parse_int(" 7 ") == 7
+    assert parse_rational("-7/3") == Fraction(-7, 3)
+    assert parse_rational("2/4") == Fraction(1, 2)
+    assert type(parse_rational("3")) is Fraction
+    for text in ("", "-", "1.5", "1e3", "1_0", "+1", "--1", "a0"):
+        with pytest.raises(ParseError):
+            parse_int(text)
+        with pytest.raises(ParseError):
+            parse_rational(text)
+    with pytest.raises(ParseError, match="zero denominator at position 2"):
+        parse_rational("1/0")
+
+
+def test_every_sum_takes_one_optional_sign():
+    assert parse_scalar("+mu - 1") == parse_scalar("mu - 1")
+    assert parse_scalar("-mu^2") == -(Scalar(MU) * Scalar(MU))
+    assert parse_elem("+L[1] - M[0]") == parse_elem("L[1] - M[0]")
+    assert parse_deriv("+ad(L[1],M[0])") == ad(L(1), M(0))
+    assert parse_deriv("-ad(L[1],M[0]) + 2 p[1]") == (
+        parse_deriv("2 p[1]") - ad(L(1), M(0)))
+    for text, parse in (("--L[1]", parse_elem), ("L[1] + + L[2]", parse_elem),
+                        ("+-ad(L[1],M[0])", parse_deriv)):
+        with pytest.raises(ParseError):
+            parse(text)
+
+
+def test_literal_bound_is_checked_before_int():
+    edge = "9" * MAX_LITERAL_DIGITS
+    assert parse_int(edge) == 10 ** MAX_LITERAL_DIGITS - 1
+    assert parse_rational(f"-{edge}/{edge[1:]}7") == Fraction(
+        -int(edge), int(edge[1:] + "7"))
+    # 5,000 digits would raise ValueError inside int() itself
+    long = "9" * 5000
+    for text, parse, pos in ((long, parse_int, 0), (f"1/{long}", parse_scalar, 2),
+                             (f"L[-{long}]", parse_elem, 3),
+                             (f"a0+{long}", parse_weight_key, 3),
+                             (f"mu^{long}", parse_scalar, 3),
+                             (f"({long}) p[1]", parse_deriv, 1)):
+        with pytest.raises(ParseError, match="integer literal longer") as exc:
+            parse(text)
+        assert exc.value.pos == pos
+
+
+def test_coefficient_bound_over_a_common_denominator():
+    edge = "9" * MAX_LITERAL_DIGITS
+    assert parse_scalar(f"{edge}/{edge[1:]}7 * mu")
+    assert parse_scalar("(1/2)^3000")
+    assert parse_elem(f"{edge} L[1] + {edge} M[2]")
+    for text, parse in (("2^20000", parse_scalar),
+                        ("(mu + 2)^4000", parse_scalar),
+                        ("(2*mu + 1)^4000", parse_scalar),
+                        ("(1/2)^3400", parse_scalar),
+                        (f"{edge} * {edge}", parse_scalar),
+                        (f"({edge} + 1) L[1]", parse_elem),
+                        (f"1/{edge} L[1] + 1/{edge[1:]}7 L[2]", parse_elem),
+                        (f"1/{edge} p[1]", parse_deriv)):
+        with pytest.raises(ParseError, match="coefficients longer"):
+            parse(text)

@@ -100,12 +100,27 @@ def test_power():
     assert (mu + 1) ** 2 == mu * mu + mu * 2 + 1
     with pytest.raises(ValueError):
         (mu + 1) ** -1
+    # 16 squarings, not 65,535 products
+    assert Scalar(1) ** (EXPONENT_LIMIT - 1) == Scalar(1)
+    assert Scalar(-1) ** (EXPONENT_LIMIT - 1) == Scalar(-1)
+    assert str(mu ** (EXPONENT_LIMIT - 1)) == f"mu^{EXPONENT_LIMIT - 1}"
+
+
+@given(scalars(), st.integers(0, 9))
+@settings(max_examples=40)
+def test_power_matches_repeated_products(s, exp):
+    acc = Scalar(1)
+    for _ in range(exp):
+        acc = acc * s
+    assert s ** exp == acc
 
 
 def test_exponent_overflow_guard():
     big = mu ** 60000
     with pytest.raises(ExponentOverflow):
         big * (mu ** 60000)
+    with pytest.raises(ExponentOverflow):
+        (mu ** 256) ** 256
 
 
 def test_monomial_memo_keeps_products_exact():

@@ -16,13 +16,15 @@ The ternary bracket comes in two deliberately independent routes:
 
 The two must agree everywhere; keeping both gives a structural oracle for
 the table.  ``check_fundamental`` sweeps the ternary Jacobi identity over a
-finite index window.  Indices are Laurent-mode integers capped at +/-2^40;
-a window index (sweeps take their keys from ``window_keys``) or index
-arithmetic that leaves the cap raises IndexOverflow.  The bracket lowers no
-degree bound and shifts indices by at most the sum of its inputs, so a window
-check exercises every structure constant whose indices fit: coefficients are
-affine in each index and the identity is index-translation covariant, which
-is why small windows are conclusive for the table.
+finite index window, as lookups in a table local to the sweep
+(``_SweepTable``, which ``derivations.check_pqxz_table`` uses too) that
+makes each distinct bracket once.  Indices are Laurent-mode integers capped
+at +/-2^40; a window index (sweeps take their keys from ``window_keys``) or
+index arithmetic that leaves the cap raises IndexOverflow.  The bracket
+lowers no degree bound and shifts indices by at most the sum of its inputs,
+so a window check exercises every structure constant whose indices fit:
+coefficients are affine in each index and the identity is index-translation
+covariant, which is why small windows are conclusive for the table.
 """
 from __future__ import annotations
 
@@ -189,47 +191,89 @@ def window_keys(window: Iterable[int]) -> tuple:
     return tuple([L(i) for i in idx] + [M(i) for i in idx])
 
 
+class _TableRow(dict):
+    """One row of a sweep-local table: ``c -> fn(*head, c)``, filled on a
+    miss.
+
+    ``seq`` holds the row at the table's keys, in their order.  Each value
+    is replaced by the first equal one in ``hits``, so a sweep keeps one copy
+    of each distinct hit.  A row holds no reference to its table.
+    """
+
+    __slots__ = ("fn", "head", "hits", "seq")
+
+    def __init__(self, fn: Callable, head: tuple, hits: dict):
+        super().__init__()
+        self.fn, self.head, self.hits = fn, head, hits
+
+    def __missing__(self, c):
+        hit = self.fn(*self.head, c)
+        hit = self[c] = self.hits.setdefault(hit, hit)
+        return hit
+
+
+class _SweepTable(dict):
+    """``head -> _TableRow`` for one sweep call, each row made on first use
+    together with its values at ``keys``; freed when the sweep returns.
+
+    ``fn`` is called once per distinct argument tuple, with the arguments
+    in the order the sweep asks for them.
+    """
+
+    __slots__ = ("fn", "keys", "hits")
+
+    def __init__(self, fn: Callable, keys: tuple):
+        super().__init__()
+        self.fn, self.keys, self.hits = fn, keys, {}
+
+    def __missing__(self, head: tuple) -> _TableRow:
+        row = self[head] = _TableRow(self.fn, head, self.hits)
+        row.seq = [row[k] for k in self.keys]
+        return row
+
+
 def _fi_scan(first_keys: tuple, keys: tuple, kb: Optional[Callable]) -> list:
     """Defects of [x1,x2,[x3,x4,x5]] = [[x1,x2,x3],x4,x5]
     + [x3,[x1,x2,x4],x5] + [x3,x4,[x1,x2,x5]] for x1 in ``first_keys``,
     as ``sweep_report`` triples.
 
-    Each inner bracket [x3,x4,x5] is made once per sweep, and ad(x1, x2)
-    once per pair as a table over the window keys and the keys the inner
-    brackets land on: the same bracket calls as evaluating every case on
-    its own, only fewer times.
+    Every bracket is a lookup in one table local to the scan, keyed by its
+    first two arguments: the row (x1, x2) is ad(x1, x2), the row (x3, x4)
+    holds the inner brackets and the third outer one, and the rows
+    (image, x4) and (x3, image) the other two outer brackets, where
+    ``image`` is a key ad(x1, x2) lands on.  So ``kb`` is called once per
+    distinct argument triple (14,504 times at -3..3), with the argument
+    order of evaluating each case on its own, and an injected table that is
+    not antisymmetric finds the same defects.
     """
     if kb is None:
         kb = bracket_keys
-    inners = [[[kb(x3, x4, x5) for x5 in keys] for x4 in keys] for x3 in keys]
-    targets = dict.fromkeys(keys)
-    targets.update(dict.fromkeys(
-        hit[1] for plane in inners for row in plane for hit in row if hit))
+    table = _SweepTable(kb, keys)
+    nones = [None] * len(keys)
     found = []
     for x1 in first_keys:
         for x2 in keys:
-            ad = {k: kb(x1, x2, k) for k in targets}
-            for x3, plane in zip(keys, inners):
-                first = ad[x3]
-                for x4, row in zip(keys, plane):
-                    second = ad[x4]
-                    for x5, inner in zip(keys, row):
-                        third = ad[x5]
+            ad = table[x1, x2]
+            for x3, first in zip(keys, ad.seq):
+                for x4, second in zip(keys, ad.seq):
+                    inners = table[x3, x4]
+                    outer1 = (nones if first is None
+                              else table[first[1], x4].seq)
+                    outer2 = (nones if second is None
+                              else table[x3, second[1]].seq)
+                    for x5, inner, third, hit1, hit2 in zip(
+                            keys, inners.seq, ad.seq, outer1, outer2):
                         acc: dict = {}
                         if inner is not None:
                             hit = ad[inner[1]]
                             if hit is not None:
                                 accumulate(acc, hit[1], inner[0] * hit[0])
-                        if first is not None:
-                            hit = kb(first[1], x4, x5)
-                            if hit is not None:
-                                accumulate(acc, hit[1], -first[0] * hit[0])
-                        if second is not None:
-                            hit = kb(x3, second[1], x5)
-                            if hit is not None:
-                                accumulate(acc, hit[1], -second[0] * hit[0])
+                        if hit1 is not None:
+                            accumulate(acc, hit1[1], -first[0] * hit1[0])
+                        if hit2 is not None:
+                            accumulate(acc, hit2[1], -second[0] * hit2[0])
                         if third is not None:
-                            hit = kb(x3, x4, third[1])
+                            hit = inners[third[1]]
                             if hit is not None:
                                 accumulate(acc, hit[1], -third[0] * hit[0])
                         if acc:
@@ -238,12 +282,17 @@ def _fi_scan(first_keys: tuple, keys: tuple, kb: Optional[Callable]) -> list:
     return found
 
 
+# Smallest grid that auto parallelism fans out.  On 2 CPUs, two workers lost
+# all ten runs at 10^5 cases (-2..2), tied at 12^5 and won at 14^5 (-3..3).
+AUTO_PARALLEL_CASES = 400000
+
+
 def _resolve_parallelism(parallelism: int, grid: int, chunks: int) -> int:
     # never more workers than CPUs or non-empty chunks; 0 means auto
     if parallelism == 1:
         return 1
     if parallelism == 0:
-        if grid < 50000:
+        if grid < AUTO_PARALLEL_CASES:
             return 1
         parallelism = 8
     return max(1, min(parallelism, os.cpu_count() or 1, chunks))

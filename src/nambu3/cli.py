@@ -7,7 +7,9 @@ errors (a check grid over ``CASE_BUDGET`` cases among them) and for inputs the
 exact arithmetic refuses (index, exponent or window out of bounds), each
 reported as one ``error:`` line on stderr by the one ``except`` in ``main``.
 Flag values are numbers in ``parsing``'s grammar (``parse_int`` for windows,
-``parse_rational`` for ``--lambda`` and ``--mu``).
+``parse_rational`` for ``--lambda`` and ``--mu``); a refusal echoes at most
+``_ECHO_LIMIT`` characters of one.  Every flag is long, so a positional that
+starts with ``-`` (``bracket "-L[1]" ...``) is read as one.
 
 ``_SUITES`` holds each suite's default window, its case-count formula,
 checked against the budget before any sweep, and the optional flags it
@@ -44,8 +46,8 @@ from .derivations import (DEFAULT_PAIR_WINDOW, check_pqxz_table, deriv_equal,
                           deriv_to_pqxz, pqxz_to_deriv)
 from .errors import (ConfigError, ExponentOverflow, IndexOverflow, NotAModule,
                      NotEigenvector, ParseError, WindowTooSmall, ZeroDivisor)
-from .parsing import (parse_deriv, parse_elem, parse_int, parse_rational,
-                      parse_weight_key)
+from .parsing import (LITERAL_TOO_LONG, parse_deriv, parse_elem, parse_int,
+                      parse_rational, parse_weight_key)
 from .repmod import (DEFAULT_AXIOM_WINDOW, ModVec, _module_verdict,
                      _probe_keys, check_induced, check_lie_module,
                      check_tri_axiom2, counterexample_phi, orbit_probe,
@@ -56,6 +58,10 @@ from .repmod import (DEFAULT_AXIOM_WINDOW, ModVec, _module_verdict,
 PARALLELISM_ENV = "NAMBU3_PARALLELISM"
 
 _WINDOW_SPAN_LIMIT = 64
+
+# Longest flag value a refusal repeats; a longer one is cut and ends in an
+# ellipsis.
+_ECHO_LIMIT = 80
 
 # Refuse larger grids before any sweep starts: at the span cap, fi alone
 # would ask for 130^5 cases.  The default windows stay under 10^6.
@@ -95,17 +101,30 @@ class RunConfig:
     parallelism: int
 
 
+def _bad(what: str, text: str, detail: str) -> ConfigError:
+    """The refusal of a flag value, echoing at most ``_ECHO_LIMIT``
+    characters of it."""
+    if len(text) > _ECHO_LIMIT:
+        text = text[:_ECHO_LIMIT] + "\u2026"
+    return ConfigError(f"bad {what} {text!r}: {detail}")
+
+
+def _parse_detail(exc: ParseError, expected: str) -> str:
+    # name the literal bound when it refused the value, else the grammar
+    return exc.message if exc.message == LITERAL_TOO_LONG else expected
+
+
 def _parse_window(text: str) -> range:
     lo, _, hi = text.partition("..")
     try:
         lo, hi = parse_int(lo), parse_int(hi)
-    except ParseError:
-        raise ConfigError(f"bad window {text!r}: expected lo..hi") from None
+    except ParseError as exc:
+        raise _bad("window", text,
+                   _parse_detail(exc, "expected lo..hi")) from None
     if lo > hi:
-        raise ConfigError(f"bad window {text!r}: lo must not exceed hi")
+        raise _bad("window", text, "lo must not exceed hi")
     if hi - lo > _WINDOW_SPAN_LIMIT:
-        raise ConfigError(
-            f"bad window {text!r}: span exceeds {_WINDOW_SPAN_LIMIT}")
+        raise _bad("window", text, f"span exceeds {_WINDOW_SPAN_LIMIT}")
     return range(lo, hi + 1)
 
 
@@ -114,9 +133,9 @@ def _parse_param(text: Optional[str], name: str) -> Optional[Fraction]:
         return None
     try:
         return parse_rational(text)
-    except ParseError:
-        raise ConfigError(
-            f"bad {name} {text!r}: expected a rational p/q or 'sym'") from None
+    except ParseError as exc:
+        raise _bad(name, text, _parse_detail(
+            exc, "expected a rational p/q or 'sym'")) from None
 
 
 def _parse_probes(text: Optional[str]) -> Optional[tuple]:
@@ -470,6 +489,21 @@ def _fuse_flag_values(argv) -> list:
     return out
 
 
+def _is_flag(tok: str) -> bool:
+    return tok.startswith("--") or tok == "-h"
+
+
+def _dash_positionals(argv: list) -> list:
+    # argparse also reads a positional such as "-L[1]" as an unknown
+    # option.  Every flag here is long (or -h), so move the flags before a
+    # "--" and the positionals after it, unless argv has its own "--".
+    rest = [tok for tok in argv if not _is_flag(tok)]
+    if "--" in argv or not any(tok.startswith("-") for tok in rest):
+        return argv
+    flags = [tok for tok in argv if _is_flag(tok)]
+    return rest[:1] + flags + ["--"] + rest[1:]
+
+
 _parser: Optional[argparse.ArgumentParser] = None
 
 
@@ -481,7 +515,7 @@ def main(argv=None) -> int:
         # built on first use, not at import, and kept for the process
         _parser = build_parser()
     try:
-        args = _parser.parse_args(_fuse_flag_values(argv))
+        args = _parser.parse_args(_dash_positionals(_fuse_flag_values(argv)))
         # resolved per call, so a rebound cmd_* takes effect at once
         return globals()[f"cmd_{args.command}"](args)
     except SystemExit:

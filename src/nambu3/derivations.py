@@ -34,8 +34,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple
 
-from .algebra import (AlgElem, BasisKey, L, M, _check_index, bracket_keys,
-                      window_keys)
+from .algebra import (AlgElem, BasisKey, L, M, _check_index, _SweepTable,
+                      bracket_keys, window_keys)
 from .errors import WindowTooSmall
 from .linear import LinComb, accumulate
 from .reports import DefectReport, sweep_report
@@ -312,40 +312,31 @@ def check_pqxz_table(window: Iterable[int] = DEFAULT_PAIR_WINDOW,
     """
     gens = window_generators(window)
     probes = window_keys(window)
-    memo: dict = {}                    # generator -> {key: hit}
-    hits: dict = {}                    # each distinct hit stored once
-
-    def act(k, b):
-        # one key_apply call per distinct (generator, key) in this sweep
-        row = memo.get(k)
-        if row is None:
-            row = memo[k] = {}
-        hit = row.get(b, row)
-        if hit is row:
-            hit = key_apply(k, b)
-            hit = row[b] = hits.setdefault(hit, hit)
-        return hit
-
+    # one row per generator: its action on each key, one key_apply call per
+    # distinct (generator, key) in this sweep
+    rows = _SweepTable(key_apply, probes)
     found = []
     for ka in gens:
+        ra = rows[ka,]
         for kb in gens:
+            rb = rows[kb,]
             # negated table coefficients, converted once per generator pair
-            table = [(kt, -_q(ct.as_rational))
+            table = [(rows[kt,].seq, -_q(ct.as_rational))
                      for kt, ct in key_bracket(ka, kb)._terms.items()]
-            for probe in probes:
+            for i, probe in enumerate(probes):
                 acc: dict = {}
-                hit = act(kb, probe)
+                hit = rb.seq[i]
                 if hit is not None:
-                    back = act(ka, hit[1])
+                    back = ra[hit[1]]
                     if back is not None:
                         accumulate(acc, back[1], hit[0] * back[0])
-                hit = act(ka, probe)
+                hit = ra.seq[i]
                 if hit is not None:
-                    back = act(kb, hit[1])
+                    back = rb[hit[1]]
                     if back is not None:
                         accumulate(acc, back[1], -hit[0] * back[0])
-                for kt, ct in table:
-                    hit = act(kt, probe)
+                for seq, ct in table:
+                    hit = seq[i]
                     if hit is not None:
                         accumulate(acc, hit[1], ct * hit[0])
                 if acc:

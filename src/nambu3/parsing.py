@@ -19,7 +19,8 @@ literal longer than ``MAX_LITERAL_DIGITS`` digits before ``int()`` sees it.
 A parsed sum or product is held to the same bound: written over the least
 common denominator of its coefficients, neither that denominator nor any
 numerator may be longer.  A power is refused before it is taken when its
-leading or trailing coefficient alone would break the bound.  A bracket is
+leading or trailing coefficient alone would break the bound, or when it may
+build more than ``MAX_POWER_TERMS`` terms (``_power_terms``).  A bracket is
 trilinear in its parsed arguments, and a product of three bounded values
 stays under Python's 4,300-digit limit for printing an int.
 
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 
 from .algebra import AlgElem, BasisKey, _check_index, basis_elem
 from .derivations import DerivExpr, PQXZ_FAMILIES, PqxzKey, ad, pqxz_to_deriv
@@ -48,6 +49,9 @@ _TOKEN_RE = re.compile(
 # Longest integer literal, and longest numerator or common denominator of a
 # parsed value, in decimal digits.
 MAX_LITERAL_DIGITS = 1000
+LITERAL_TOO_LONG = f"integer literal longer than {MAX_LITERAL_DIGITS} digits"
+# Most terms a parsed power may build: (mu + 1)^999 takes about a second.
+MAX_POWER_TERMS = 1000
 _COEFF_LIMIT = 10 ** MAX_LITERAL_DIGITS
 # 2^_COEFF_BITS > _COEFF_LIMIT: an int of b bits raised to e is at least
 # 2^((b - 1) e), so (b - 1) e >= _COEFF_BITS proves the power too long.
@@ -68,6 +72,25 @@ def _tokenize(text: str):
         pos = m.end()
     tokens.append(("end", "", len(text)))
     return tokens
+
+
+def _power_terms(base: Scalar, exp: int) -> int:
+    """An upper bound on the number of terms of ``base ** exp``.
+
+    Each term is a product of ``exp`` terms of ``base`` taken with
+    repetition, and each symbol's degree in it is at most ``exp`` times its
+    degree in ``base``.
+    """
+    if len(base) < 2:
+        return 1
+    degrees: dict = {}
+    for mono in base._terms:
+        for name, e in mono:
+            degrees[name] = max(degrees.get(name, 0), e)
+    by_degree = 1
+    for d in degrees.values():
+        by_degree *= exp * d + 1
+    return min(by_degree, comb(len(base) + exp - 1, exp))
 
 
 def _too_long(pos: int):
@@ -120,8 +143,7 @@ class _Parser:
         if kind != "int":
             self.fail(what, expected=("integer",))
         if len(text) > MAX_LITERAL_DIGITS:
-            raise ParseError(
-                f"integer literal longer than {MAX_LITERAL_DIGITS} digits", pos)
+            raise ParseError(LITERAL_TOO_LONG, pos)
         self.next()
         return int(text)
 
@@ -207,6 +229,9 @@ class _Parser:
             for n in (abs(c.numerator), c.denominator):
                 if (n.bit_length() - 1) * exp >= _COEFF_BITS:
                     raise _too_long(self.tokens[start][2])
+        if _power_terms(base, exp) > MAX_POWER_TERMS:
+            raise ParseError(f"power with more than {MAX_POWER_TERMS} terms",
+                             self.tokens[start][2])
         return self.bounded(base ** exp, start)
 
     def scalar_atom(self) -> Scalar:

@@ -2,14 +2,16 @@
 
 import itertools
 import os
+import random
 from concurrent.futures import Future
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from nambu3 import algebra
-from nambu3.algebra import (AlgElem, L, M, _resolve_parallelism, assoc_mul,
-                            basis_elem, bracket, bracket_det, bracket_keys,
+from nambu3.algebra import (AUTO_PARALLEL_CASES, AlgElem, BasisKey, L, M,
+                            _resolve_parallelism, assoc_mul, basis_elem,
+                            bracket, bracket_det, bracket_keys,
                             check_fundamental, delta, omega)
 from nambu3.errors import IndexOverflow
 from nambu3.linear import accumulate
@@ -160,6 +162,11 @@ def test_worker_count_is_clamped(monkeypatch):
     assert _resolve_parallelism(0, 10 ** 6, 14) == 4
     assert _resolve_parallelism(0, 100, 14) == 1
     assert _resolve_parallelism(1, 10 ** 6, 14) == 1
+    # auto stays serial below the threshold: -2..2 (10^5 cases) ran slower
+    # on two workers than on one
+    assert _resolve_parallelism(0, 10 ** 5, 10) == 1
+    assert _resolve_parallelism(0, AUTO_PARALLEL_CASES - 1, 12) == 1
+    assert _resolve_parallelism(0, AUTO_PARALLEL_CASES, 12) == 4
 
 
 class SerialPool:
@@ -208,6 +215,36 @@ def _skewed(k1, k2, k3):
     if key.kind == "L":
         return c, L(key.index + 1)
     return c, key
+
+
+def _randomly_skewed(seed):
+    # a seeded corruption of the table at some ordered kind patterns and
+    # index residues, so it depends on the argument order (the corrupted
+    # table is not antisymmetric) and also turns some zero brackets nonzero
+    rng = random.Random(seed)
+    picked = {(a + b + c, r) for a in "LM" for b in "LM" for c in "LM"
+              for r in range(5) if rng.random() < 0.08}
+    scale, shift = rng.choice((-1, 2, 3)), rng.choice((-1, 1))
+
+    def kb(k1, k2, k3):
+        hit = bracket_keys(k1, k2, k3)
+        pattern = k1.kind + k2.kind + k3.kind
+        if (pattern, (k1.index + 2 * k2.index - k3.index) % 5) not in picked:
+            return hit
+        if hit is None:
+            return 1, k1
+        c, key = hit
+        return scale * c, BasisKey(key.kind, key.index + shift)
+
+    return kb
+
+
+def _counting(calls: list):
+    def kb(*args):
+        calls.append(args)
+        return bracket_keys(*args)
+
+    return kb
 
 
 def test_fault_injection_is_detected():
@@ -264,18 +301,44 @@ def _records(report):
     return [e.record() for e in report.entries]
 
 
-@pytest.mark.parametrize("window", [range(-1, 2), range(-2, 3)])
-def test_fi_sweep_matches_reference_route(window, monkeypatch):
-    expected = _reference_fi_records(window, _skewed)
+def _assert_matches_reference_route(window, skewed, monkeypatch):
+    expected = _reference_fi_records(window, skewed)
     assert expected
-    assert _records(check_fundamental(window, key_bracket=_skewed)) == expected
+    assert _records(check_fundamental(window, key_bracket=skewed)) == expected
     # the pool path: same scan on chunks of first keys, the bracket table
     # looked up as a module global; the stand-in pool starts no process
     sizes = _serial_pool(monkeypatch)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(algebra, "bracket_keys", _skewed)
+    monkeypatch.setattr(algebra, "bracket_keys", skewed)
     assert _records(check_fundamental(window, parallelism=2)) == expected
     assert sizes == [2]
+
+
+@pytest.mark.parametrize("window", [range(-1, 2), range(-2, 3)])
+def test_fi_sweep_matches_reference_route(window, monkeypatch):
+    _assert_matches_reference_route(window, _skewed, monkeypatch)
+
+
+@pytest.mark.parametrize("window", [range(-1, 2), range(-2, 3)])
+def test_fi_sweep_matches_reference_route_under_seeded_skew(window,
+                                                            monkeypatch):
+    _assert_matches_reference_route(window, _randomly_skewed(8), monkeypatch)
+
+
+def test_fi_scan_brackets_each_distinct_triple_once():
+    calls = []
+    assert check_fundamental(range(-3, 4), key_bracket=_counting(calls)).passed
+    # evaluating every case on its own makes 1,046,640 calls
+    assert len(calls) == len(set(calls)) == 14504
+
+
+def test_fi_scan_brackets_the_triples_of_the_reference_route():
+    window = range(-1, 2)
+    scan, reference = [], []
+    check_fundamental(window, key_bracket=_counting(scan))
+    _reference_fi_records(window, _counting(reference))
+    assert len(scan) == len(set(scan))
+    assert set(scan) == set(reference)
 
 
 def test_index_overflow_guard():

@@ -32,6 +32,27 @@ def test_bracket_pinned(capsys):
     assert out == "L[0]\n"
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (("bracket", "-L[1]", "L[2]", "M[3]"), "-1 L[0]\n"),
+    (("bracket", "L[2]", "-L[1]", "M[3]", "--output", "text"), "L[0]\n"),
+    (("decompose", "-ad(L[1],M[2])"), "-1 p[-1] + 3/2 q[-1]\n"),
+    (("decompose", "--verify", "-2 ad(L[1],M[2])", "--window", "-3..3"),
+     "-2 p[-1] + 3 q[-1]\nverify: action-equal on -3..3\n"),
+])
+def test_positionals_may_start_with_a_dash(capsys, argv, expected):
+    # read as an expression, as after "--", not as an unknown option
+    assert run(capsys, *argv) == (0, expected, "")
+
+
+def test_unknown_flags_are_still_refused_beside_a_dash_positional(capsys):
+    code, out, err = run(capsys, "bracket", "-L[1]", "L[2]", "M[3]", "--bogus")
+    assert (code, out) == (2, "")
+    assert err == "error: unrecognized arguments: --bogus\n"
+    # an explicit "--" is left as it is
+    assert run(capsys, "bracket", "--", "-L[1]", "L[2]", "M[3]") == (
+        0, "-1 L[0]\n", "")
+
+
 def test_bracket_zero(capsys):
     code, out, _ = run(capsys, "bracket", "L[1]", "L[2]", "L[3]")
     assert code == 0
@@ -292,6 +313,25 @@ def test_bad_mu_is_config_error(capsys):
                        "expected a rational p/q or 'sym'\n")
 
 
+@pytest.mark.parametrize("argv, flag, detail", [
+    (("check", "fi", "--window", f"{'9' * 1500}..{'9' * 1500}"), "window",
+     "integer literal longer than 1000 digits"),
+    (("check", "fi", "--window", f"0..{'9' * 1500}"), "window",
+     "integer literal longer than 1000 digits"),
+    (("check", "fi", "--window", f"0..{'9' * 900}"), "window",
+     "span exceeds 64"),
+    (("check", "module-t", "--mu", "9" * 1500, "--window", "0..1"), "--mu",
+     "integer literal longer than 1000 digits"),
+    (("weights", "T", "--lambda", "-" + "9" * 1500), "--lambda",
+     "integer literal longer than 1000 digits")])
+def test_overlong_flag_values_are_cut_in_the_refusal(capsys, argv, flag,
+                                                     detail):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    shown = argv[3][:80] + "\u2026"
+    assert err == f"error: bad {flag} {shown!r}: {detail}\n"
+
+
 @pytest.mark.parametrize("text, value", [
     ("1/2", Fraction(1, 2)), ("-7/3", Fraction(-7, 3)), ("2/4", Fraction(1, 2)),
     (" 0 ", Fraction(0)), ("sym", None), (None, None)])
@@ -338,6 +378,9 @@ def test_parse_error_exits_2(capsys):
     ("bracket", "*".join(["9" * 1000] * 5) + " L[1]", "L[2]", "M[3]"),
     ("bracket", "1^100000000 L[1]", "L[2]", "M[3]"),
     ("bracket", f"1/{'9' * 999}7 L[1] + 1/{'9' * 999}1 L[4]", "L[3]", "M[0]"),
+    # powers refused by their term count before any multiplication
+    ("bracket", "(mu+1)^3000 L[1]", "L[2]", "M[3]"),
+    ("bracket", "(lam+mu+a0+a1+1)^60 L[1]", "L[2]", "M[3]"),
 ])
 def test_library_errors_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -1,17 +1,22 @@
 """Inner derivations: expansion, decomposition, and the commutator table."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nambu3.algebra import AlgElem, L, M, basis_elem, bracket
+from nambu3.algebra import (AlgElem, BasisKey, L, M, basis_elem, bracket,
+                            window_keys)
 from nambu3.derivations import (P, Q, X, Z, DerivExpr, ad, ad_apply,
                                 check_pqxz_table, deriv_equal, deriv_to_pqxz,
                                 pair_to_pqxz, pqxz_apply, pqxz_bracket,
                                 pqxz_elem_apply, pqxz_key_apply,
-                                pqxz_key_bracket, pqxz_to_deriv)
+                                pqxz_key_bracket, pqxz_to_deriv,
+                                window_generators)
 from nambu3.errors import WindowTooSmall
+from nambu3.linear import accumulate
+from nambu3.reports import sweep_report
 
 E = basis_elem
 
@@ -204,16 +209,82 @@ def test_wide_table_check_and_injected_fault():
     assert {e.indices[0] + e.indices[2] for e in caught.entries} == {"qx"}
 
 
-def test_table_check_applies_each_generator_once_per_key():
-    calls = []
-
-    def counted(k, b):
+def _counting(calls: list):
+    def key_apply(k, b):
         calls.append((k, b))
         return pqxz_key_apply(k, b)
 
-    report = check_pqxz_table(range(-2, 3), key_apply=counted)
+    return key_apply
+
+
+def test_table_check_applies_each_generator_once_per_key():
+    calls, reference = [], []
+    report = check_pqxz_table(range(-2, 3), key_apply=_counting(calls))
     assert report.passed
     assert calls and len(calls) == len(set(calls))
+    # and to exactly the keys evaluating each case on its own reaches
+    _reference_table_records(range(-2, 3), _counting(reference))
+    assert set(calls) == set(reference)
+
+
+def _reference_table_records(window, key_apply,
+                             key_bracket=pqxz_key_bracket) -> list:
+    # reference route: each case on its own, with no shared rows
+    gens = window_generators(window)
+    found = []
+    for ka in gens:
+        for kb in gens:
+            for probe in window_keys(window):
+                acc: dict = {}
+                hit = key_apply(kb, probe)
+                if hit is not None:
+                    back = key_apply(ka, hit[1])
+                    if back is not None:
+                        accumulate(acc, back[1], hit[0] * back[0])
+                hit = key_apply(ka, probe)
+                if hit is not None:
+                    back = key_apply(kb, hit[1])
+                    if back is not None:
+                        accumulate(acc, back[1], -hit[0] * back[0])
+                for kt, ct in key_bracket(ka, kb).items():
+                    hit = key_apply(kt, probe)
+                    if hit is not None:
+                        accumulate(acc, hit[1], -ct * hit[0])
+                if acc:
+                    found.append(((ka, kb, probe), None,
+                                  AlgElem(list(acc.items()))))
+    report = sweep_report("generator-commutator-table",
+                          len(gens) ** 2 * 2 * len(window), found,
+                          axiom="generator-commutator", family="derivations")
+    return [e.record() for e in report.entries]
+
+
+def _randomly_skewed_action(seed):
+    # a seeded corruption of the generator action at some families, probe
+    # kinds and index residues: a shifted image or a spurious one
+    rng = random.Random(seed)
+    picked = {(f, kind, r) for f in "pqxz" for kind in "LM" for r in range(3)
+              if rng.random() < 0.2}
+
+    def key_apply(k, b):
+        hit = pqxz_key_apply(k, b)
+        if (k.family, b.kind, (k.index - b.index) % 3) not in picked:
+            return hit
+        if hit is None:
+            return 1, b
+        c, key = hit
+        return c, BasisKey(key.kind, key.index + 1)
+
+    return key_apply
+
+
+@pytest.mark.parametrize("window", [range(-1, 2), range(-2, 3)])
+def test_table_sweep_matches_reference_route(window):
+    key_apply = _randomly_skewed_action(3)
+    expected = _reference_table_records(window, key_apply)
+    assert expected
+    report = check_pqxz_table(window, key_apply=key_apply)
+    assert [e.record() for e in report.entries] == expected
 
 
 def test_elem_bracket_is_bilinear():

@@ -7,10 +7,10 @@ from hypothesis import given, strategies as st
 
 from nambu3.algebra import AlgElem, L, M, basis_elem
 from nambu3.derivations import P, Q, X, Z, ad, deriv_to_pqxz, pqxz_to_deriv
-from nambu3.errors import ParseError
-from nambu3.parsing import (MAX_LITERAL_DIGITS, parse_deriv, parse_elem,
-                            parse_int, parse_rational, parse_scalar,
-                            parse_weight_key)
+from nambu3.errors import ExponentOverflow, ParseError
+from nambu3.parsing import (MAX_LITERAL_DIGITS, MAX_POWER_TERMS, _power_terms,
+                            parse_deriv, parse_elem, parse_int,
+                            parse_rational, parse_scalar, parse_weight_key)
 from nambu3.repmod import weight_key
 from nambu3.scalar import LAMBDA, MU, Scalar, weight_tag
 
@@ -133,6 +133,24 @@ def test_parse_error_bad_exponent():
     with pytest.raises(ParseError, match="exponent 65536 exceeds") as exc:
         parse_scalar("1^65536")
     assert exc.value.pos == 2
+
+
+def test_power_term_bound_is_checked_before_multiplying():
+    assert _power_terms(parse_scalar("mu + 1"), 999) == MAX_POWER_TERMS
+    assert _power_terms(parse_scalar("mu^2 + 1"), 10) == 11
+    assert _power_terms(parse_scalar("lam + mu + 1"), 43) == 990
+    assert len(parse_scalar("(lam + mu + 1)^43")) == 990
+    for text in ("(mu+1)^3000", "(lam+mu+a0+a1+1)^60", "(mu + lam)^65535",
+                 "2*(1 + (mu+1)^1000)"):
+        with pytest.raises(ParseError, match="power with more than 1000 "
+                                             "terms") as exc:
+            parse_scalar(text)
+        assert text[exc.value.pos] == "("
+    # one-term and constant bases build one term, whatever the exponent
+    with pytest.raises(ExponentOverflow):
+        parse_scalar("(mu^256)^256")
+    assert parse_scalar("(2*mu)^3") == parse_scalar("8*mu^3")
+    assert parse_scalar("0^0") == Scalar(1)
 
 
 def test_parse_error_zero_denominator():

@@ -282,8 +282,9 @@ def _fi_scan(first_keys: tuple, keys: tuple, kb: Optional[Callable]) -> list:
     return found
 
 
-# Smallest grid that auto parallelism fans out.  On 2 CPUs, two workers lost
-# all ten runs at 10^5 cases (-2..2), tied at 12^5 and won at 14^5 (-3..3).
+# Smallest grid that auto parallelism fans out.  On a 2-CPU x86-64 box, two
+# workers lost all ten runs at 10^5 cases (-2..2) against one, tied at 12^5
+# and won at 14^5 (-3..3), pool start-up included.
 AUTO_PARALLEL_CASES = 400000
 
 

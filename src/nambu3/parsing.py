@@ -50,7 +50,8 @@ _TOKEN_RE = re.compile(
 # parsed value, in decimal digits.
 MAX_LITERAL_DIGITS = 1000
 LITERAL_TOO_LONG = f"integer literal longer than {MAX_LITERAL_DIGITS} digits"
-# Most terms a parsed power may build: (mu + 1)^999 takes about a second.
+# Most terms a parsed power may build; each squaring costs the square of
+# the terms, so the bound also caps the time a power takes.
 MAX_POWER_TERMS = 1000
 _COEFF_LIMIT = 10 ** MAX_LITERAL_DIGITS
 # 2^_COEFF_BITS > _COEFF_LIMIT: an int of b bits raised to e is at least

@@ -8,8 +8,9 @@ exact arithmetic refuses (index, exponent or window out of bounds), each
 reported as one ``error:`` line on stderr by the one ``except`` in ``main``.
 Flag values are numbers in ``parsing``'s grammar (``parse_int`` for windows,
 ``parse_rational`` for ``--lambda`` and ``--mu``); a refusal echoes at most
-``_ECHO_LIMIT`` characters of one.  Every flag is long, so a positional that
-starts with ``-`` (``bracket "-L[1]" ...``) is read as one.
+``_ECHO_LIMIT`` characters of one.  A ``--probes`` list that names one line
+twice is refused.  Every flag is long, so a positional that starts with
+``-`` (``bracket "-L[1]" ...``) is read as one.
 
 ``_SUITES`` holds each suite's default window, its case-count formula,
 checked against the budget before any sweep, and the optional flags it
@@ -46,8 +47,9 @@ from .derivations import (DEFAULT_PAIR_WINDOW, check_pqxz_table, deriv_equal,
                           deriv_to_pqxz, pqxz_to_deriv)
 from .errors import (ConfigError, ExponentOverflow, IndexOverflow, NotAModule,
                      NotEigenvector, ParseError, WindowTooSmall, ZeroDivisor)
-from .parsing import (LITERAL_TOO_LONG, parse_deriv, parse_elem, parse_int,
-                      parse_rational, parse_weight_key)
+from .parsing import (LITERAL_TOO_LONG, MAX_TERMS, parse_deriv, parse_elem,
+                      parse_int, parse_rational, parse_weight_key,
+                      product_terms)
 from .repmod import (DEFAULT_AXIOM_WINDOW, ModVec, _module_verdict,
                      _probe_keys, check_induced, check_lie_module,
                      check_tri_axiom2, counterexample_phi, orbit_probe,
@@ -141,12 +143,15 @@ def _parse_param(text: Optional[str], name: str) -> Optional[Fraction]:
 def _parse_probes(text: Optional[str]) -> Optional[tuple]:
     if text is None:
         return None
-    probes = []
+    probes: dict = {}   # a dict keeps the order and finds a repeat at once
     for part in text.split(","):
         part = part.strip()
         if not part:
             raise ConfigError(f"bad probe list {text!r}: empty entry")
-        probes.append(parse_weight_key(part))
+        probe = parse_weight_key(part)
+        if probe in probes:
+            raise ConfigError(f"duplicate probe v[{probe}]")
+        probes[probe] = None
     return tuple(probes)
 
 
@@ -221,6 +226,9 @@ def cmd_bracket(args) -> int:
     x = parse_elem(args.x)
     y = parse_elem(args.y)
     z = parse_elem(args.z)
+    if product_terms(*(e._terms.values() for e in (x, y, z))) > MAX_TERMS:
+        raise ConfigError(f"bracket coefficient products with more than "
+                          f"{MAX_TERMS} terms")
     result = bracket(x, y, z)
     if not args.oracle:
         if args.output == "machine":

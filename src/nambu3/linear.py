@@ -5,13 +5,23 @@ generator combinations.  Terms live in a dict keyed by the combination's key
 type; zero coefficients are dropped on construction so equality is plain dict
 equality.  Addition is only defined between combinations of the same concrete
 type, which catches category mixups early.
+
+Formatting reads each coefficient's sign and text from a bounded memo keyed
+by the coefficient (``_coeff_text``): a defect report repeats a few distinct
+coefficients over thousands of lines.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping
 
 from .scalar import Indeterminate, Scalar, ScalarLike
+
+# bound of the coefficient text memo: a defect report repeats few distinct
+# coefficients (18 in 14,400 defects), and every entry keeps its coefficient
+# alive for the life of the process
+COEFF_TEXT_MEMO_SIZE = 64
 
 
 def accumulate(acc: dict, key, coeff) -> None:
@@ -22,6 +32,23 @@ def accumulate(acc: dict, key, coeff) -> None:
         acc[key] = tot
     else:
         acc.pop(key, None)
+
+
+@lru_cache(maxsize=COEFF_TEXT_MEMO_SIZE)
+def _coeff_text(c: Scalar) -> tuple:
+    """(negative, text before the key) of a nonzero coefficient: nothing for
+    1, the magnitude of a rational or of a one-term polynomial, or the whole
+    polynomial in parentheses, each followed by a space."""
+    if c.is_rational:
+        q = c.as_rational
+        neg = q < 0
+        mag = -q if neg else q
+        return neg, "" if (mag == 1 and not neg) else f"{mag} "
+    if len(c) == 1:
+        ((mono, q),) = c._terms.items()
+        neg = q < 0
+        return neg, f"{Scalar._make({mono: -q if neg else q})} "
+    return False, f"({c}) "
 
 
 class LinComb:
@@ -53,6 +80,14 @@ class LinComb:
         return str(key)
 
     # construction -----------------------------------------------------------
+
+    @classmethod
+    def _of(cls, terms: dict):
+        """A combination holding ``terms`` itself, trusted as given: keys of
+        the right type and nonzero Scalar coefficients."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "_terms", terms)
+        return out
 
     @classmethod
     def zero(cls):
@@ -89,9 +124,7 @@ class LinComb:
         acc = dict(self._terms)
         for key, c in other._terms.items():
             accumulate(acc, key, c if sign > 0 else -c)
-        out = object.__new__(type(self))
-        object.__setattr__(out, "_terms", acc)
-        return out
+        return self._of(acc)
 
     def __add__(self, other):
         if type(other) is not type(self):
@@ -104,9 +137,7 @@ class LinComb:
         return self._merged(other, -1)
 
     def __neg__(self):
-        out = object.__new__(type(self))
-        object.__setattr__(out, "_terms", {k: -c for k, c in self._terms.items()})
-        return out
+        return self._of({k: -c for k, c in self._terms.items()})
 
     def __mul__(self, factor):
         if not isinstance(factor, (Scalar, Indeterminate, Fraction, int)):
@@ -119,9 +150,7 @@ class LinComb:
             fc = c * f
             if not fc.is_zero:
                 acc[key] = fc
-        out = object.__new__(type(self))
-        object.__setattr__(out, "_terms", acc)
-        return out
+        return self._of(acc)
 
     __rmul__ = __mul__
 
@@ -139,20 +168,8 @@ class LinComb:
             return "0"
         parts = []
         for i, (key, c) in enumerate(self.items()):
-            kstr = self._format_key(key)
-            if c.is_rational:
-                q = c.as_rational
-                neg = q < 0
-                mag = -q if neg else q
-                body = kstr if (mag == 1 and not neg) else f"{mag} {kstr}"
-            elif len(c) == 1:
-                ((mono, q),) = c._terms.items()
-                neg = q < 0
-                mag = Scalar._make({mono: -q if neg else q})
-                body = f"{mag} {kstr}"
-            else:
-                neg = False
-                body = f"({c}) {kstr}"
+            neg, text = _coeff_text(c)
+            body = text + self._format_key(key)
             if i == 0:
                 parts.append(f"-{body}" if neg else body)
             else:

@@ -20,9 +20,11 @@ A parsed sum or product is held to the same bound: written over the least
 common denominator of its coefficients, neither that denominator nor any
 numerator may be longer.  A power is refused before it is taken when its
 leading or trailing coefficient alone would break the bound, or when it may
-build more than ``MAX_POWER_TERMS`` terms (``_power_terms``).  A bracket is
-trilinear in its parsed arguments, and a product of three bounded values
-stays under Python's 4,300-digit limit for printing an int.
+build more than ``MAX_TERMS`` terms (``_power_terms``); a product is
+refused before each ``*`` when it may build more (``product_terms``).  A
+bracket is trilinear in its parsed arguments: a product of three bounded
+values stays under Python's 4,300-digit limit for printing an int, and the
+CLI holds the bracket's coefficient products to the same term bound.
 
 Every syntax failure raises ParseError carrying the offset and what was
 expected there.  The grammars accept everything the formatters emit, so
@@ -50,9 +52,9 @@ _TOKEN_RE = re.compile(
 # parsed value, in decimal digits.
 MAX_LITERAL_DIGITS = 1000
 LITERAL_TOO_LONG = f"integer literal longer than {MAX_LITERAL_DIGITS} digits"
-# Most terms a parsed power may build; each squaring costs the square of
-# the terms, so the bound also caps the time a power takes.
-MAX_POWER_TERMS = 1000
+# Most terms a parsed power or product may build; a product costs the
+# product of its factors' terms, so the bound also caps the time it takes.
+MAX_TERMS = 1000
 _COEFF_LIMIT = 10 ** MAX_LITERAL_DIGITS
 # 2^_COEFF_BITS > _COEFF_LIMIT: an int of b bits raised to e is at least
 # 2^((b - 1) e), so (b - 1) e >= _COEFF_BITS proves the power too long.
@@ -75,6 +77,16 @@ def _tokenize(text: str):
     return tokens
 
 
+def _top_degrees(scalars) -> dict:
+    """Each symbol's highest exponent in any of ``scalars``."""
+    top: dict = {}
+    for s in scalars:
+        for mono in s._terms:
+            for name, e in mono:
+                top[name] = max(top.get(name, 0), e)
+    return top
+
+
 def _power_terms(base: Scalar, exp: int) -> int:
     """An upper bound on the number of terms of ``base ** exp``.
 
@@ -84,14 +96,29 @@ def _power_terms(base: Scalar, exp: int) -> int:
     """
     if len(base) < 2:
         return 1
-    degrees: dict = {}
-    for mono in base._terms:
-        for name, e in mono:
-            degrees[name] = max(degrees.get(name, 0), e)
     by_degree = 1
-    for d in degrees.values():
+    for d in _top_degrees([base]).values():
         by_degree *= exp * d + 1
     return min(by_degree, comb(len(base) + exp - 1, exp))
+
+
+def product_terms(*groups) -> int:
+    """An upper bound on the number of terms of a product of one Scalar from
+    each group.
+
+    It has at most the product of the factors' term counts, and each
+    symbol's degree in it is at most the sum of its degrees in the factors.
+    """
+    by_count, degrees = 1, {}
+    for group in groups:
+        group = list(group)
+        by_count *= max((len(s) for s in group), default=0)
+        for name, e in _top_degrees(group).items():
+            degrees[name] = degrees.get(name, 0) + e
+    by_degree = 1
+    for d in degrees.values():
+        by_degree *= d + 1
+    return min(by_count, by_degree)
 
 
 def _too_long(pos: int):
@@ -210,7 +237,11 @@ class _Parser:
         start = self.i
         acc = self.scalar_factor()
         while self.skip("*"):
-            acc = self.bounded(acc * self.scalar_factor(), start)
+            factor = self.scalar_factor()
+            if product_terms([acc], [factor]) > MAX_TERMS:
+                raise ParseError(f"product with more than {MAX_TERMS} terms",
+                                 self.tokens[start][2])
+            acc = self.bounded(acc * factor, start)
         return acc
 
     def scalar_factor(self) -> Scalar:
@@ -230,8 +261,8 @@ class _Parser:
             for n in (abs(c.numerator), c.denominator):
                 if (n.bit_length() - 1) * exp >= _COEFF_BITS:
                     raise _too_long(self.tokens[start][2])
-        if _power_terms(base, exp) > MAX_POWER_TERMS:
-            raise ParseError(f"power with more than {MAX_POWER_TERMS} terms",
+        if _power_terms(base, exp) > MAX_TERMS:
+            raise ParseError(f"power with more than {MAX_TERMS} terms",
                              self.tokens[start][2])
         return self.bounded(base ** exp, start)
 

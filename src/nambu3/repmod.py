@@ -36,12 +36,13 @@ Every sweep takes cap-checked keys from ``window_keys`` or
 report with ``sweep_report``.
 
 Single-key applications are memoized in bounded caches.  The axiom sweeps
-keep tables of their own instead, freed when each sweep returns: a row per
-basis pair ``(x, y)`` mapping weight keys to their single-key terms, looked
-up once per loop level rather than once per probe, and the products of
-composed coefficients keyed by value.  Cases accumulate plain
-(key -> Scalar) dicts, building a vector only for an actual defect; the
-grids are large and the per-case algebra is small.
+keep tables of their own instead, freed when each sweep returns
+(``_SweepTables``): a row per basis pair ``(x, y)`` mapping weight keys to
+their single-key terms, looked up once per loop level rather than once per
+probe, and every coefficient the sweep makes, interned under a small int
+id.  Cases accumulate plain (key -> id) dicts through memos of the distinct
+products and sums, building a vector of the interned Scalars only for an
+actual defect; the grids are large and the distinct coefficients few.
 
 ``check_tri_axiom2`` reports each defect as (sum of composed pair actions)
 minus (action of the bracketed triple).  ``counterexample_phi`` reports the
@@ -287,67 +288,121 @@ def _tri_terms(action, x: BasisKey, y: BasisKey, key: WeightKey) -> tuple:
 _tri_key_terms = lru_cache(maxsize=KERNEL_CACHE_SIZE)(_tri_terms)
 
 
-class _PairRow(dict):
-    """weight key -> ``_tri_terms(action, x, y, key)``, filled on a miss.
+def _intern(ids: dict, values: list, c: Scalar) -> int:
+    """The id of ``c`` among one sweep's coefficients, added on first
+    sight."""
+    i = ids.get(c)
+    if i is None:
+        i = ids[c] = len(values)
+        values.append(c)
+    return i
 
-    Each coefficient is replaced by the first equal one in ``coeffs``, so
-    product lookups match their keys by identity.  A row holds no reference
-    to the tables that hold it, so a sweep's tables are freed on return
-    without waiting for the cycle collector.
+
+class _PairRow(dict):
+    """weight key -> ``_tri_terms(action, x, y, key)`` as ``(key, id)``
+    pairs, filled on a miss.
+
+    Each id indexes the sweep's interned coefficients (``_SweepTables``).
+    A row holds no reference to the tables that hold it, so a sweep's tables
+    are freed on return without waiting for the cycle collector.
     """
 
-    __slots__ = ("action", "x", "y", "coeffs")
+    __slots__ = ("action", "x", "y", "ids", "values")
 
-    def __init__(self, action, x: BasisKey, y: BasisKey, coeffs: dict):
+    def __init__(self, action, x: BasisKey, y: BasisKey, ids: dict,
+                 values: list):
         super().__init__()
-        self.action, self.x, self.y, self.coeffs = action, x, y, coeffs
+        self.action, self.x, self.y = action, x, y
+        self.ids, self.values = ids, values
 
     def __missing__(self, key: WeightKey) -> tuple:
-        coeffs = self.coeffs
+        ids, values = self.ids, self.values
         terms = self[key] = tuple(
-            (k, coeffs.setdefault(c, c))
+            (k, _intern(ids, values, c))
             for k, c in _tri_terms(self.action, self.x, self.y, key))
         return terms
 
 
 class _SweepTables:
-    """The pair rows and coefficient products of one axiom sweep."""
+    """The pair rows and the coefficient arithmetic of one axiom sweep.
+
+    Every coefficient the sweep makes is interned: ``values[i]`` is the
+    Scalar with id ``i``, ``ids`` maps it back, and id 0 is zero.  Rows,
+    products, sums and each case's accumulator hold ids, so each distinct
+    product (``(c, c2, sign)`` composed, ``(c2, b)`` bracket-scaled) and
+    each distinct sum ``(tot, prod)`` is computed once per sweep, and a case
+    hashes and compares only ints.
+    """
 
     def __init__(self, action):
         self.action = action
         self.rows: dict = {}
-        self.coeffs: dict = {}
+        self.values: list = [Scalar(0)]
+        self.ids: dict = {self.values[0]: 0}
         self.prods: dict = {}
+        self.sums: dict = {}
 
     def row(self, x: BasisKey, y: BasisKey) -> _PairRow:
         row = self.rows.get((x, y))
         if row is None:
-            row = self.rows[(x, y)] = _PairRow(self.action, x, y,
-                                               self.coeffs)
+            row = self.rows[(x, y)] = _PairRow(self.action, x, y, self.ids,
+                                               self.values)
         return row
+
+    def _add(self, acc: dict, key, p: int) -> None:
+        """Add the coefficient with id ``p`` into acc[key], dropping the key
+        when the sum is zero."""
+        tot = acc.get(key)
+        if tot is not None:
+            s = self.sums.get((tot, p))
+            if s is None:
+                values = self.values
+                s = self.sums[tot, p] = _intern(self.ids, values,
+                                                values[tot] + values[p])
+            p = s
+        if p:
+            acc[key] = p
+        else:
+            acc.pop(key, None)
 
     def compose_into(self, acc: dict, row: _PairRow, terms,
                      sign: int = 1) -> None:
         """Add sign * (row's pair applied to the vector ``terms``)."""
-        prods = self.prods
+        prods, add = self.prods, self._add
         for key, c in terms:
             for k2, c2 in row[key]:
                 pk = (c, c2, sign)
-                prod = prods.get(pk)
-                if prod is None:
-                    prod = c * c2
-                    prod = prods[pk] = prod if sign > 0 else -prod
-                accumulate(acc, k2, prod)
+                p = prods.get(pk)
+                if p is None:
+                    p = prods[pk] = self._product(c, c2, sign)
+                add(acc, k2, p)
 
-    def scale_into(self, acc: dict, terms, c) -> None:
-        """Add each term of ``terms`` times the bracket coefficient ``c``."""
-        prods = self.prods
+    def _product(self, c: int, c2: int, sign: int) -> int:
+        # the product made with the other sign, if any, is negated instead
+        values = self.values
+        other = self.prods.get((c, c2, -sign))
+        if other is not None:
+            prod = -values[other]
+        else:
+            prod = values[c] * values[c2]
+            if sign < 0:
+                prod = -prod
+        return _intern(self.ids, values, prod)
+
+    def scale_into(self, acc: dict, terms, b: int) -> None:
+        """Add each term of ``terms`` times the bracket coefficient ``b``."""
+        prods, values, add = self.prods, self.values, self._add
         for k2, c2 in terms:
-            pk = (c2, c)
-            prod = prods.get(pk)
-            if prod is None:
-                prod = prods[pk] = c2 * c
-            accumulate(acc, k2, prod)
+            pk = (c2, b)
+            p = prods.get(pk)
+            if p is None:
+                p = prods[pk] = _intern(self.ids, values, values[c2] * b)
+            add(acc, k2, p)
+
+    def defect(self, acc: dict) -> ModVec:
+        """The vector of a case's accumulator, over the interned Scalars."""
+        values = self.values
+        return ModVec._of({k: values[i] for k, i in acc.items()})
 
 
 # -- applying actions ----------------------------------------------------------
@@ -413,7 +468,7 @@ def check_tri_axiom1(action: TriAction,
     keys = window_keys(window)
     probe_keys = _probe_keys(probes)
     tables = _SweepTables(action)
-    row = tables.row
+    row, defect = tables.row, tables.defect
     compose_into, scale_into = tables.compose_into, tables.scale_into
     found = []
     for x1 in keys:
@@ -437,7 +492,7 @@ def check_tri_axiom1(action: TriAction,
                             scale_into(acc, r124[probe], -b124[0])
                         if acc:
                             found.append(((x1, x2, x3, x4), probe,
-                                          ModVec(acc)))
+                                          defect(acc)))
     return sweep_report("tri-axiom-1", len(keys) ** 4 * len(probe_keys), found,
                         axiom="tri-axiom-1", family=action_family(action),
                         parameters=action_parameters(action))
@@ -452,7 +507,7 @@ def check_tri_axiom2(action: TriAction,
     keys = window_keys(window)
     probe_keys = _probe_keys(probes)
     tables = _SweepTables(action)
-    row = tables.row
+    row, defect = tables.row, tables.defect
     compose_into, scale_into = tables.compose_into, tables.scale_into
     found = []
     for x1 in keys:
@@ -477,7 +532,7 @@ def check_tri_axiom2(action: TriAction,
                             scale_into(acc, r123[probe], -b123[0])
                         if acc:
                             found.append(((x1, x2, x3, x4), probe,
-                                          ModVec(acc)))
+                                          defect(acc)))
     return sweep_report("tri-axiom-2", len(keys) ** 4 * len(probe_keys), found,
                         axiom="tri-axiom-2", family=action_family(action),
                         parameters=action_parameters(action))

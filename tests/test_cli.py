@@ -381,6 +381,13 @@ def test_parse_error_exits_2(capsys):
     # powers refused by their term count before any multiplication
     ("bracket", "(mu+1)^3000 L[1]", "L[2]", "M[3]"),
     ("bracket", "(lam+mu+a0+a1+1)^60 L[1]", "L[2]", "M[3]"),
+    # products refused likewise: six 10-symbol factors (10^6 terms), and
+    # three powers of 495 terms each that only the bracket multiplies
+    ("bracket", "*".join("(" + "+".join(f"a{i}" for i in range(k, k + 10))
+                         + ")" for k in range(0, 60, 10)) + " L[1]",
+     "L[2]", "M[3]"),
+    ("bracket", "(mu+lam+a0+a1+a2)^8 L[1]", "(a3+a4+a5+a6+a7)^8 L[2]",
+     "(a8+a9+a10+a11+1)^8 M[3]"),
 ])
 def test_library_errors_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -586,6 +593,16 @@ def test_bad_probe_is_config_error(capsys):
     code, _, err = run(capsys, "check", "module-t", "--window", "-1..1",
                        "--probes", "v0")
     assert code == 2
+
+
+@pytest.mark.parametrize("probes, key", [("a0,a0", "a0"), ("1,2/2", "1"),
+                                         ("0,a1-1, a1 - 1", "a1-1")])
+def test_repeated_probe_is_refused(capsys, probes, key):
+    # probes are compared after normalization: 2/2 is the line v[1]
+    code, out, err = run(capsys, "check", "module-t", "--window", "0..1",
+                         "--probes", probes)
+    assert (code, out) == (2, "")
+    assert err == f"error: duplicate probe v[{key}]\n"
 
 
 # -- one parser per process -------------------------------------------------------

@@ -1,0 +1,114 @@
+"""Linear combinations: the trusted constructor and the coefficient text memo."""
+
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from nambu3.algebra import AlgElem, L, M
+from nambu3.linear import COEFF_TEXT_MEMO_SIZE, _coeff_text
+from nambu3.repmod import ModVec, weight_key
+from nambu3.scalar import LAMBDA, MU, Scalar, weight_tag
+
+_SYMBOLS = (Scalar(LAMBDA), Scalar(MU), Scalar(weight_tag(0)),
+            Scalar(weight_tag(3)))
+
+
+def _reference_str(vec) -> str:
+    # the formatter as it stood before the text memo, kept as the oracle
+    if not vec._terms:
+        return "0"
+    parts = []
+    for i, (key, c) in enumerate(vec.items()):
+        kstr = vec._format_key(key)
+        if c.is_rational:
+            q = c.as_rational
+            neg = q < 0
+            mag = -q if neg else q
+            body = kstr if (mag == 1 and not neg) else f"{mag} {kstr}"
+        elif len(c) == 1:
+            ((mono, q),) = c._terms.items()
+            neg = q < 0
+            mag = Scalar._make({mono: -q if neg else q})
+            body = f"{mag} {kstr}"
+        else:
+            neg = False
+            body = f"({c}) {kstr}"
+        if i == 0:
+            parts.append(f"-{body}" if neg else body)
+        else:
+            parts.append(f" - {body}" if neg else f" + {body}")
+    return "".join(parts)
+
+
+_rationals = st.sampled_from([1, -1, 2, -3]) | st.fractions(
+    min_value=-9, max_value=9, max_denominator=4)
+
+
+@st.composite
+def _monomials(draw):
+    mono = Scalar(1)
+    for sym in draw(st.lists(st.sampled_from(_SYMBOLS), max_size=3)):
+        mono = mono * sym
+    return mono
+
+
+@st.composite
+def _scalars(draw):
+    """Rational, one-term and multi-term coefficients alike."""
+    acc = Scalar(0)
+    for _ in range(draw(st.integers(1, 3))):
+        acc = acc + draw(_monomials()) * draw(_rationals)
+    return acc
+
+
+@st.composite
+def _vectors(draw):
+    keys = draw(st.lists(st.sampled_from(
+        [weight_key(m) for m in (-2, 0, 1)]
+        + [weight_key(Fraction(1, 3)), weight_key("a0", -1),
+           weight_key("a1")]), unique=True, max_size=4))
+    return ModVec({key: draw(_scalars()) for key in keys})
+
+
+@given(_vectors())
+@settings(max_examples=200)
+def test_format_matches_the_reference(vec):
+    assert str(vec) == _reference_str(vec)
+    # a second pass reads the memo
+    assert str(vec) == _reference_str(vec)
+    assert str(-vec) == _reference_str(-vec)
+
+
+def test_format_of_each_coefficient_shape():
+    a0 = Scalar(weight_tag(0))
+    mu = Scalar(MU)
+    key = weight_key(0)
+    cases = {1: "v[0]", -1: "-1 v[0]", Fraction(-3, 2): "-3/2 v[0]",
+             mu * -2: "-2*mu v[0]", a0 * mu: "mu*a0 v[0]",
+             mu - mu * mu: "(-mu^2 + mu) v[0]"}
+    for coeff, text in cases.items():
+        assert str(ModVec.term(key, coeff)) == text
+
+
+def test_coefficient_text_memo_is_bounded():
+    _coeff_text.cache_clear()
+    a0 = Scalar(weight_tag(0))
+    for k in range(COEFF_TEXT_MEMO_SIZE + 50):
+        vec = ModVec.term(weight_key(0), a0 + k)
+        assert str(vec) == (f"(a0 + {k}) v[0]" if k else "a0 v[0]")
+    info = _coeff_text.cache_info()
+    assert info.maxsize == COEFF_TEXT_MEMO_SIZE
+    assert info.misses == COEFF_TEXT_MEMO_SIZE + 50
+    assert info.currsize == COEFF_TEXT_MEMO_SIZE
+
+
+def test_trusted_constructor_keeps_the_dict_and_the_type():
+    terms = {L(1): Scalar(2), M(0): Scalar(-1)}
+    elem = AlgElem._of(terms)
+    assert type(elem) is AlgElem and elem._terms is terms
+    assert elem == AlgElem(terms)
+    # the arithmetic that builds through it keeps the concrete type
+    for out in (elem + elem, elem - elem, -elem, elem * 3, 2 * elem):
+        assert type(out) is AlgElem
+    assert (elem - elem).is_zero and (elem * 0).is_zero
+    assert -elem == AlgElem({L(1): -2, M(0): 1})

@@ -8,9 +8,10 @@ from hypothesis import given, strategies as st
 from nambu3.algebra import AlgElem, L, M, basis_elem
 from nambu3.derivations import P, Q, X, Z, ad, deriv_to_pqxz, pqxz_to_deriv
 from nambu3.errors import ExponentOverflow, ParseError
-from nambu3.parsing import (MAX_LITERAL_DIGITS, MAX_POWER_TERMS, _power_terms,
+from nambu3.parsing import (MAX_LITERAL_DIGITS, MAX_TERMS, _power_terms,
                             parse_deriv, parse_elem, parse_int,
-                            parse_rational, parse_scalar, parse_weight_key)
+                            parse_rational, parse_scalar, parse_weight_key,
+                            product_terms)
 from nambu3.repmod import weight_key
 from nambu3.scalar import LAMBDA, MU, Scalar, weight_tag
 
@@ -136,7 +137,7 @@ def test_parse_error_bad_exponent():
 
 
 def test_power_term_bound_is_checked_before_multiplying():
-    assert _power_terms(parse_scalar("mu + 1"), 999) == MAX_POWER_TERMS
+    assert _power_terms(parse_scalar("mu + 1"), 999) == MAX_TERMS
     assert _power_terms(parse_scalar("mu^2 + 1"), 10) == 11
     assert _power_terms(parse_scalar("lam + mu + 1"), 43) == 990
     assert len(parse_scalar("(lam + mu + 1)^43")) == 990
@@ -151,6 +152,36 @@ def test_power_term_bound_is_checked_before_multiplying():
         parse_scalar("(mu^256)^256")
     assert parse_scalar("(2*mu)^3") == parse_scalar("8*mu^3")
     assert parse_scalar("0^0") == Scalar(1)
+
+
+def _symbol_sum(lo, hi):
+    return "(" + "+".join(f"a{i}" for i in range(lo, hi)) + ")"
+
+
+def test_product_term_bound_is_checked_before_multiplying():
+    ten = parse_scalar(_symbol_sum(0, 10))
+    assert product_terms([ten], [ten], [ten]) == 1000
+    # a symbol's degrees add up, so (mu+1)*(mu+1) has at most 3 terms
+    one = parse_scalar("mu + 1")
+    assert product_terms([one], [one]) == 3
+    # one factor from each group: the longest, and the top degree per symbol
+    assert product_terms([one, parse_scalar("mu^5")], [ten]) == 20
+    assert product_terms([], [one]) == 0
+    assert len(parse_scalar("*".join(_symbol_sum(k, k + 10)
+                                     for k in (0, 10, 20)))) == 1000
+    text = "2*" + "*".join(_symbol_sum(k, k + 10) for k in range(0, 60, 10))
+    with pytest.raises(ParseError, match="product with more than 1000 "
+                                         "terms") as exc:
+        parse_scalar(text)
+    assert exc.value.pos == 0
+    # the position is that of the term's first factor
+    with pytest.raises(ParseError, match="product with more than 1000 "
+                                         "terms") as exc:
+        parse_scalar("lam + (mu+1)^30 * (a0+1)^30 * (a1+1)^2")
+    assert exc.value.pos == 6
+    # the bound reads the running product: 961 terms, then 61 by degree
+    assert len(parse_scalar("(mu+1)^30 * (a0+1)^30")) == 961
+    assert len(parse_scalar("(mu+1)^30 * (mu+2)^30 * (a0+1)^2")) == 183
 
 
 def test_parse_error_zero_denominator():

@@ -234,6 +234,50 @@ def test_axiom_sweeps_match_the_reference_on_rational_tags(name):
     _assert_matches_reference(_SWEEP_ACTIONS[name], range(-1, 2), probes)
 
 
+@pytest.mark.parametrize("sweep", [check_tri_axiom1, check_tri_axiom2])
+def test_axiom_sweep_makes_each_distinct_product_and_sum_once(monkeypatch,
+                                                              sweep):
+    import nambu3.repmod as repmod
+
+    # the sweep's own arithmetic, not that of the kernel filling its rows
+    in_kernel = []
+    kernel = repmod._tri_terms
+
+    def counted_kernel(*args):
+        in_kernel.append(True)
+        try:
+            return kernel(*args)
+        finally:
+            in_kernel.pop()
+
+    calls = {"add": [], "mul": []}
+
+    def counting(name, op):
+        def wrapped(a, b):
+            if not in_kernel:
+                calls[name].append((a, b))
+            return op(a, b)
+        return wrapped
+
+    monkeypatch.setattr(repmod, "_tri_terms", counted_kernel)
+    monkeypatch.setattr(Scalar, "__add__", counting("add", Scalar.__add__))
+    monkeypatch.setattr(Scalar, "__mul__", counting("mul", Scalar.__mul__))
+    report = sweep(weight_action())
+    assert len(report.entries) == (0 if sweep is check_tri_axiom1 else 14400)
+    for name, pairs in calls.items():
+        assert pairs, name
+        assert len(pairs) == len(set(pairs)), name
+
+
+def test_equal_defect_coefficients_are_shared():
+    report = check_tri_axiom2(weight_action())
+    first: dict = {}
+    for entry in report.entries:
+        for _, c in entry.defect.items():
+            assert first.setdefault(c, c) is c
+    assert len(first) == 18
+
+
 def test_kernel_caches_are_bounded():
     for cache in (_tri_key_terms, _lie_key_terms, _alpha):
         assert cache.cache_info().maxsize is not None

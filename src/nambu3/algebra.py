@@ -88,7 +88,7 @@ def assoc_mul(x: AlgElem, y: AlgElem) -> AlgElem:
                 continue
             key = BasisKey(kx.kind, _check_index(kx.index + ky.index))
             accumulate(acc, key, cx * cy)
-    return AlgElem(acc)
+    return AlgElem._of(acc)
 
 
 def delta(x: AlgElem) -> AlgElem:
@@ -150,7 +150,7 @@ def trilinear(key_fn: Callable) -> Callable:
                         continue
                     coeff, key = hit
                     accumulate(acc, key, cxy * cz * coeff)
-        return AlgElem(acc)
+        return AlgElem._of(acc)
 
     return apply
 

@@ -6,6 +6,9 @@ check lands on an unexpected verdict, 2 for usage, parse or configuration
 errors (a check grid over ``CASE_BUDGET`` cases among them) and for inputs the
 exact arithmetic refuses (index, exponent or window out of bounds), each
 reported as one ``error:`` line on stderr by the one ``except`` in ``main``.
+A reader that closes stdout early also exits 2 with one ``error:`` line:
+``main`` flushes stdout itself, so the broken pipe shows there and not in
+the interpreter's final flush.
 Flag values are numbers in ``parsing``'s grammar (``parse_int`` for windows,
 ``parse_rational`` for ``--lambda`` and ``--mu``); a refusal echoes at most
 ``_ECHO_LIMIT`` characters of one.  A ``--probes`` list that names one line
@@ -523,16 +526,40 @@ def main(argv=None) -> int:
         # built on first use, not at import, and kept for the process
         _parser = build_parser()
     try:
-        args = _parser.parse_args(_dash_positionals(_fuse_flag_values(argv)))
-        # resolved per call, so a rebound cmd_* takes effect at once
-        return globals()[f"cmd_{args.command}"](args)
-    except SystemExit:
-        # only --help exits, after printing the help text
-        return 0
+        try:
+            args = _parser.parse_args(
+                _dash_positionals(_fuse_flag_values(argv)))
+            # resolved per call, so a rebound cmd_* takes effect at once
+            code = globals()[f"cmd_{args.command}"](args)
+        except SystemExit:
+            # only --help exits, after printing the help text
+            code = 0
+        sys.stdout.flush()
+        return code
     except (ParseError, ConfigError, IndexOverflow, ExponentOverflow,
             WindowTooSmall, ZeroDivisor) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        _discard_stdout()
+        print("error: stdout was closed before the output was written",
+              file=sys.stderr)
+        return 2
+
+
+def _discard_stdout() -> None:
+    # Point a closed stdout's descriptor at devnull, so what is still
+    # buffered goes nowhere at exit instead of failing again.  A stdout
+    # without a descriptor (an in-process redirect) is left alone.
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, fd)
+    finally:
+        os.close(devnull)
 
 
 if __name__ == "__main__":

@@ -125,7 +125,7 @@ def ad_apply(d: DerivExpr, x: AlgElem) -> AlgElem:
                 continue
             coeff, out_key = hit
             accumulate(acc, out_key, c * ck * coeff)
-    return AlgElem(acc)
+    return AlgElem._of(acc)
 
 
 # -- generator expansion and decomposition ------------------------------------
@@ -228,7 +228,7 @@ def pqxz_apply(k: PqxzKey, x: AlgElem) -> AlgElem:
             continue
         coeff, out_key = hit
         accumulate(acc, out_key, c * coeff)
-    return AlgElem(acc)
+    return AlgElem._of(acc)
 
 
 def pqxz_elem_apply(e: PqxzElem, x: AlgElem) -> AlgElem:

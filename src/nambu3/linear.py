@@ -12,9 +12,9 @@ coefficients over thousands of lines.
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping
 
 from .scalar import Indeterminate, Scalar, ScalarLike
 

@@ -23,6 +23,11 @@ Actions:
   action on the expanded generator pairs; requires the ternary action to
   actually satisfy the module axioms (NotAModule otherwise).
 
+``weight_action``, ``shift_action`` and ``zero_twist_action`` intern their
+result in one bounded memo (``ACTION_MEMO_SIZE``): equal parameters give the
+same object, so a warm kernel cache matches the action by identity instead
+of comparing its parameters on every hit.
+
 ``check_tri_axiom1``/``check_tri_axiom2`` sweep the two ternary module
 axioms on 4-tuples of basis keys over an index window.  The probe policy is
 one generic-tag vector plus the rational lines v[-2..2], which covers both
@@ -35,14 +40,20 @@ Every sweep takes cap-checked keys from ``window_keys`` or
 ``window_generators``, counts its cases from the grid sizes and builds its
 report with ``sweep_report``.
 
-Single-key applications are memoized in bounded caches.  The axiom sweeps
-keep tables of their own instead, freed when each sweep returns
+Single-key applications are memoized in bounded caches, and ``tri_apply``
+and ``lie_apply`` build their results from them without re-checking.  The
+axiom sweeps keep tables of their own instead, freed when each sweep returns
 (``_SweepTables``): a row per basis pair ``(x, y)`` mapping weight keys to
 their single-key terms, looked up once per loop level rather than once per
 probe, and every coefficient the sweep makes, interned under a small int
 id.  Cases accumulate plain (key -> id) dicts through memos of the distinct
 products and sums, building a vector of the interned Scalars only for an
 actual defect; the grids are large and the distinct coefficients few.
+
+``orbit_probe`` walks weight keys, not vectors: each windowed generator is
+a kernel from a key to its merged nonzero terms (``_tri_key_terms``,
+``_lie_key_terms``, or ``lie_apply`` on a one-key vector for an induced
+action), and a line's images are the keys of those terms.
 
 ``check_tri_axiom2`` reports each defect as (sum of composed pair actions)
 minus (action of the bracketed triple).  ``counterexample_phi`` reports the
@@ -53,7 +64,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import floor
 from typing import Iterable, NamedTuple, Union
 
@@ -70,6 +81,8 @@ DEFAULT_AXIOM_WINDOW = range(-2, 3)
 
 # bound of each per-action kernel cache below
 KERNEL_CACHE_SIZE = 1 << 15
+# bound of the memo that interns the T, psi and phi actions
+ACTION_MEMO_SIZE = 256
 
 
 class WeightKey(NamedTuple):
@@ -186,19 +199,26 @@ TriAction = Union[TriWeightAction, PullbackTriAction]
 LieAction = Union[LieShiftAction, LieZeroTwistAction, InducedLieAction]
 
 
+@lru_cache(maxsize=ACTION_MEMO_SIZE)
+def _interned(action):
+    """The one live action equal to ``action``, so a kernel cache hit
+    matches its action by identity instead of comparing parameters."""
+    return action
+
+
 def weight_action(lam=None, mu=None) -> TriWeightAction:
     """The T family; None leaves a parameter symbolic."""
-    return TriWeightAction(_param(lam, LAMBDA), _param(mu, MU))
+    return _interned(TriWeightAction(_param(lam, LAMBDA), _param(mu, MU)))
 
 
 def shift_action(lam=None, mu=None) -> LieShiftAction:
     """The psi family; None leaves a parameter symbolic."""
-    return LieShiftAction(_param(lam, LAMBDA), _param(mu, MU))
+    return _interned(LieShiftAction(_param(lam, LAMBDA), _param(mu, MU)))
 
 
 def zero_twist_action(mu=None) -> LieZeroTwistAction:
     """The phi family; None leaves mu symbolic."""
-    return LieZeroTwistAction(_param(mu, MU))
+    return _interned(LieZeroTwistAction(_param(mu, MU)))
 
 
 def action_family(action) -> str:
@@ -230,7 +250,7 @@ def action_parameters(action) -> tuple:
 # -- single-key kernels -------------------------------------------------------
 
 # Term tuples (key, Scalar) with zero coefficients dropped; memoized because
-# the sweeps and the induced actions revisit the same (pair, key)
+# the sweeps, the orbits and the induced actions revisit the same (pair, key)
 # combinations constantly.  The axiom sweeps memoize ternary terms in rows
 # of their own (``_PairRow``) rather than in ``_tri_key_terms``.
 
@@ -250,10 +270,9 @@ def _lie_key_terms(action, k: PqxzKey, key: WeightKey) -> tuple:
             return ()
         r = k.index
         if key.is_zero_weight:
-            if not r:
-                return ()
-            return ((key.shift(-r), (action.mu - r) * r),)
-        coeff = key.alpha() - r if r else key.alpha()
+            coeff = (action.mu - r) * r
+        else:
+            coeff = key.alpha() - r if r else key.alpha()
         if not coeff:
             return ()
         return ((key.shift(-r), coeff),)
@@ -414,7 +433,7 @@ def tri_apply(action: TriAction, x: BasisKey, y: BasisKey, v: ModVec) -> ModVec:
     for key, c in v._terms.items():
         for k2, c2 in _tri_key_terms(action, x, y, key):
             accumulate(acc, k2, c * c2)
-    return ModVec(acc)
+    return ModVec._of(acc)
 
 
 def tri_apply_elem(action: TriAction, xe: AlgElem, ye: AlgElem,
@@ -435,7 +454,7 @@ def lie_apply(action: LieAction, k: PqxzKey, v: ModVec) -> ModVec:
     for key, c in v._terms.items():
         for k2, c2 in _lie_key_terms(action, k, key):
             accumulate(acc, k2, c * c2)
-    return ModVec(acc)
+    return ModVec._of(acc)
 
 
 def lie_elem_apply(action: LieAction, e: PqxzElem, v: ModVec) -> ModVec:
@@ -584,20 +603,28 @@ class OrbitReport:
     missed: tuple
 
 
-def _orbit_generators(action, window):
+def _orbit_kernels(action, window) -> list:
+    """Each windowed generator as a map from a weight key to its merged
+    nonzero terms."""
     if isinstance(action, (TriWeightAction, PullbackTriAction)):
         keys = window_keys(window)
-        return [(lambda v, a=x, b=y: tri_apply(action, a, b, v))
+        return [partial(_tri_key_terms, action, x, y)
                 for x in keys for y in keys if x != y]
-    return [(lambda v, k=g: lie_apply(action, k, v))
+    if isinstance(action, InducedLieAction):
+        return [lambda key, k=g: lie_apply(action, k,
+                                           ModVec.term(key))._terms.items()
+                for g in window_generators(window)]
+    return [partial(_lie_key_terms, action, g)
             for g in window_generators(window)]
 
 
 def orbit_probe(action, start: WeightKey,
                 window: Iterable[int] = DEFAULT_PAIR_WINDOW) -> OrbitReport:
-    """Close a start vector under all windowed generator actions.
+    """Close a start line under all windowed generator actions.
 
-    Exploration is restricted to the start's coset within the window span.
+    Exploration is restricted to the start's coset within the window span,
+    and walks weight keys: a line's images are the keys of the nonzero
+    terms each generator's kernel gives it.
     Classification: "trivial-line" when every generator kills the start,
     "transitive-on-window" when the whole windowed coset is reached,
     otherwise "invariant-window-subspace" with the missed keys listed.
@@ -605,21 +632,20 @@ def orbit_probe(action, start: WeightKey,
     points = sorted(set(window))
     candidates = {WeightKey(start.tag, m) for m in points}
     candidates.add(start)
-    gens = _orbit_generators(action, window)
+    kernels = _orbit_kernels(action, window)
 
-    start_vec = ModVec.term(start)
-    trivial = all(g(start_vec).is_zero for g in gens)
+    def images(key: WeightKey) -> set:
+        return {k for kernel in kernels for k, _ in kernel(key)}
 
+    found = images(start)
+    trivial = not found
     reached = {start}
-    frontier = [start]
-    while frontier:
-        key = frontier.pop()
-        vec = ModVec.term(key)
-        for g in gens:
-            for out_key in g(vec)._terms:
-                if out_key in candidates and out_key not in reached:
-                    reached.add(out_key)
-                    frontier.append(out_key)
+    while True:
+        new = (found & candidates) - reached
+        if not new:
+            break
+        reached |= new
+        found = set().union(*map(images, new))
 
     missed = candidates - reached
     if trivial:

@@ -4,6 +4,8 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from functools import lru_cache
@@ -12,9 +14,11 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import nambu3
 from nambu3 import cli, repmod
 from nambu3.cli import PARALLELISM_ENV, build_parser, main
 from nambu3.reports import DefectReport
+from nambu3.scalar import Scalar
 
 
 def run(capsys, *argv):
@@ -271,6 +275,29 @@ def test_orbit_phi_one_way(capsys):
     assert "classification: transitive on window" in out
     code, out, _ = run(capsys, "orbit", "phi", "--start", "1")
     assert "classification: invariant: misses v[0]" in out
+
+
+def test_repeated_orbit_matches_cached_actions_by_identity(capsys,
+                                                           monkeypatch):
+    # the interned action makes every kernel cache hit an identity match;
+    # an equal but distinct action compared 3,900 coefficients here.  The
+    # cache starts empty: an entry left by an equal action that has since
+    # left the bounded action memo is still matched by comparison.
+    monkeypatch.setattr(repmod, "_tri_key_terms",
+                        lru_cache(maxsize=repmod.KERNEL_CACHE_SIZE)(
+                            repmod._tri_terms))
+    argv = ("orbit", "T", "--lambda", "1/2", "--mu", "0", "--start", "a0")
+    first = run(capsys, *argv)
+    compared = []
+    scalar_eq = Scalar.__eq__
+
+    def counted(self, other):
+        compared.append(1)
+        return scalar_eq(self, other)
+
+    monkeypatch.setattr(Scalar, "__eq__", counted)
+    assert run(capsys, *argv) == first
+    assert len(compared) <= 4
 
 
 def test_weights_symbolic(capsys):
@@ -603,6 +630,27 @@ def test_repeated_probe_is_refused(capsys, probes, key):
                          "--probes", probes)
     assert (code, out) == (2, "")
     assert err == f"error: duplicate probe v[{key}]\n"
+
+
+def test_closed_stdout_exits_2_without_a_traceback():
+    # the reader closes the pipe before the program writes, so the first
+    # write (or main's own flush) meets a broken pipe
+    src = os.path.dirname(os.path.dirname(nambu3.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv in (["bracket", "L[1]", "L[2]", "M[3]"],
+                 ["check", "module-t", "--probes", "0,a0,1/2",
+                  "--window", "0..1"]):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "nambu3", *argv],
+                                  stdout=write_end, stderr=subprocess.PIPE,
+                                  env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2
+        assert proc.stderr == (b"error: stdout was closed before the output "
+                               b"was written\n")
 
 
 # -- one parser per process -------------------------------------------------------

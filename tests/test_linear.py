@@ -1,12 +1,17 @@
 """Linear combinations: the trusted constructor and the coefficient text memo."""
 
+import types
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from nambu3.algebra import AlgElem, L, M
+from nambu3.algebra import AlgElem, L, M, assoc_mul, bracket
+from nambu3.derivations import P, Q, X, Z, DerivExpr, ad_apply, pqxz_apply
 from nambu3.linear import COEFF_TEXT_MEMO_SIZE, _coeff_text
-from nambu3.repmod import ModVec, weight_key
+from nambu3.repmod import (ModVec, lie_apply, pullback_candidate,
+                           shift_action, tri_apply, weight_action, weight_key,
+                           zero_twist_action)
 from nambu3.scalar import LAMBDA, MU, Scalar, weight_tag
 
 _SYMBOLS = (Scalar(LAMBDA), Scalar(MU), Scalar(weight_tag(0)),
@@ -112,3 +117,70 @@ def test_trusted_constructor_keeps_the_dict_and_the_type():
         assert type(out) is AlgElem
     assert (elem - elem).is_zero and (elem * 0).is_zero
     assert -elem == AlgElem({L(1): -2, M(0): 1})
+
+
+def test_constructor_accepts_any_mapping():
+    terms = {L(1): 2, M(0): Scalar(MU)}
+    assert AlgElem(types.MappingProxyType(terms)) == AlgElem(terms)
+    assert AlgElem(types.MappingProxyType({L(1): 0})).is_zero
+
+
+# -- kernels that build their results through ``_of`` ------------------------
+
+# few keys and few coefficients that cancel, so merges drop keys
+_BASIS = st.sampled_from([k(r) for k in (L, M) for r in range(-1, 3)])
+_GENERATORS = st.sampled_from([g(r) for g in (P, Q, X, Z)
+                               for r in range(-2, 3)])
+_CANCELLING = st.sampled_from([Scalar(1), Scalar(-1), Scalar(2),
+                               Scalar(-2), Scalar(LAMBDA), -Scalar(LAMBDA),
+                               Scalar(Fraction(1, 2))])
+_TRI_ACTIONS = st.sampled_from([
+    weight_action(), weight_action(Fraction(1, 2), 0), weight_action(1, 1),
+    pullback_candidate(shift_action()),
+    pullback_candidate(zero_twist_action(2))])
+_LIE_ACTIONS = st.sampled_from([shift_action(), shift_action(1, 0),
+                                zero_twist_action(), zero_twist_action(2)])
+
+
+def _elems():
+    return st.dictionaries(_BASIS, _CANCELLING, min_size=1,
+                           max_size=5).map(AlgElem)
+
+
+def _derivs():
+    pairs = st.tuples(_BASIS, _BASIS).filter(lambda p: p[0] < p[1])
+    return st.dictionaries(pairs, _CANCELLING, max_size=3).map(DerivExpr)
+
+
+def _module_vectors():
+    keys = st.sampled_from([weight_key(m) for m in range(-3, 4)]
+                           + [weight_key("a0", m) for m in (-1, 0, 2)])
+    return st.dictionaries(keys, _CANCELLING, max_size=4).map(ModVec)
+
+
+_KERNELS = {
+    "assoc_mul": lambda d: assoc_mul(d.draw(_elems()), d.draw(_elems())),
+    "bracket": lambda d: bracket(d.draw(_elems()), d.draw(_elems()),
+                                 d.draw(_elems())),
+    "ad_apply": lambda d: ad_apply(d.draw(_derivs()), d.draw(_elems())),
+    "pqxz_apply": lambda d: pqxz_apply(d.draw(_GENERATORS),
+                                       d.draw(_elems())),
+    "tri_apply": lambda d: tri_apply(d.draw(_TRI_ACTIONS), d.draw(_BASIS),
+                                     d.draw(_BASIS),
+                                     d.draw(_module_vectors())),
+    "lie_apply": lambda d: lie_apply(d.draw(_LIE_ACTIONS),
+                                     d.draw(_GENERATORS),
+                                     d.draw(_module_vectors())),
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(_KERNELS))
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_kernel_results_are_normalized(kernel, data):
+    out = _KERNELS[kernel](data)
+    # what the checking constructor would have built from the same terms
+    assert out == type(out)(dict(out._terms))
+    for key, c in out._terms.items():
+        assert isinstance(c, Scalar) and not c.is_zero
+        type(out)._check_key(key)

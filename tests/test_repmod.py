@@ -6,13 +6,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nambu3.algebra import L, M, bracket_keys
-from nambu3.derivations import P, Q, X, Z, ad, pqxz_to_deriv
+from nambu3.algebra import L, M, bracket_keys, window_keys
+from nambu3.derivations import (P, Q, X, Z, ad, pqxz_to_deriv,
+                                window_generators)
 from nambu3.errors import NotAModule
 from nambu3.linear import accumulate
 from nambu3.reports import DefectEntry, DefectReport
-from nambu3.repmod import (InducedLieAction, ModVec, WeightKey, _alpha,
-                           _lie_key_terms, _tri_key_terms, _verdict,
+from nambu3.repmod import (ACTION_MEMO_SIZE, InducedLieAction, ModVec,
+                           OrbitReport, PullbackTriAction, TriWeightAction,
+                           WeightKey, _alpha, _interned, _lie_key_terms,
+                           _tri_key_terms, _verdict,
                            action_family, action_parameters, check_induced,
                            check_lie_module, check_tri_axiom1,
                            check_tri_axiom2, counterexample_phi,
@@ -366,6 +369,104 @@ def test_orbit_phi_one_way_through_zero():
 def test_orbit_psi_trivial_line():
     report = orbit_probe(shift_action(2, 0), weight_key(-2))
     assert report.classification == "trivial-line"
+
+
+def _vector_orbit(action, start, window) -> OrbitReport:
+    # the route orbit_probe took before it walked keys: every generator
+    # applied to a fresh vector per reached line, kept as the oracle
+    if isinstance(action, (TriWeightAction, PullbackTriAction)):
+        keys = window_keys(window)
+        gens = [(lambda v, a=x, b=y: tri_apply(action, a, b, v))
+                for x in keys for y in keys if x != y]
+    else:
+        gens = [(lambda v, k=g: lie_apply(action, k, v))
+                for g in window_generators(window)]
+    points = sorted(set(window))
+    candidates = {WeightKey(start.tag, m) for m in points}
+    candidates.add(start)
+    start_vec = ModVec.term(start)
+    trivial = all(g(start_vec).is_zero for g in gens)
+    reached = {start}
+    frontier = [start]
+    while frontier:
+        vec = ModVec.term(frontier.pop())
+        for g in gens:
+            for out_key in g(vec)._terms:
+                if out_key in candidates and out_key not in reached:
+                    reached.add(out_key)
+                    frontier.append(out_key)
+    missed = candidates - reached
+    if trivial:
+        classification = "trivial-line"
+    elif not missed:
+        classification = "transitive-on-window"
+    else:
+        classification = "invariant-window-subspace"
+    order = WeightKey.sort_key
+    return OrbitReport(start, classification,
+                       tuple(sorted(reached, key=order)),
+                       tuple(sorted(missed, key=order)))
+
+
+# (action, starts): symbolic and numeric T with lam = -alpha on a start,
+# psi, phi with the zero twist vanishing at r = 3, a pullback and an
+# induced action, from generic and rational starts
+_ORBIT_CASES = {
+    "T-sym": (weight_action(), ("a0", "a1", 0, Fraction(1, 2), -2)),
+    "T-mu1": (weight_action(0, 1), (1, 0, "a0")),
+    "T-lam3": (weight_action(3, 0), (-3, 0, "a0")),
+    "T-half": (weight_action(Fraction(-1, 2), 0),
+               (Fraction(1, 2), Fraction(-1, 3))),
+    "psi": (shift_action(), ("a0", 0, Fraction(2, 3))),
+    "psi-2-0": (shift_action(2, 0), (-2, 1)),
+    "phi-sym": (zero_twist_action(), (0, 1, "a0", Fraction(1, 2))),
+    "phi-3": (zero_twist_action(3), (0, 2, -3, Fraction(1, 3))),
+    "pullback-psi": (pullback_candidate(shift_action()),
+                     (0, "a0", Fraction(1, 2))),
+    "induced-T": (InducedLieAction(weight_action(None, 1)),
+                  (0, "a0", -1)),
+}
+
+
+@pytest.mark.parametrize("window", [range(-1, 2), range(-3, 4),
+                                    range(-4, 5)],
+                         ids=lambda w: f"{w[0]}..{w[-1]}")
+@pytest.mark.parametrize("case", sorted(_ORBIT_CASES))
+def test_key_orbit_matches_vector_orbit(case, window):
+    action, starts = _ORBIT_CASES[case]
+    for tag in starts:
+        start = weight_key(tag)
+        assert orbit_probe(action, start, window) == \
+            _vector_orbit(action, start, window)
+
+
+def test_orbit_drops_the_vanishing_zero_twist():
+    # on 3..3 only p[3] moves v[0], by (mu - 3) * 3, which is 0 at mu = 3
+    window = range(3, 4)
+    for mu_val, expected in ((3, "trivial-line"),
+                             (2, "invariant-window-subspace")):
+        action = zero_twist_action(mu_val)
+        report = orbit_probe(action, weight_key(0), window)
+        assert report.classification == expected
+        assert report == _vector_orbit(action, weight_key(0), window)
+
+
+def test_actions_are_interned():
+    assert weight_action(1, 2) is weight_action(Fraction(2, 2), 2)
+    assert shift_action(1, 2) is shift_action(Fraction(2, 2), 2)
+    assert zero_twist_action(2) is zero_twist_action(Fraction(4, 2))
+    assert weight_action() is weight_action(None, None)
+    # equal parameters in another family are another action
+    assert weight_action(1, 2) is not shift_action(1, 2)
+    assert weight_action(1, 2) != shift_action(1, 2)
+
+
+def test_action_memo_stays_at_its_bound():
+    for n in range(ACTION_MEMO_SIZE + 20):
+        weight_action(n, Fraction(1, 7))
+        zero_twist_action(Fraction(n, 11))
+    assert _interned.cache_info().currsize == ACTION_MEMO_SIZE
+    assert weight_action(-1, 7) is weight_action(-1, 7)
 
 
 # -- Lie actions ----------------------------------------------------------------------------

@@ -16,15 +16,16 @@ The ternary bracket comes in two deliberately independent routes:
 
 The two must agree everywhere; keeping both gives a structural oracle for
 the table.  ``check_fundamental`` sweeps the ternary Jacobi identity over a
-finite index window, as lookups in a table local to the sweep
-(``_SweepTable``, which ``derivations.check_pqxz_table`` uses too) that
-makes each distinct bracket once.  Indices are Laurent-mode integers capped
-at +/-2^40; a window index (sweeps take their keys from ``window_keys``) or
-index arithmetic that leaves the cap raises IndexOverflow.  The bracket
-lowers no degree bound and shifts indices by at most the sum of its inputs,
-so a window check exercises every structure constant whose indices fit:
-coefficients are affine in each index and the identity is index-translation
-covariant, which is why small windows are conclusive for the table.
+finite index window, as lookups in a table local to the sweep that makes
+each distinct bracket once (``_SweepTable``, the one table type of every
+sweep: the commutator table and the module axioms use it too).  Indices are
+Laurent-mode integers capped at +/-2^40; a window index (sweeps take their
+keys from ``window_keys``) or index arithmetic that leaves the cap raises
+IndexOverflow.  The bracket lowers no degree bound and shifts indices by at
+most the sum of its inputs, so a window check exercises every structure
+constant whose indices fit: coefficients are affine in each index and the
+identity is index-translation covariant, which is why small windows are
+conclusive for the table.
 """
 from __future__ import annotations
 
@@ -136,26 +137,19 @@ def bracket_keys(k1: BasisKey, k2: BasisKey, k3: BasisKey):
     return sign * coeff, key
 
 
-def trilinear(key_fn: Callable) -> Callable:
-    """Extend a key-level ternary table to elements by trilinearity."""
-
-    def apply(x: AlgElem, y: AlgElem, z: AlgElem) -> AlgElem:
-        acc: dict = {}
-        for kx, cx in x._terms.items():
-            for ky, cy in y._terms.items():
-                cxy = cx * cy
-                for kz, cz in z._terms.items():
-                    hit = key_fn(kx, ky, kz)
-                    if hit is None:
-                        continue
-                    coeff, key = hit
-                    accumulate(acc, key, cxy * cz * coeff)
-        return AlgElem._of(acc)
-
-    return apply
-
-
-bracket = trilinear(bracket_keys)
+def bracket(x: AlgElem, y: AlgElem, z: AlgElem) -> AlgElem:
+    """The key-level table extended to elements by trilinearity."""
+    acc: dict = {}
+    for kx, cx in x._terms.items():
+        for ky, cy in y._terms.items():
+            cxy = cx * cy
+            for kz, cz in z._terms.items():
+                hit = bracket_keys(kx, ky, kz)
+                if hit is None:
+                    continue
+                coeff, key = hit
+                accumulate(acc, key, cxy * cz * coeff)
+    return AlgElem._of(acc)
 
 
 # -- ternary bracket: determinant route ---------------------------------------
@@ -217,7 +211,9 @@ class _SweepTable(dict):
     together with its values at ``keys``; freed when the sweep returns.
 
     ``fn`` is called once per distinct argument tuple, with the arguments
-    in the order the sweep asks for them.
+    in the order the sweep asks for them.  A ``fn`` that needs more state is
+    a ``functools.partial`` over a module function: a bound method of an
+    object holding the table would make a reference cycle.
     """
 
     __slots__ = ("fn", "keys", "hits")

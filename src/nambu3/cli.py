@@ -434,6 +434,11 @@ class _ArgumentParser(argparse.ArgumentParser):
         # argparse quotes most values, but prints unrecognized ones raw
         raise ConfigError(message.replace("\n", "\\n"))
 
+    def _print_message(self, message, file=None):
+        # argparse drops an OSError here; let a closed stdout reach main
+        if message:
+            (file or sys.stderr).write(message)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(

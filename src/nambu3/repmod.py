@@ -43,12 +43,13 @@ report with ``sweep_report``.
 Single-key applications are memoized in bounded caches, and ``tri_apply``
 and ``lie_apply`` build their results from them without re-checking.  The
 axiom sweeps keep tables of their own instead, freed when each sweep returns
-(``_SweepTables``): a row per basis pair ``(x, y)`` mapping weight keys to
-their single-key terms, looked up once per loop level rather than once per
-probe, and every coefficient the sweep makes, interned under a small int
-id.  Cases accumulate plain (key -> id) dicts through memos of the distinct
-products and sums, building a vector of the interned Scalars only for an
-actual defect; the grids are large and the distinct coefficients few.
+(``_SweepTables``): an ``algebra._SweepTable``, the table type of every
+sweep, with a row per basis pair ``(x, y)`` mapping weight keys to their
+single-key terms and holding them at the probes in its ``seq``, and every
+coefficient the sweep makes, interned under a small int id.  Cases
+accumulate plain (key -> id) dicts through memos of the distinct products
+and sums, building a vector of the interned Scalars only for an actual
+defect; the grids are large and the distinct coefficients few.
 
 ``orbit_probe`` walks weight keys, not vectors: each windowed generator is
 a kernel from a key to its merged nonzero terms (``_tri_key_terms``,
@@ -68,7 +69,8 @@ from functools import lru_cache, partial
 from math import floor
 from typing import Iterable, NamedTuple, Union
 
-from .algebra import AlgElem, BasisKey, L, M, bracket_keys, window_keys
+from .algebra import (AlgElem, BasisKey, L, M, _SweepTable, bracket_keys,
+                      window_keys)
 from .derivations import (DEFAULT_PAIR_WINDOW, DerivExpr, PqxzElem, PqxzKey,
                           pair_to_pqxz, pqxz_key_bracket, pqxz_to_deriv,
                           window_generators)
@@ -251,8 +253,8 @@ def action_parameters(action) -> tuple:
 
 # Term tuples (key, Scalar) with zero coefficients dropped; memoized because
 # the sweeps, the orbits and the induced actions revisit the same (pair, key)
-# combinations constantly.  The axiom sweeps memoize ternary terms in rows
-# of their own (``_PairRow``) rather than in ``_tri_key_terms``.
+# combinations constantly.  The axiom sweeps memoize ternary terms in their
+# own tables (``_SweepTables.rows``) rather than in ``_tri_key_terms``.
 
 
 @lru_cache(maxsize=KERNEL_CACHE_SIZE)
@@ -317,33 +319,19 @@ def _intern(ids: dict, values: list, c: Scalar) -> int:
     return i
 
 
-class _PairRow(dict):
-    """weight key -> ``_tri_terms(action, x, y, key)`` as ``(key, id)``
-    pairs, filled on a miss.
-
-    Each id indexes the sweep's interned coefficients (``_SweepTables``).
-    A row holds no reference to the tables that hold it, so a sweep's tables
-    are freed on return without waiting for the cycle collector.
-    """
-
-    __slots__ = ("action", "x", "y", "ids", "values")
-
-    def __init__(self, action, x: BasisKey, y: BasisKey, ids: dict,
-                 values: list):
-        super().__init__()
-        self.action, self.x, self.y = action, x, y
-        self.ids, self.values = ids, values
-
-    def __missing__(self, key: WeightKey) -> tuple:
-        ids, values = self.ids, self.values
-        terms = self[key] = tuple(
-            (k, _intern(ids, values, c))
-            for k, c in _tri_terms(self.action, self.x, self.y, key))
-        return terms
+def _interned_terms(action, ids: dict, values: list, x: BasisKey,
+                    y: BasisKey, key: WeightKey) -> tuple:
+    """``_tri_terms(action, x, y, key)`` as ``(key, id)`` pairs, each id
+    that of the coefficient among one sweep's interned ones."""
+    return tuple((k, _intern(ids, values, c))
+                 for k, c in _tri_terms(action, x, y, key))
 
 
 class _SweepTables:
     """The pair rows and the coefficient arithmetic of one axiom sweep.
+
+    ``rows[x, y][key]`` is ``_interned_terms`` of the pair at the weight
+    key, and ``rows[x, y].seq`` holds them at the probe keys.
 
     Every coefficient the sweep makes is interned: ``values[i]`` is the
     Scalar with id ``i``, ``ids`` maps it back, and id 0 is zero.  Rows,
@@ -353,20 +341,15 @@ class _SweepTables:
     hashes and compares only ints.
     """
 
-    def __init__(self, action):
-        self.action = action
-        self.rows: dict = {}
+    def __init__(self, action, probe_keys: tuple):
         self.values: list = [Scalar(0)]
         self.ids: dict = {self.values[0]: 0}
+        # a partial, not a bound method: no row refers back to the tables
+        self.rows = _SweepTable(
+            partial(_interned_terms, action, self.ids, self.values),
+            probe_keys)
         self.prods: dict = {}
         self.sums: dict = {}
-
-    def row(self, x: BasisKey, y: BasisKey) -> _PairRow:
-        row = self.rows.get((x, y))
-        if row is None:
-            row = self.rows[(x, y)] = _PairRow(self.action, x, y, self.ids,
-                                               self.values)
-        return row
 
     def _add(self, acc: dict, key, p: int) -> None:
         """Add the coefficient with id ``p`` into acc[key], dropping the key
@@ -384,7 +367,7 @@ class _SweepTables:
         else:
             acc.pop(key, None)
 
-    def compose_into(self, acc: dict, row: _PairRow, terms,
+    def compose_into(self, acc: dict, row: dict, terms,
                      sign: int = 1) -> None:
         """Add sign * (row's pair applied to the vector ``terms``)."""
         prods, add = self.prods, self._add
@@ -486,29 +469,33 @@ def check_tri_axiom1(action: TriAction,
     bracketed arguments, summed over the two insertion slots."""
     keys = window_keys(window)
     probe_keys = _probe_keys(probes)
-    tables = _SweepTables(action)
-    row, defect = tables.row, tables.defect
+    tables = _SweepTables(action, probe_keys)
+    rows, defect = tables.rows, tables.defect
     compose_into, scale_into = tables.compose_into, tables.scale_into
+    nones = [None] * len(probe_keys)
     found = []
     for x1 in keys:
         for x2 in keys:
-            r12 = row(x1, x2)
+            r12 = rows[x1, x2]
             b12 = {x: bracket_keys(x1, x2, x) for x in keys}
             for x3 in keys:
                 b123 = b12[x3]
                 for x4 in keys:
-                    r34 = row(x3, x4)
+                    r34 = rows[x3, x4]
                     b124 = b12[x4]
-                    r123 = row(b123[1], x4) if b123 is not None else None
-                    r124 = row(x3, b124[1]) if b124 is not None else None
-                    for probe in probe_keys:
+                    s123 = (rows[b123[1], x4].seq if b123 is not None
+                            else nones)
+                    s124 = (rows[x3, b124[1]].seq if b124 is not None
+                            else nones)
+                    for probe, t12, t34, t123, t124 in zip(
+                            probe_keys, r12.seq, r34.seq, s123, s124):
                         acc: dict = {}
-                        compose_into(acc, r12, r34[probe])
-                        compose_into(acc, r34, r12[probe], sign=-1)
-                        if r123 is not None:
-                            scale_into(acc, r123[probe], -b123[0])
-                        if r124 is not None:
-                            scale_into(acc, r124[probe], -b124[0])
+                        compose_into(acc, r12, t34)
+                        compose_into(acc, r34, t12, sign=-1)
+                        if t123 is not None:
+                            scale_into(acc, t123, -b123[0])
+                        if t124 is not None:
+                            scale_into(acc, t124, -b124[0])
                         if acc:
                             found.append(((x1, x2, x3, x4), probe,
                                           defect(acc)))
@@ -525,30 +512,31 @@ def check_tri_axiom2(action: TriAction,
     bracket-action side."""
     keys = window_keys(window)
     probe_keys = _probe_keys(probes)
-    tables = _SweepTables(action)
-    row, defect = tables.row, tables.defect
+    tables = _SweepTables(action, probe_keys)
+    rows, defect = tables.rows, tables.defect
     compose_into, scale_into = tables.compose_into, tables.scale_into
+    nones = [None] * len(probe_keys)
     found = []
     for x1 in keys:
         for x2 in keys:
-            r12 = row(x1, x2)
+            r12 = rows[x1, x2]
             b12 = {x: bracket_keys(x1, x2, x) for x in keys}
             for x3 in keys:
-                r23 = row(x2, x3)
-                r31 = row(x3, x1)
+                r23 = rows[x2, x3]
+                r31 = rows[x3, x1]
                 b123 = b12[x3]
                 for x4 in keys:
-                    r34 = row(x3, x4)
-                    r14 = row(x1, x4)
-                    r24 = row(x2, x4)
-                    r123 = row(b123[1], x4) if b123 is not None else None
-                    for probe in probe_keys:
+                    s123 = (rows[b123[1], x4].seq if b123 is not None
+                            else nones)
+                    for probe, t34, t14, t24, t123 in zip(
+                            probe_keys, rows[x3, x4].seq, rows[x1, x4].seq,
+                            rows[x2, x4].seq, s123):
                         acc: dict = {}
-                        compose_into(acc, r12, r34[probe])
-                        compose_into(acc, r23, r14[probe])
-                        compose_into(acc, r31, r24[probe])
-                        if r123 is not None:
-                            scale_into(acc, r123[probe], -b123[0])
+                        compose_into(acc, r12, t34)
+                        compose_into(acc, r23, t14)
+                        compose_into(acc, r31, t24)
+                        if t123 is not None:
+                            scale_into(acc, t123, -b123[0])
                         if acc:
                             found.append(((x1, x2, x3, x4), probe,
                                           defect(acc)))

@@ -639,7 +639,8 @@ def test_closed_stdout_exits_2_without_a_traceback():
     env = dict(os.environ, PYTHONPATH=src)
     for argv in (["bracket", "L[1]", "L[2]", "M[3]"],
                  ["check", "module-t", "--probes", "0,a0,1/2",
-                  "--window", "0..1"]):
+                  "--window", "0..1"],
+                 ["--help"], ["check", "--help"]):
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:

@@ -1,14 +1,15 @@
 """Weight modules: pair action, axioms, orbits, induction, counterexample."""
 
+import gc
 import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nambu3.algebra import L, M, bracket_keys, window_keys
-from nambu3.derivations import (P, Q, X, Z, ad, pqxz_to_deriv,
-                                window_generators)
+from nambu3.algebra import L, M, bracket_keys, check_fundamental, window_keys
+from nambu3.derivations import (P, Q, X, Z, ad, check_pqxz_table,
+                                pqxz_to_deriv, window_generators)
 from nambu3.errors import NotAModule
 from nambu3.linear import accumulate
 from nambu3.reports import DefectEntry, DefectReport
@@ -244,9 +245,11 @@ def test_axiom_sweep_makes_each_distinct_product_and_sum_once(monkeypatch,
 
     # the sweep's own arithmetic, not that of the kernel filling its rows
     in_kernel = []
+    kernel_calls = []
     kernel = repmod._tri_terms
 
     def counted_kernel(*args):
+        kernel_calls.append(args)
         in_kernel.append(True)
         try:
             return kernel(*args)
@@ -270,6 +273,26 @@ def test_axiom_sweep_makes_each_distinct_product_and_sum_once(monkeypatch,
     for name, pairs in calls.items():
         assert pairs, name
         assert len(pairs) == len(set(pairs)), name
+    # each distinct (pair, weight key) once, the twin of the fi scan's count
+    assert len(kernel_calls) == len(set(kernel_calls))
+    assert len(kernel_calls) == (3640 if sweep is check_tri_axiom1 else 2920)
+
+
+@pytest.mark.parametrize("sweep", [
+    check_fundamental, check_pqxz_table,
+    lambda: check_tri_axiom1(weight_action()),
+    lambda: check_tri_axiom2(weight_action())],
+    ids=["fi", "pqxz-table", "tri-axiom-1", "tri-axiom-2"])
+def test_sweep_tables_leave_no_reference_cycle(sweep):
+    # a sweep's tables are freed by reference counting when it returns
+    sweep()
+    gc.collect()
+    gc.disable()
+    try:
+        sweep()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_equal_defect_coefficients_are_shared():

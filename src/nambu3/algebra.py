@@ -170,10 +170,8 @@ def bracket_det(x: AlgElem, y: AlgElem, z: AlgElem) -> AlgElem:
         a, b = [i for i in (0, 1, 2) if i != j]
         return assoc_mul(mid[a], bot[b]) - assoc_mul(mid[b], bot[a])
 
-    det = AlgElem.zero()
-    for j, parity in ((0, 1), (1, -1), (2, 1)):
-        det = det + assoc_mul(top[j], minor(j)) * parity
-    return det
+    return AlgElem.combine((assoc_mul(top[j], minor(j)), parity)
+                           for j, parity in ((0, 1), (1, -1), (2, 1)))
 
 
 # -- fundamental identity sweep ------------------------------------------------

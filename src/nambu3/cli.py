@@ -9,10 +9,11 @@ reported as one ``error:`` line on stderr by the one ``except`` in ``main``.
 A reader that closes stdout early also exits 2 with one ``error:`` line:
 ``main`` flushes stdout itself, so the broken pipe shows there and not in
 the interpreter's final flush.
-Flag values are numbers in ``parsing``'s grammar (``parse_int`` for windows,
-``parse_rational`` for ``--lambda`` and ``--mu``); a refusal echoes at most
-``_ECHO_LIMIT`` characters of one.  A ``--probes`` list that names one line
-twice is refused.  Every flag is long, so a positional that starts with
+Flag values are numbers in ``parsing``'s grammar (``parse_int`` for windows
+and ``--parallelism``, ``parse_rational`` for ``--lambda`` and ``--mu``); a
+refusal echoes at most ``_ECHO_LIMIT`` characters of one, as do argparse's
+refusals of a choice or an unrecognized argument.  A ``--probes`` list that
+names one line twice is refused.  Every flag is long, so a positional that starts with
 ``-`` (``bracket "-L[1]" ...``) is read as one.
 
 ``_SUITES`` holds each suite's default window, its case-count formula,
@@ -53,14 +54,13 @@ from .errors import (ConfigError, ExponentOverflow, IndexOverflow, NotAModule,
 from .parsing import (LITERAL_TOO_LONG, MAX_TERMS, parse_deriv, parse_elem,
                       parse_int, parse_rational, parse_weight_key,
                       product_terms)
+from .reports import json_line
 from .repmod import (DEFAULT_AXIOM_WINDOW, ModVec, _module_verdict,
                      _probe_keys, check_induced, check_lie_module,
                      check_tri_axiom2, counterexample_phi, orbit_probe,
                      pullback_candidate, shift_action, verify_module,
                      weight_action, weight_key, weight_report,
                      zero_twist_action)
-
-PARALLELISM_ENV = "NAMBU3_PARALLELISM"
 
 _WINDOW_SPAN_LIMIT = 64
 
@@ -106,12 +106,14 @@ class RunConfig:
     parallelism: int
 
 
+def _cut(text: str) -> str:
+    """``text`` cut to ``_ECHO_LIMIT`` characters and an ellipsis."""
+    return text if len(text) <= _ECHO_LIMIT else text[:_ECHO_LIMIT] + "\u2026"
+
+
 def _bad(what: str, text: str, detail: str) -> ConfigError:
-    """The refusal of a flag value, echoing at most ``_ECHO_LIMIT``
-    characters of it."""
-    if len(text) > _ECHO_LIMIT:
-        text = text[:_ECHO_LIMIT] + "\u2026"
-    return ConfigError(f"bad {what} {text!r}: {detail}")
+    """The refusal of a flag value, echoing it through ``_cut``."""
+    return ConfigError(f"bad {what} {_cut(text)!r}: {detail}")
 
 
 def _parse_detail(exc: ParseError, expected: str) -> str:
@@ -158,18 +160,17 @@ def _parse_probes(text: Optional[str]) -> Optional[tuple]:
     return tuple(probes)
 
 
-def _parse_parallelism(value: Optional[int]) -> int:
-    if value is None:
-        raw = os.environ.get(PARALLELISM_ENV)
-        if raw is None:
-            return 1
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ConfigError(
-                f"bad {PARALLELISM_ENV}={raw!r}: expected an integer") from None
+def _parse_parallelism(text: Optional[str]) -> int:
+    if text is None:
+        return 1
+    expected = "expected an integer >= 0 (0 = auto)"
+    try:
+        value = parse_int(text)
+    except ParseError as exc:
+        raise _bad("--parallelism", text,
+                   _parse_detail(exc, expected)) from None
     if value < 0:
-        raise ConfigError("parallelism must be >= 0 (0 = auto)")
+        raise _bad("--parallelism", text, expected)
     return value
 
 
@@ -196,12 +197,6 @@ def _build_config(args, default_window: range) -> RunConfig:
 
 def _window_str(window: range) -> str:
     return f"{window[0]}..{window[-1]}"
-
-
-def _print_json(record: dict) -> None:
-    import json
-
-    print(json.dumps(record, sort_keys=True, separators=(",", ":")))
 
 
 def _emit_check(report, config, extra=(), ok=None) -> int:
@@ -235,15 +230,15 @@ def cmd_bracket(args) -> int:
     result = bracket(x, y, z)
     if not args.oracle:
         if args.output == "machine":
-            _print_json({"bracket": str(result)})
+            print(json_line({"bracket": str(result)}))
         else:
             print(result)
         return 0
     oracle = bracket_det(x, y, z)
     agree = result == oracle
     if args.output == "machine":
-        _print_json({"bracket": str(result), "oracle": str(oracle),
-                     "agree": agree})
+        print(json_line({"bracket": str(result), "oracle": str(oracle),
+                         "agree": agree}))
     else:
         print(f"bracket: {result}")
         print(f"oracle: {oracle}")
@@ -340,7 +335,7 @@ def cmd_decompose(args) -> int:
         record = {"decomposition": str(coords)}
         if verified is not None:
             record["verified"] = verified
-        _print_json(record)
+        print(json_line(record))
     else:
         print(coords)
         if verified is not None:
@@ -370,9 +365,9 @@ def cmd_orbit(args) -> int:
     else:
         label = "invariant: misses " + ", ".join(missed)
     if config.output == "machine":
-        _print_json({"family": args.family, "start": f"v[{start}]",
-                     "classification": report.classification,
-                     "reached": reached, "missed": missed})
+        print(json_line({"family": args.family, "start": f"v[{start}]",
+                         "classification": report.classification,
+                         "reached": reached, "missed": missed}))
     else:
         print(f"family: {args.family}")
         print(f"start: v[{start}]")
@@ -393,14 +388,15 @@ def cmd_weights(args) -> int:
         report = weight_report(action, keys)
     except NotEigenvector as exc:
         if config.output == "machine":
-            _print_json({"error": "not-eigenvector", "detail": str(exc)})
+            print(json_line({"error": "not-eigenvector",
+                             "detail": str(exc)}))
         else:
             print(f"failure: {exc}")
         return 1
     if config.output == "machine":
         for key, weight, mult in report.rows:
-            _print_json({"key": f"v[{key}]", "weight": str(weight),
-                         "multiplicity": mult})
+            print(json_line({"key": f"v[{key}]", "weight": str(weight),
+                             "multiplicity": mult}))
     else:
         for key, weight, mult in report.rows:
             print(f"v[{key}]: weight {weight}, multiplicity {mult}")
@@ -423,7 +419,7 @@ def _add_config_flags(sub, *, params=True, probes=False, parallelism=False):
     if probes:
         sub.add_argument("--probes", metavar="K1,K2,...")
     if parallelism:
-        sub.add_argument("--parallelism", type=int, metavar="N")
+        sub.add_argument("--parallelism", metavar="N")
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -431,8 +427,18 @@ class _ArgumentParser(argparse.ArgumentParser):
     ``error:`` line; subparsers are built from the same class."""
 
     def error(self, message):
-        # argparse quotes most values, but prints unrecognized ones raw
+        # argparse quotes most values, but prints unrecognized ones raw and
+        # whole; cut them as _bad cuts a flag value
+        prefix = "unrecognized arguments: "
+        if message.startswith(prefix):
+            message = prefix + _cut(message[len(prefix):])
         raise ConfigError(message.replace("\n", "\\n"))
+
+    def _check_value(self, action, value):
+        # argparse echoes a refused choice whole; cut it as _bad does
+        if action.choices is not None and value not in action.choices:
+            value = _cut(value)
+        super()._check_value(action, value)
 
     def _print_message(self, message, file=None):
         # argparse drops an OSError here; let a closed stdout reach main

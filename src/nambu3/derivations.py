@@ -131,35 +131,32 @@ def ad_apply(d: DerivExpr, x: AlgElem) -> AlgElem:
 # -- generator expansion and decomposition ------------------------------------
 
 
+def _ad_pairs(family: str, r: int) -> tuple:
+    """The ad pairs ``(u, v, factor)`` one generator expands into."""
+    if family == "p":
+        if r:
+            return ((L(0), M(-r), Fraction(1, 2)),
+                    (L(r), M(0), Fraction(1, 2)))
+        return ((L(0), M(0), 1),)
+    if family == "q":
+        if r:
+            return ((L(0), M(-r), Fraction(1, r)),
+                    (L(r), M(0), Fraction(-1, r)))
+        return ((L(0), M(0), 1), (L(1), M(1), -1))
+    if family == "x":
+        return ((L(r), L(0), Fraction(1, r)) if r
+                else (L(1), L(-1), Fraction(1, 2)),)
+    return ((M(-r), M(0), Fraction(-1, r)) if r
+            else (M(1), M(-1), Fraction(1, 2)),)
+
+
 def pqxz_to_deriv(b) -> DerivExpr:
     """Expand generators into ad pairs.  Accepts a key or a PqxzElem."""
     if isinstance(b, PqxzKey):
         b = PqxzElem.term(b)
-    out = DerivExpr.zero()
-    for (family, r), c in b.items():
-        if family == "p":
-            if r:
-                out = out + ad(L(0), M(-r), c * Fraction(1, 2))
-                out = out + ad(L(r), M(0), c * Fraction(1, 2))
-            else:
-                out = out + ad(L(0), M(0), c)
-        elif family == "q":
-            if r:
-                out = out + ad(L(0), M(-r), c * Fraction(1, r))
-                out = out + ad(L(r), M(0), c * Fraction(-1, r))
-            else:
-                out = out + ad(L(0), M(0), c) + ad(L(1), M(1), -c)
-        elif family == "x":
-            if r:
-                out = out + ad(L(r), L(0), c * Fraction(1, r))
-            else:
-                out = out + ad(L(1), L(-1), c * Fraction(1, 2))
-        else:
-            if r:
-                out = out + ad(M(-r), M(0), c * Fraction(-1, r))
-            else:
-                out = out + ad(M(1), M(-1), c * Fraction(1, 2))
-    return out
+    return DerivExpr.combine((ad(u, v, factor), c)
+                             for (family, r), c in b.items()
+                             for u, v, factor in _ad_pairs(family, r))
 
 
 def deriv_to_pqxz(d: DerivExpr) -> PqxzElem:
@@ -232,10 +229,8 @@ def pqxz_apply(k: PqxzKey, x: AlgElem) -> AlgElem:
 
 
 def pqxz_elem_apply(e: PqxzElem, x: AlgElem) -> AlgElem:
-    out = AlgElem.zero()
-    for key, c in e._terms.items():
-        out = out + pqxz_apply(key, x) * c
-    return out
+    return AlgElem.combine((pqxz_apply(key, x), c)
+                           for key, c in e._terms.items())
 
 
 # -- generator commutators -------------------------------------------------------
@@ -269,11 +264,9 @@ def pqxz_key_bracket(k1: PqxzKey, k2: PqxzKey) -> PqxzElem:
 
 
 def pqxz_bracket(a: PqxzElem, b: PqxzElem) -> PqxzElem:
-    out = PqxzElem.zero()
-    for ka, ca in a._terms.items():
-        for kb, cb in b._terms.items():
-            out = out + pqxz_key_bracket(ka, kb) * (ca * cb)
-    return out
+    return PqxzElem.combine((pqxz_key_bracket(ka, kb), ca * cb)
+                            for ka, ca in a._terms.items()
+                            for kb, cb in b._terms.items())
 
 
 # -- action equality and the table check ------------------------------------------

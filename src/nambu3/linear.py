@@ -6,6 +6,9 @@ type; zero coefficients are dropped on construction so equality is plain dict
 equality.  Addition is only defined between combinations of the same concrete
 type, which catches category mixups early.
 
+Every sum is built in one dict through ``accumulate``; ``LinComb.combine``
+sums weighted pieces without copying the running sum once per piece.
+
 Formatting reads each coefficient's sign and text from a bounded memo keyed
 by the coefficient (``_coeff_text``): a defect report repeats a few distinct
 coefficients over thousands of lines.
@@ -90,6 +93,16 @@ class LinComb:
         return out
 
     @classmethod
+    def combine(cls, pieces):
+        """The sum of ``piece * c`` over the ``(piece, c)`` pairs, built in
+        one dict."""
+        acc: dict = {}
+        for piece, c in pieces:
+            for key, pc in piece._terms.items():
+                accumulate(acc, key, pc * c)
+        return cls._of(acc)
+
+    @classmethod
     def zero(cls):
         return cls()
 
@@ -145,12 +158,8 @@ class LinComb:
         f = Scalar.coerce(factor)
         if f.is_zero:
             return type(self)()
-        acc = {}
-        for key, c in self._terms.items():
-            fc = c * f
-            if not fc.is_zero:
-                acc[key] = fc
-        return self._of(acc)
+        # a product of nonzero polynomials over Q is never zero
+        return self._of({key: c * f for key, c in self._terms.items()})
 
     __rmul__ = __mul__
 

@@ -13,6 +13,8 @@ One tokenizer feeds small recursive-descent entry points:
 * ``parse_int`` and ``parse_rational``: ``[-]n`` and ``[-]p[/q]``, the
   numbers the CLI reads from its flags.
 
+Digits are the ASCII ``0``-``9``; other Unicode decimal digits are refused.
+
 The three sums share one rule, an optional sign and then terms joined by
 ``+``/``-``, and every integer is read by one reader.  That reader refuses a
 literal longer than ``MAX_LITERAL_DIGITS`` digits before ``int()`` sees it.
@@ -44,7 +46,7 @@ from .scalar import EXPONENT_LIMIT, Indeterminate, Scalar, _NAME_RE
 
 _TOKEN_RE = re.compile(
     r"(?P<ws>\s+)"
-    r"|(?P<int>\d+)"
+    r"|(?P<int>[0-9]+)"
     r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
     r"|(?P<op>[-+*/^()\[\],])")
 

@@ -421,11 +421,9 @@ def tri_apply(action: TriAction, x: BasisKey, y: BasisKey, v: ModVec) -> ModVec:
 
 def tri_apply_elem(action: TriAction, xe: AlgElem, ye: AlgElem,
                    v: ModVec) -> ModVec:
-    out = ModVec.zero()
-    for kx, cx in xe._terms.items():
-        for ky, cy in ye._terms.items():
-            out = out + tri_apply(action, kx, ky, v) * (cx * cy)
-    return out
+    return ModVec.combine((tri_apply(action, kx, ky, v), cx * cy)
+                          for kx, cx in xe._terms.items()
+                          for ky, cy in ye._terms.items())
 
 
 def lie_apply(action: LieAction, k: PqxzKey, v: ModVec) -> ModVec:
@@ -441,10 +439,8 @@ def lie_apply(action: LieAction, k: PqxzKey, v: ModVec) -> ModVec:
 
 
 def lie_elem_apply(action: LieAction, e: PqxzElem, v: ModVec) -> ModVec:
-    out = ModVec.zero()
-    for key, c in e._terms.items():
-        out = out + lie_apply(action, key, v) * c
-    return out
+    return ModVec.combine((lie_apply(action, key, v), c)
+                          for key, c in e._terms.items())
 
 
 # -- probe policy ----------------------------------------------------------------
@@ -744,10 +740,8 @@ def induce_apply(tri: TriAction, d: DerivExpr, v: ModVec, *,
     """
     if require_module:
         _gate_or_raise(tri, axiom_window)
-    out = ModVec.zero()
-    for (u, w), c in d._terms.items():
-        out = out + tri_apply(tri, u, w, v) * c
-    return out
+    return ModVec.combine((tri_apply(tri, u, w, v), c)
+                          for (u, w), c in d._terms.items())
 
 
 def check_induced(tri: TriAction, lie: LieAction,

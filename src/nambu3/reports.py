@@ -2,13 +2,20 @@
 
 A report passes exactly when its entry list is empty.  Entries are sorted by
 (axiom, index assignment, probe) so reports are deterministic regardless of
-evaluation order, including parallel runs.
+evaluation order, including parallel runs.  ``json_line`` is the one
+canonical JSON form of a machine-stream record.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Tuple
+
+
+def json_line(record: dict) -> str:
+    """A record as one line of the machine stream: canonical JSON, with
+    sorted keys and no spaces."""
+    return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
 @dataclass(frozen=True)
@@ -68,8 +75,7 @@ class DefectReport:
         return lines
 
     def machine_lines(self) -> list:
-        return [json.dumps(e.record(), sort_keys=True, separators=(",", ":"))
-                for e in self.entries]
+        return [json_line(e.record()) for e in self.entries]
 
     def merged_with(self, other: "DefectReport", label: str) -> "DefectReport":
         return DefectReport(label, self.cases + other.cases,

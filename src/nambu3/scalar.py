@@ -5,12 +5,13 @@ monomials to rationals with no zero entries stored, so structural equality is
 mathematical equality.  Integral coefficients are stored as ``int`` and only
 those with a denominator as ``Fraction`` (``_q`` normalizes each coefficient
 as it is made), so integer arithmetic skips Fraction's gcd-normalizing
-constructor.  ``3 == Fraction(3)`` with equal hash and ``str``, so equality,
-hashing and formatting are those of an all-Fraction store.  Monomials are
-tuples of (symbol, exponent) pairs kept in a fixed symbol order, and terms
-are ranked graded-lexicographically (total degree first, then the symbol
-order).  That single canonical order drives formatting, hashing, and
-leading-term division.
+constructor.  Every sum of terms goes through ``_add_term``, which normalizes
+it and drops a zero.  ``3 == Fraction(3)`` with equal hash and ``str``, so
+equality, hashing and formatting are those of an all-Fraction store.
+Monomials are tuples of (symbol, exponent) pairs kept in a fixed symbol
+order, and terms are ranked graded-lexicographically (total degree first,
+then the symbol order).  That single canonical order drives formatting,
+hashing, and leading-term division.
 
 Symbols are restricted to the two reserved parameters ``lam`` and ``mu`` plus
 the weight tags ``a0``, ``a1``, ...  Exponents are capped at 16 bits; blowing
@@ -117,6 +118,15 @@ def _q(c):
     return c.numerator if c.denominator == 1 else c
 
 
+def _add_term(acc: dict, mono: Mono, c) -> None:
+    """Add the rational c into acc[mono] through ``_q``, dropping a zero."""
+    tot = acc.get(mono, 0) + c
+    if tot:
+        acc[mono] = _q(tot)
+    else:
+        acc.pop(mono, None)
+
+
 class Scalar:
     """Sparse polynomial over the rationals in lam, mu, and weight tags."""
 
@@ -186,11 +196,7 @@ class Scalar:
             other = Scalar(other)
         merged = dict(self._terms)
         for m, c in other._terms.items():
-            tot = merged.get(m, 0) + c
-            if tot:
-                merged[m] = _q(tot)
-            else:
-                merged.pop(m, None)
+            _add_term(merged, m, c)
         return Scalar._make(merged)
 
     __radd__ = __add__
@@ -222,12 +228,7 @@ class Scalar:
         out: dict = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
-                m = _mono_mul(m1, m2)
-                tot = out.get(m, 0) + c1 * c2
-                if tot:
-                    out[m] = _q(tot)
-                else:
-                    out.pop(m, None)
+                _add_term(out, _mono_mul(m1, m2), c1 * c2)
         return Scalar._make(out)
 
     __rmul__ = __mul__
@@ -267,14 +268,7 @@ class Scalar:
                     c *= values[name] ** exp
                 else:
                     rest.append((name, exp))
-            if not c:
-                continue
-            m = tuple(rest)
-            tot = out.get(m, 0) + c
-            if tot:
-                out[m] = _q(tot)
-            else:
-                out.pop(m, None)
+            _add_term(out, tuple(rest), c)
         return Scalar._make(out)
 
     # -- comparison / hashing -----------------------------------------------
@@ -360,15 +354,10 @@ def exact_quotient(a: ScalarLike, d: ScalarLike) -> Optional[Scalar]:
         if q_mono is None:
             return None
         q_coeff = _q(Fraction(r_coeff, 1) / d_coeff)
-        quot[q_mono] = quot.get(q_mono, 0) + q_coeff
+        _add_term(quot, q_mono, q_coeff)
         for m, c in d._terms.items():
-            mm = _mono_mul(m, q_mono)
-            tot = rem.get(mm, 0) - c * q_coeff
-            if tot:
-                rem[mm] = tot
-            else:
-                rem.pop(mm, None)
-    return Scalar._make({m: _q(c) for m, c in quot.items() if c})
+            _add_term(rem, _mono_mul(m, q_mono), -c * q_coeff)
+    return Scalar._make(quot)
 
 
 def divides(d: ScalarLike, a: ScalarLike) -> bool:

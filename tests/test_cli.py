@@ -9,14 +9,13 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from functools import lru_cache
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import nambu3
 from nambu3 import cli, repmod
-from nambu3.cli import PARALLELISM_ENV, build_parser, main
+from nambu3.cli import build_parser, main
 from nambu3.reports import DefectReport
 from nambu3.scalar import Scalar
 
@@ -350,13 +349,46 @@ def test_bad_mu_is_config_error(capsys):
     (("check", "module-t", "--mu", "9" * 1500, "--window", "0..1"), "--mu",
      "integer literal longer than 1000 digits"),
     (("weights", "T", "--lambda", "-" + "9" * 1500), "--lambda",
-     "integer literal longer than 1000 digits")])
+     "integer literal longer than 1000 digits"),
+    (("check", "fi", "--parallelism", "9" * 5000), "--parallelism",
+     "integer literal longer than 1000 digits"),
+    (("check", "fi", "--parallelism", "-" + "9" * 900), "--parallelism",
+     "expected an integer >= 0 (0 = auto)")])
 def test_overlong_flag_values_are_cut_in_the_refusal(capsys, argv, flag,
                                                      detail):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     shown = argv[3][:80] + "\u2026"
     assert err == f"error: bad {flag} {shown!r}: {detail}\n"
+
+
+_LONG = "x" * 5000
+_SHOWN = repr(_LONG[:80] + "\u2026")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("check", "fi", "--output", _LONG),
+     f"argument --output: invalid choice: {_SHOWN} "
+     "(choose from 'text', 'machine')"),
+    (("bracket", "L[1]", "L[2]", "M[3]", "--output", _LONG),
+     f"argument --output: invalid choice: {_SHOWN} "
+     "(choose from 'text', 'machine')"),
+    (("check", _LONG),
+     f"argument suite: invalid choice: {_SHOWN} (choose from 'fi', "
+     "'induced-psi', 'lie-phi', 'lie-psi', 'module-t', 'pullback-phi', "
+     "'table')"),
+    (("orbit", _LONG),
+     f"argument family: invalid choice: {_SHOWN} "
+     "(choose from 'T', 'psi', 'phi')"),
+    ((_LONG,),
+     f"argument command: invalid choice: {_SHOWN} (choose from 'bracket', "
+     "'check', 'decompose', 'orbit', 'weights')"),
+    (("bracket", "L[1]", "L[2]", "M[3]", _LONG, "--bogus"),
+     f"unrecognized arguments: {_LONG[:80]}\u2026")])
+def test_overlong_argparse_values_are_cut_in_the_refusal(capsys, argv,
+                                                         message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("text, value", [
@@ -559,13 +591,6 @@ def test_flags_a_suite_ignores_exit_2(capsys, monkeypatch, argv, unused):
     assert err == f"error: {argv[0]} {argv[1]} does not use {unused}\n"
 
 
-def test_parallelism_env_is_not_a_refused_flag(capsys, monkeypatch):
-    monkeypatch.setenv(PARALLELISM_ENV, "2")
-    code, out, _ = run(capsys, "check", "table", "--window", "-1..1")
-    assert code == 0
-    assert out.rstrip().endswith("verdict: pass")
-
-
 @pytest.mark.parametrize("window", ["0..0", "-1..1"])
 @pytest.mark.parametrize("mu", ["sym", "0", "1", "2", "1/2"])
 def test_module_t_exits_with_the_library_verdict(capsys, mu, window):
@@ -590,22 +615,20 @@ def test_unknown_suite_exits_2(capsys):
     assert code == 2
 
 
+def test_bad_parallelism_is_config_error(capsys):
+    # the grammar of every other number flag: no underscores, no plus sign,
+    # no decimals and only ASCII digits
+    for text in ("1_0", "+2", "0.5", "1e3", "\u0661", "", "x", "-3"):
+        code, out, err = run(capsys, "check", "fi", "--window", "0..0",
+                             "--parallelism", text)
+        assert (code, out) == (2, "")
+        assert err == (f"error: bad --parallelism {text!r}: "
+                       "expected an integer >= 0 (0 = auto)\n")
+
+
 def test_negative_parallelism_is_config_error(capsys):
     code, _, err = run(capsys, "check", "fi", "--window", "-1..1",
                        "--parallelism", "-3")
-    assert code == 2
-
-
-def test_parallelism_env_fallback(capsys, monkeypatch):
-    monkeypatch.setenv(PARALLELISM_ENV, "2")
-    code, out, _ = run(capsys, "check", "fi", "--window", "-1..1")
-    assert code == 0
-    assert "0 defects" in out
-
-
-def test_parallelism_env_invalid(capsys, monkeypatch):
-    monkeypatch.setenv(PARALLELISM_ENV, "many")
-    code, _, err = run(capsys, "check", "fi", "--window", "-1..1")
     assert code == 2
 
 
@@ -738,9 +761,7 @@ def _fuzz_argv(draw):
 @settings(max_examples=60, deadline=None)
 def test_random_argv_keeps_the_exit_contract(argv):
     out, err = io.StringIO(), io.StringIO()
-    with mock.patch.dict(os.environ), redirect_stdout(out), \
-            redirect_stderr(err):
-        os.environ.pop(PARALLELISM_ENV, None)
+    with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
     assert code in (0, 1, 2)
     if code == 2:

@@ -1,4 +1,5 @@
-"""Linear combinations: the trusted constructor and the coefficient text memo."""
+"""Linear combinations: the trusted constructor, the one-accumulator
+``combine`` and the coefficient text memo."""
 
 import types
 from fractions import Fraction
@@ -6,11 +7,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nambu3.algebra import AlgElem, L, M, assoc_mul, bracket
-from nambu3.derivations import P, Q, X, Z, DerivExpr, ad_apply, pqxz_apply
+from nambu3.algebra import AlgElem, L, M, assoc_mul, bracket, bracket_det
+from nambu3.derivations import (P, Q, X, Z, DerivExpr, PqxzElem, ad_apply,
+                                pqxz_apply, pqxz_bracket, pqxz_elem_apply,
+                                pqxz_to_deriv)
 from nambu3.linear import COEFF_TEXT_MEMO_SIZE, _coeff_text
-from nambu3.repmod import (ModVec, lie_apply, pullback_candidate,
-                           shift_action, tri_apply, weight_action, weight_key,
+from nambu3.repmod import (ModVec, lie_apply, lie_elem_apply,
+                           pullback_candidate, shift_action, tri_apply,
+                           tri_apply_elem, weight_action, weight_key,
                            zero_twist_action)
 from nambu3.scalar import LAMBDA, MU, Scalar, weight_tag
 
@@ -158,6 +162,10 @@ def _module_vectors():
     return st.dictionaries(keys, _CANCELLING, max_size=4).map(ModVec)
 
 
+def _generator_elems():
+    return st.dictionaries(_GENERATORS, _CANCELLING, max_size=3).map(PqxzElem)
+
+
 _KERNELS = {
     "assoc_mul": lambda d: assoc_mul(d.draw(_elems()), d.draw(_elems())),
     "bracket": lambda d: bracket(d.draw(_elems()), d.draw(_elems()),
@@ -171,6 +179,20 @@ _KERNELS = {
     "lie_apply": lambda d: lie_apply(d.draw(_LIE_ACTIONS),
                                      d.draw(_GENERATORS),
                                      d.draw(_module_vectors())),
+    "bracket_det": lambda d: bracket_det(d.draw(_elems()), d.draw(_elems()),
+                                         d.draw(_elems())),
+    "pqxz_to_deriv": lambda d: pqxz_to_deriv(d.draw(_generator_elems())),
+    "pqxz_elem_apply": lambda d: pqxz_elem_apply(d.draw(_generator_elems()),
+                                                 d.draw(_elems())),
+    "pqxz_bracket": lambda d: pqxz_bracket(d.draw(_generator_elems()),
+                                           d.draw(_generator_elems())),
+    "tri_apply_elem": lambda d: tri_apply_elem(
+        d.draw(_TRI_ACTIONS), d.draw(_elems()), d.draw(_elems()),
+        d.draw(_module_vectors())),
+    "lie_elem_apply": lambda d: lie_elem_apply(
+        d.draw(_LIE_ACTIONS), d.draw(_generator_elems()),
+        d.draw(_module_vectors())),
+    "scale": lambda d: d.draw(_module_vectors()) * d.draw(_CANCELLING),
 }
 
 
@@ -184,3 +206,41 @@ def test_kernel_results_are_normalized(kernel, data):
     for key, c in out._terms.items():
         assert isinstance(c, Scalar) and not c.is_zero
         type(out)._check_key(key)
+
+
+# -- combine against the term-by-term sum it replaced ------------------------
+
+# every coefficient type a piece may carry, zero among them
+_WEIGHTS = _CANCELLING | st.sampled_from(
+    [0, Scalar(0), 1, -1, Fraction(-1, 2), LAMBDA, MU])
+
+
+def _sum_by_parts(cls, pieces):
+    # the route combine replaced, kept as the oracle: rebuild the running sum
+    # once per scaled piece
+    out = cls.zero()
+    for piece, c in pieces:
+        out = out + piece * c
+    return out
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_combine_matches_the_sum_by_parts(data):
+    cls, vectors = data.draw(st.sampled_from(
+        [(AlgElem, _elems()), (ModVec, _module_vectors())]))
+    pieces = data.draw(st.lists(st.tuples(vectors, _WEIGHTS), max_size=5))
+    # a negated copy of some of the pieces, so whole pieces cancel
+    undo = data.draw(st.integers(0, len(pieces)))
+    everything = undo == len(pieces)
+    pieces += [(v, -Scalar.coerce(c)) for v, c in pieces[:undo]]
+    got = cls.combine(pieces)
+    want = _sum_by_parts(cls, pieces)
+    assert type(got) is cls
+    assert got == want
+    # the same keys in the same order, so any unsorted walk sees no change
+    assert list(got._terms) == list(want._terms)
+    for c in got._terms.values():
+        assert isinstance(c, Scalar) and not c.is_zero
+    if everything:
+        assert got.is_zero

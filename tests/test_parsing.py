@@ -233,6 +233,15 @@ def test_parse_int_and_rational():
         parse_rational("1/0")
 
 
+def test_digits_are_ascii():
+    # other Unicode decimal digits (Arabic-Indic, fullwidth) are refused
+    for text in ("\u0661", "1\u0660", "\uff11"):
+        with pytest.raises(ParseError, match="unexpected character"):
+            parse_int(text)
+    with pytest.raises(ParseError, match="unexpected character"):
+        parse_elem("L[\u0661]")
+
+
 def test_every_sum_takes_one_optional_sign():
     assert parse_scalar("+mu - 1") == parse_scalar("mu - 1")
     assert parse_scalar("-mu^2") == -(Scalar(MU) * Scalar(MU))

@@ -30,7 +30,6 @@ conclusive for the table.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from .errors import IndexOverflow
@@ -261,16 +260,19 @@ def _fi_scan(first_keys: tuple, keys: tuple, kb: Optional[Callable]) -> list:
                         if inner is not None:
                             hit = ad[inner[1]]
                             if hit is not None:
-                                accumulate(acc, hit[1], inner[0] * hit[0])
+                                acc[hit[1]] = inner[0] * hit[0]
                         if hit1 is not None:
-                            accumulate(acc, hit1[1], -first[0] * hit1[0])
+                            k = hit1[1]
+                            acc[k] = acc.get(k, 0) - first[0] * hit1[0]
                         if hit2 is not None:
-                            accumulate(acc, hit2[1], -second[0] * hit2[0])
+                            k = hit2[1]
+                            acc[k] = acc.get(k, 0) - second[0] * hit2[0]
                         if third is not None:
                             hit = inners[third[1]]
                             if hit is not None:
-                                accumulate(acc, hit[1], -third[0] * hit[0])
-                        if acc:
+                                k = hit[1]
+                                acc[k] = acc.get(k, 0) - third[0] * hit[0]
+                        if any(acc.values()):
                             found.append(((x1, x2, x3, x4, x5), None,
                                           AlgElem(list(acc.items()))))
     return found
@@ -308,6 +310,8 @@ def check_fundamental(window: Iterable[int] = DEFAULT_FI_WINDOW,
     if key_bracket is not None or workers <= 1:
         found = _fi_scan(keys, keys, key_bracket)
     else:
+        # imported here: a process that never fans out never loads it
+        from concurrent.futures import ProcessPoolExecutor
         chunks = [keys[i::workers] for i in range(workers)]
         found = []
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -40,10 +40,10 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .algebra import (DEFAULT_FI_WINDOW, bracket, bracket_det,
                       check_fundamental)
@@ -67,6 +67,11 @@ _WINDOW_SPAN_LIMIT = 64
 # Longest flag value a refusal repeats; a longer one is cut and ends in an
 # ellipsis.
 _ECHO_LIMIT = 80
+
+# the value an argparse refusal echoes whole, found by the refusal's text
+_WHOLE_ECHO = (r"(?<=^unrecognized arguments: ).*"
+               r"|(?<=^ambiguous option: ).*(?= could match )"
+               r"|(?<=ignored explicit argument ['\"]).*(?=['\"]\Z)")
 
 # Refuse larger grids before any sweep starts: at the span cap, fi alone
 # would ask for 130^5 cases.  The default windows stay under 10^6.
@@ -96,8 +101,7 @@ _OPTIONAL_FLAGS = {"lam": "--lambda", "mu": "--mu", "probes": "--probes",
                    "parallelism": "--parallelism"}
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     window: range
     lam: Optional[Fraction]
     mu: Optional[Fraction]
@@ -427,11 +431,9 @@ class _ArgumentParser(argparse.ArgumentParser):
     ``error:`` line; subparsers are built from the same class."""
 
     def error(self, message):
-        # argparse quotes most values, but prints unrecognized ones raw and
-        # whole; cut them as _bad cuts a flag value
-        prefix = "unrecognized arguments: "
-        if message.startswith(prefix):
-            message = prefix + _cut(message[len(prefix):])
+        # cut a value argparse echoes whole as _bad cuts a flag value
+        message = re.sub(_WHOLE_ECHO, lambda m: _cut(m[0]), message,
+                         count=1, flags=re.S)
         raise ConfigError(message.replace("\n", "\\n"))
 
     def _check_value(self, action, value):

@@ -63,7 +63,6 @@ published lhs/rhs split names the bracket side lhs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import floor
@@ -77,7 +76,7 @@ from .derivations import (DEFAULT_PAIR_WINDOW, DerivExpr, PqxzElem, PqxzKey,
 from .errors import NotAModule, NotEigenvector
 from .linear import LinComb, accumulate
 from .reports import DefectReport, sweep_report
-from .scalar import LAMBDA, MU, Indeterminate, Scalar, divides
+from .scalar import LAMBDA, MU, Frozen, Indeterminate, Scalar, divides
 
 DEFAULT_AXIOM_WINDOW = range(-2, 3)
 
@@ -169,32 +168,27 @@ def _param(value, symbol: Indeterminate) -> Scalar:
     return Scalar.coerce(value)
 
 
-@dataclass(frozen=True)
-class TriWeightAction:
-    lam: Scalar
-    mu: Scalar
+class TriWeightAction(Frozen):
+    __slots__ = _fields = ("lam", "mu")
 
 
-@dataclass(frozen=True)
-class LieShiftAction:
-    lam: Scalar
-    mu: Scalar
+class LieShiftAction(Frozen):
+    __slots__ = _fields = ("lam", "mu")
 
 
-@dataclass(frozen=True)
-class LieZeroTwistAction:
-    mu: Scalar
+class LieZeroTwistAction(Frozen):
+    __slots__ = _fields = ("mu",)
 
 
-@dataclass(frozen=True)
-class PullbackTriAction:
-    lie: Union[LieShiftAction, LieZeroTwistAction]
+class PullbackTriAction(Frozen):
+    __slots__ = _fields = ("lie",)    # a LieShiftAction or LieZeroTwistAction
 
 
-@dataclass(frozen=True)
-class InducedLieAction:
-    tri: Union[TriWeightAction, "PullbackTriAction"]
-    axiom_window: tuple = tuple(DEFAULT_AXIOM_WINDOW)
+class InducedLieAction(Frozen):
+    __slots__ = _fields = ("tri", "axiom_window")   # tri: a TriAction
+
+    def __init__(self, tri, axiom_window: tuple = tuple(DEFAULT_AXIOM_WINDOW)):
+        super().__init__(tri, axiom_window)
 
 
 TriAction = Union[TriWeightAction, PullbackTriAction]
@@ -238,10 +232,9 @@ def action_family(action) -> str:
 
 
 def action_parameters(action) -> tuple:
-    if isinstance(action, (TriWeightAction, LieShiftAction)):
-        return (("lam", str(action.lam)), ("mu", str(action.mu)))
-    if isinstance(action, LieZeroTwistAction):
-        return (("mu", str(action.mu)),)
+    if isinstance(action, (TriWeightAction, LieShiftAction,
+                           LieZeroTwistAction)):
+        return tuple(zip(action._fields, map(str, action._values)))
     if isinstance(action, PullbackTriAction):
         return action_parameters(action.lie)
     if isinstance(action, InducedLieAction):
@@ -544,8 +537,7 @@ def check_tri_axiom2(action: TriAction,
 # -- weights -------------------------------------------------------------------------
 
 
-@dataclass
-class WeightReport:
+class WeightReport(NamedTuple):
     rows: list
 
     @property
@@ -579,8 +571,7 @@ def weight_report(action: TriAction, keys: Iterable[WeightKey]) -> WeightReport:
 # -- orbit evidence -------------------------------------------------------------------
 
 
-@dataclass
-class OrbitReport:
+class OrbitReport(NamedTuple):
     start: WeightKey
     classification: str
     reached: tuple

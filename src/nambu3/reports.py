@@ -3,12 +3,12 @@
 A report passes exactly when its entry list is empty.  Entries are sorted by
 (axiom, index assignment, probe) so reports are deterministic regardless of
 evaluation order, including parallel runs.  ``json_line`` is the one
-canonical JSON form of a machine-stream record.
+canonical JSON form of a machine-stream record.  Entries and reports are
+plain slotted classes, compared field by field.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Any, Iterable, Tuple
 
 
@@ -18,14 +18,22 @@ def json_line(record: dict) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
-@dataclass(frozen=True)
 class DefectEntry:
-    axiom: str
-    indices: tuple
-    defect: Any
-    probe: str = ""
-    family: str = ""
-    parameters: Tuple[Tuple[str, str], ...] = ()
+    """A defect vector with its axiom, flattened index assignment, probe
+    line (or ""), and the action's family and (name, value) parameters."""
+
+    __slots__ = ("axiom", "indices", "defect", "probe", "family", "parameters")
+
+    def __init__(self, axiom: str, indices: tuple, defect: Any,
+                 probe="", family="", parameters: Tuple[tuple, ...] = ()):
+        self.axiom, self.indices, self.defect = axiom, indices, defect
+        self.probe, self.family, self.parameters = probe, family, parameters
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name)
+                   for name in self.__slots__)
 
     @property
     def sort_key(self):
@@ -47,14 +55,16 @@ class DefectEntry:
         return f"{self.axiom} at {where}{probe}: defect = {self.defect}"
 
 
-@dataclass
 class DefectReport:
-    label: str
-    cases: int
-    entries: list = field(default_factory=list)
+    """A sweep's label, its case count and its entries, sorted."""
 
-    def __post_init__(self):
-        self.entries = sorted(self.entries, key=lambda e: e.sort_key)
+    __slots__ = ("label", "cases", "entries")
+
+    def __init__(self, label: str, cases: int, entries: Iterable = ()):
+        self.label, self.cases = label, cases
+        self.entries = sorted(entries, key=lambda e: e.sort_key)
+
+    __eq__ = DefectEntry.__eq__
 
     @property
     def passed(self) -> bool:

@@ -14,8 +14,9 @@ then the symbol order).  That single canonical order drives formatting,
 hashing, and leading-term division.
 
 Symbols are restricted to the two reserved parameters ``lam`` and ``mu`` plus
-the weight tags ``a0``, ``a1``, ...  Exponents are capped at 16 bits; blowing
-the cap is a hard error rather than silent wraparound.  Monomial products are
+the weight tags ``a0``, ``a1``, ...; a symbol, like a module action, is a
+``Frozen`` value, hashed once.  Exponents are capped at 16 bits; blowing the
+cap is a hard error rather than silent wraparound.  Monomial products are
 memoized in a bounded LRU cache, since the module checks multiply under
 twenty distinct monomial pairs tens of thousands of times.  Only a product
 that passed the exponent check is ever cached.
@@ -23,7 +24,6 @@ that passed the exponent check is ever cached.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Optional, Union
@@ -38,16 +38,46 @@ MONO_MEMO_SIZE = 4096
 _NAME_RE = re.compile(r"\A(?:lam|mu|a(?:0|[1-9][0-9]*))\Z")
 
 
-@dataclass(frozen=True)
-class Indeterminate:
+class Frozen:
+    """Base of the small immutable value classes: slots ``_fields`` set once,
+    equal only within one class, hashed once, at construction."""
+
+    __slots__ = ("_values", "_hash")
+    _fields: tuple = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} takes {self._fields}")
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_values", values)
+        object.__setattr__(self, "_hash", hash(values))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values == other._values
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}{self._values!r}"
+
+
+class Indeterminate(Frozen):
     """A named symbol: ``lam``, ``mu``, or a weight tag ``a<k>``."""
 
-    name: str
+    __slots__ = _fields = ("name",)
 
-    def __post_init__(self):
-        if not _NAME_RE.match(self.name):
-            raise ValueError(f"invalid symbol name {self.name!r}; "
+    def __init__(self, name: str):
+        if not _NAME_RE.match(name):
+            raise ValueError(f"invalid symbol name {name!r}; "
                              "use 'lam', 'mu', or a weight tag like 'a0'")
+        super().__init__(name)
 
     @property
     def is_weight_tag(self) -> bool:

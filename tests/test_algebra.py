@@ -4,6 +4,7 @@ import itertools
 import os
 import random
 from concurrent.futures import Future
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -192,7 +193,8 @@ def _serial_pool(monkeypatch) -> list:
         sizes.append(max_workers)
         return SerialPool()
 
-    monkeypatch.setattr(algebra, "ProcessPoolExecutor", pool)
+    # check_fundamental imports the pool class from here when it fans out
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", pool)
     return sizes
 
 
@@ -323,6 +325,24 @@ def test_fi_sweep_matches_reference_route(window, monkeypatch):
 def test_fi_sweep_matches_reference_route_under_seeded_skew(window,
                                                             monkeypatch):
     _assert_matches_reference_route(window, _randomly_skewed(8), monkeypatch)
+
+
+def _thirds(kb):
+    # the table with every coefficient divided by 3, as a Fraction; the
+    # identity is quadratic in the table, so its terms still cancel exactly
+    def scaled(*args):
+        hit = kb(*args)
+        return None if hit is None else (Fraction(hit[0], 3), hit[1])
+
+    return scaled
+
+
+def test_fi_sweep_matches_reference_route_on_fraction_coefficients(
+        monkeypatch):
+    assert check_fundamental(range(-1, 2), key_bracket=_thirds(bracket_keys)
+                             ).passed
+    _assert_matches_reference_route(range(-1, 2), _thirds(_randomly_skewed(8)),
+                                    monkeypatch)
 
 
 def test_fi_scan_brackets_each_distinct_triple_once():

@@ -1,13 +1,19 @@
-"""The benchmark's pinned command-line jobs, replayed in-process.
+"""The benchmark's pinned jobs, replayed in-process and traced.
 
 ``perfbench/workloads.py`` pins each job's exit code, stdout line count and
 stdout sha256, the 14,400-line ``--output machine`` stream of
 ``check module-t`` among them.  This runs every job that has an ``argv``
 through ``cli.main`` and judges it with the benchmark's own ``judge_job``,
 so a change to those bytes fails here and not only in a benchmark run.
+The three jobs whose verdict sweeps both module axioms also run as a traced
+benchmark child, which must pass ``judge_job`` and whose reports must count
+the pinned cases.
 """
 import hashlib
 import importlib.util
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -15,7 +21,8 @@ import pytest
 
 from nambu3.cli import main
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+ROOT = Path(__file__).resolve().parents[1]
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
 
 
 def _workloads():
@@ -40,3 +47,26 @@ def test_benchmark_job_matches_its_pinned_output(capsys, job):
     result = {"exit": code, "lines": out.count("\n"),
               "digest": hashlib.sha256(out.encode()).hexdigest()}
     assert _WORKLOADS.judge_job(job, result) is None
+
+
+_JOBS = {job.name: job for jobs in _WORKLOADS.JOBS.values() for job in jobs}
+
+
+@pytest.mark.parametrize("name", ["induce-relations", "induced-psi",
+                                  "module-t"])
+def test_traced_benchmark_job_counts_its_pinned_cases(name):
+    # the child the benchmark starts, with the layer tracer installed
+    job = _JOBS[name]
+    spec = {"name": job.name, "argv": list(job.argv), "library": job.library,
+            "relation": list(_WORKLOADS.relation_for(7)), "trace": True,
+            "spans_path": None}
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED="0")
+    env.pop("NAMBU3_PARALLELISM", None)
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "child.py"), "job",
+         json.dumps(spec)], cwd=ROOT, env=env, capture_output=True,
+        text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert _WORKLOADS.judge_job(job, result) is None
+    assert sum(result["trace"]["cases"].values()) == job.cases

@@ -384,7 +384,14 @@ _SHOWN = repr(_LONG[:80] + "\u2026")
      f"argument command: invalid choice: {_SHOWN} (choose from 'bracket', "
      "'check', 'decompose', 'orbit', 'weights')"),
     (("bracket", "L[1]", "L[2]", "M[3]", _LONG, "--bogus"),
-     f"unrecognized arguments: {_LONG[:80]}\u2026")])
+     f"unrecognized arguments: {_LONG[:80]}\u2026"),
+    (("bracket", "L[1]", "L[2]", "M[3]", f"--oracle={_LONG}"),
+     f"argument --oracle: ignored explicit argument {_SHOWN}"),
+    (("decompose", "ad(L[1],M[2])", f"--verify={_LONG}"),
+     f"argument --verify: ignored explicit argument {_SHOWN}"),
+    (("check", "fi", f"--p={_LONG}"),
+     f"ambiguous option: {f'--p={_LONG}'[:80]}\u2026 could match --probes, "
+     "--parallelism")])
 def test_overlong_argparse_values_are_cut_in_the_refusal(capsys, argv,
                                                          message):
     code, out, err = run(capsys, *argv)
@@ -487,7 +494,7 @@ def _stub_sweeps(monkeypatch, sweep):
     # a fresh gate cache, so no verdict built from stubs outlives the test
     monkeypatch.setattr(repmod, "_module_gate",
                         lru_cache(maxsize=64)(repmod._module_verdict))
-    monkeypatch.setattr("nambu3.algebra.ProcessPoolExecutor", _no_pool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _no_pool)
 
 
 def _no_pool(*args, **kwargs):
@@ -675,6 +682,21 @@ def test_closed_stdout_exits_2_without_a_traceback():
         assert proc.returncode == 2
         assert proc.stderr == (b"error: stdout was closed before the output "
                                b"was written\n")
+
+
+def test_import_loads_no_process_pool_or_dataclasses():
+    # a fresh interpreter without site, so only nambu3.cli's imports count
+    src = os.path.dirname(os.path.dirname(nambu3.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, nambu3.cli; print(' '.join(sys.modules))"],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "nambu3.cli" in loaded
+    assert loaded.isdisjoint({"concurrent.futures", "multiprocessing",
+                              "dataclasses", "inspect"})
 
 
 # -- one parser per process -------------------------------------------------------

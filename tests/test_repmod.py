@@ -13,9 +13,10 @@ from nambu3.derivations import (P, Q, X, Z, ad, check_pqxz_table,
 from nambu3.errors import NotAModule
 from nambu3.linear import accumulate
 from nambu3.reports import DefectEntry, DefectReport
-from nambu3.repmod import (ACTION_MEMO_SIZE, InducedLieAction, ModVec,
-                           OrbitReport, PullbackTriAction, TriWeightAction,
-                           WeightKey, _alpha, _interned, _lie_key_terms,
+from nambu3.repmod import (ACTION_MEMO_SIZE, InducedLieAction,
+                           LieShiftAction, ModVec, OrbitReport,
+                           PullbackTriAction, TriWeightAction, WeightKey,
+                           _alpha, _interned, _lie_key_terms,
                            _tri_key_terms, _verdict,
                            action_family, action_parameters, check_induced,
                            check_lie_module, check_tri_axiom1,
@@ -482,6 +483,26 @@ def test_actions_are_interned():
     # equal parameters in another family are another action
     assert weight_action(1, 2) is not shift_action(1, 2)
     assert weight_action(1, 2) != shift_action(1, 2)
+
+
+def test_actions_hash_once(monkeypatch):
+    # the hash is made at construction: kernel-cache lookups hash the
+    # action without hashing its parameters again
+    action = TriWeightAction(lam + 1, mu * 3)
+    calls = []
+    scalar_hash = Scalar.__hash__
+
+    def counted(self):
+        calls.append(self)
+        return scalar_hash(self)
+
+    monkeypatch.setattr(Scalar, "__hash__", counted)
+    assert len({hash(action) for _ in range(100)}) == 1
+    assert calls == []
+    # equal fields in another family make another action
+    assert TriWeightAction(lam, mu) != LieShiftAction(lam, mu)
+    with pytest.raises(AttributeError):
+        action.mu = mu
 
 
 def test_action_memo_stays_at_its_bound():

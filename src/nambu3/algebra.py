@@ -278,9 +278,12 @@ def _fi_scan(first_keys: tuple, keys: tuple, kb: Optional[Callable]) -> list:
     return found
 
 
-# Smallest grid that auto parallelism fans out.  On a 2-CPU x86-64 box, two
-# workers lost all ten runs at 10^5 cases (-2..2) against one, tied at 12^5
-# and won at 14^5 (-3..3), pool start-up included.
+# Smallest grid that auto parallelism fans out.  `check fi` in fresh
+# processes on a 2-CPU x86-64 box, alternating sides, pool start-up
+# included: two workers lost 10 of 10 pairs against one at 10^5 cases
+# (-2..2, median 0.15 s serial) and at 12^5 (-3..2, 0.37 s), and won 14 of
+# 20 at 14^5 (-3..3, 0.63 -> 0.52 s) and 10 of 10 at 18^5 (-4..4,
+# 1.69 -> 1.22 s).
 AUTO_PARALLEL_CASES = 400000
 
 

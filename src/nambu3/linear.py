@@ -68,6 +68,9 @@ class LinComb:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def __reduce__(self):
+        return type(self)._of, (self._terms,)
+
     # subclass hooks ---------------------------------------------------------
 
     @staticmethod

@@ -12,10 +12,14 @@ import json
 from typing import Any, Iterable, Tuple
 
 
+# one encoder for every line: json.dumps would build one per call
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def json_line(record: dict) -> str:
     """A record as one line of the machine stream: canonical JSON, with
     sorted keys and no spaces."""
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+    return _ENCODER.encode(record)
 
 
 class DefectEntry:

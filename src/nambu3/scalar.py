@@ -56,6 +56,10 @@ class Frozen:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def __reduce__(self):
+        # rebuilt through the constructor, which hashes in the new process
+        return type(self), self._values
+
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -188,6 +192,10 @@ class Scalar:
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
+
+    def __reduce__(self):
+        # rebuilt from its terms; the hash is made again on first use
+        return Scalar._make, (self._terms,)
 
     # -- structure ---------------------------------------------------------
 

@@ -163,9 +163,11 @@ def test_worker_count_is_clamped(monkeypatch):
     assert _resolve_parallelism(0, 10 ** 6, 14) == 4
     assert _resolve_parallelism(0, 100, 14) == 1
     assert _resolve_parallelism(1, 10 ** 6, 14) == 1
-    # auto stays serial below the threshold: -2..2 (10^5 cases) ran slower
-    # on two workers than on one
+    # auto stays serial below the threshold: -2..2 (10^5 cases) and -3..2
+    # (12^5) ran slower on two workers than on one, -3..3 (14^5) faster
     assert _resolve_parallelism(0, 10 ** 5, 10) == 1
+    assert _resolve_parallelism(0, 12 ** 5, 12) == 1
+    assert _resolve_parallelism(0, 14 ** 5, 14) == 4
     assert _resolve_parallelism(0, AUTO_PARALLEL_CASES - 1, 12) == 1
     assert _resolve_parallelism(0, AUTO_PARALLEL_CASES, 12) == 4
 
@@ -255,6 +257,17 @@ def test_fault_injection_is_detected():
     entry = report.entries[0]
     assert entry.axiom == "fundamental-identity"
     assert not entry.defect.is_zero
+
+
+def test_fanned_out_sweep_returns_the_defects_it_finds(monkeypatch):
+    # two real worker processes send their AlgElem defects back pickled;
+    # the table is patched where the workers look it up
+    monkeypatch.setattr(algebra, "bracket_keys", _skewed)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    serial = check_fundamental(range(-1, 2), parallelism=1)
+    parallel = check_fundamental(range(-1, 2), parallelism=2)
+    assert len(serial.entries) == 1944
+    assert parallel == serial
 
 
 def _fi_defect(kb, x1, x2, x3, x4, x5):

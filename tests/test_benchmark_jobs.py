@@ -5,9 +5,8 @@ stdout sha256, the 14,400-line ``--output machine`` stream of
 ``check module-t`` among them.  This runs every job that has an ``argv``
 through ``cli.main`` and judges it with the benchmark's own ``judge_job``,
 so a change to those bytes fails here and not only in a benchmark run.
-The three jobs whose verdict sweeps both module axioms also run as a traced
-benchmark child, which must pass ``judge_job`` and whose reports must count
-the pinned cases.
+Every symbolic-modules job also runs as a traced benchmark child, which
+must pass ``judge_job`` and whose reports must count the pinned cases.
 """
 import hashlib
 import importlib.util
@@ -49,19 +48,14 @@ def test_benchmark_job_matches_its_pinned_output(capsys, job):
     assert _WORKLOADS.judge_job(job, result) is None
 
 
-_JOBS = {job.name: job for jobs in _WORKLOADS.JOBS.values() for job in jobs}
-
-
-@pytest.mark.parametrize("name", ["induce-relations", "induced-psi",
-                                  "module-t"])
-def test_traced_benchmark_job_counts_its_pinned_cases(name):
+@pytest.mark.parametrize("job", _WORKLOADS.JOBS["symbolic-modules"],
+                         ids=lambda job: job.name)
+def test_traced_benchmark_job_counts_its_pinned_cases(job):
     # the child the benchmark starts, with the layer tracer installed
-    job = _JOBS[name]
     spec = {"name": job.name, "argv": list(job.argv), "library": job.library,
             "relation": list(_WORKLOADS.relation_for(7)), "trace": True,
             "spans_path": None}
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED="0")
-    env.pop("NAMBU3_PARALLELISM", None)
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "child.py"), "job",
          json.dumps(spec)], cwd=ROOT, env=env, capture_output=True,

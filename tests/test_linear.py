@@ -1,6 +1,8 @@
 """Linear combinations: the trusted constructor, the one-accumulator
 ``combine`` and the coefficient text memo."""
 
+import copy
+import pickle
 import types
 from fractions import Fraction
 
@@ -121,6 +123,18 @@ def test_trusted_constructor_keeps_the_dict_and_the_type():
         assert type(out) is AlgElem
     assert (elem - elem).is_zero and (elem * 0).is_zero
     assert -elem == AlgElem({L(1): -2, M(0): 1})
+
+
+def test_combinations_survive_pickling_and_copying():
+    a0 = weight_key("a0")
+    for value in (AlgElem({L(1): Scalar(LAMBDA), M(-2): 3}), AlgElem(),
+                  ModVec({a0: Scalar(MU) - 1, a0.shift(2): Fraction(1, 2)}),
+                  PqxzElem({P(1): 2, Z(0): Scalar(LAMBDA)}),
+                  pqxz_to_deriv(X(1))):
+        for out in (pickle.loads(pickle.dumps(value)), copy.copy(value),
+                    copy.deepcopy(value)):
+            assert type(out) is type(value)
+            assert out == value and str(out) == str(value)
 
 
 def test_constructor_accepts_any_mapping():

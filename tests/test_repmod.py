@@ -1,7 +1,9 @@
 """Weight modules: pair action, axioms, orbits, induction, counterexample."""
 
+import copy
 import gc
 import itertools
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -237,6 +239,68 @@ def test_axiom_sweeps_match_the_reference_on_rational_tags(name):
     probes = (weight_key(Fraction(1, 2)), weight_key(Fraction(-2, 3), 1),
               weight_key("a1", -1))
     _assert_matches_reference(_SWEEP_ACTIONS[name], range(-1, 2), probes)
+
+
+def test_actions_survive_pickling_and_copying():
+    for action in (weight_action(), weight_action(Fraction(1, 2), 0),
+                   shift_action(), zero_twist_action(2),
+                   pullback_candidate(zero_twist_action()),
+                   InducedLieAction(weight_action(None, 1))):
+        for out in (pickle.loads(pickle.dumps(action)), copy.copy(action),
+                    copy.deepcopy(action)):
+            assert type(out) is type(action)
+            assert out == action and hash(out) == hash(action)
+            assert action_parameters(out) == action_parameters(action)
+
+
+def test_bracket_is_the_same_at_every_rotation_of_its_arguments():
+    # the premise of sweeping the second axiom once per cyclic class
+    keys = window_keys(range(-3, 4))
+    for x1, x2, x3 in itertools.product(keys, repeat=3):
+        hit = bracket_keys(x1, x2, x3)
+        assert bracket_keys(x2, x3, x1) == hit
+        assert bracket_keys(x3, x1, x2) == hit
+
+
+def _skewed_tri_terms(kernel):
+    # a pair kernel that is neither antisymmetric nor translation
+    # covariant: some pairs are moved and scaled by their absolute indices,
+    # and same-kind pairs act in one order only
+    def terms(action, x, y, key):
+        if x.kind == y.kind:
+            if x.index < y.index:
+                return ()
+            return ((key.shift(y.index), Scalar(2 * x.index + 7)),)
+        out = kernel(action, x, y, key)
+        if (x.index - 2 * y.index) % 3:
+            return out
+        return tuple((k.shift(x.index), c * (2 * x.index + 5))
+                     for k, c in out)
+
+    return terms
+
+
+@pytest.mark.parametrize("name, window, probes", [
+    ("T", range(-1, 2), None),
+    ("pullback-phi", range(-1, 2), None),
+    ("T", range(-2, 3), (weight_key("a0"), weight_key(1))),
+], ids=["T -1..1", "pullback-phi -1..1", "T -2..2"])
+def test_axiom2_sweep_matches_the_reference_under_a_skewed_kernel(
+        monkeypatch, name, window, probes):
+    import nambu3.repmod as repmod
+
+    skewed = _skewed_tri_terms(repmod._tri_terms)
+    # the sweep's rows read _tri_terms, the reference _tri_key_terms
+    monkeypatch.setattr(repmod, "_tri_terms", skewed)
+    monkeypatch.setitem(globals(), "_tri_key_terms", skewed)
+    action = _SWEEP_ACTIONS[name]
+    got = check_tri_axiom2(action, window, probes)
+    want = _reference_axiom_report(action, window, probes, 2)
+    assert got.cases == want.cases == (2 * len(window)) ** 4 * len(
+        probes or default_probes())
+    assert got.entries
+    assert ([e.record() for e in got.entries]
+            == [e.record() for e in want.entries])
 
 
 @pytest.mark.parametrize("sweep", [check_tri_axiom1, check_tri_axiom2])

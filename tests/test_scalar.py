@@ -1,6 +1,12 @@
 """Polynomial scalar ring: arithmetic laws, division, formatting."""
 
+import copy
+import os
+import pickle
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -183,6 +189,33 @@ def test_equality_coercion_and_hash():
     assert lam == LAMBDA
     assert lam != mu
     assert hash(lam + 1) == hash(Scalar(LAMBDA) + 1)
+
+
+def test_scalars_and_symbols_survive_pickling_and_copying():
+    for value in (Scalar(0), Scalar(Fraction(-2, 3)),
+                  lam * mu - a0 * Fraction(1, 3), LAMBDA, weight_tag(3)):
+        for out in (pickle.loads(pickle.dumps(value)), copy.copy(value),
+                    copy.deepcopy(value)):
+            assert type(out) is type(value)
+            assert out == value and hash(out) == hash(value)
+            assert str(out) == str(value)
+
+
+def test_an_unpickled_symbol_hashes_as_this_process_does():
+    # pickled by a process with its own string hash seed: the hash a
+    # symbol stores is made again, not carried over
+    code = ("import pickle, sys\n"
+            "from nambu3.scalar import LAMBDA, Scalar\n"
+            "out = pickle.dumps((LAMBDA, Scalar(LAMBDA) + 1))\n"
+            "sys.stdout.buffer.write(out)")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED="12345")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, check=True).stdout
+    symbol, poly = pickle.loads(out)
+    assert hash(symbol) == hash(LAMBDA)
+    assert {LAMBDA: 1}[symbol] == 1
+    assert hash(poly) == hash(lam + 1) and poly == lam + 1
 
 
 # -- coefficient representation ------------------------------------------------

@@ -278,23 +278,8 @@ def _fi_scan(first_keys: tuple, keys: tuple, kb: Optional[Callable]) -> list:
     return found
 
 
-# Smallest grid that auto parallelism fans out.  `check fi` in fresh
-# processes on a 2-CPU x86-64 box, alternating sides, pool start-up
-# included: two workers lost 10 of 10 pairs against one at 10^5 cases
-# (-2..2, median 0.15 s serial) and at 12^5 (-3..2, 0.37 s), and won 14 of
-# 20 at 14^5 (-3..3, 0.63 -> 0.52 s) and 10 of 10 at 18^5 (-4..4,
-# 1.69 -> 1.22 s).
-AUTO_PARALLEL_CASES = 400000
-
-
-def _resolve_parallelism(parallelism: int, grid: int, chunks: int) -> int:
-    # never more workers than CPUs or non-empty chunks; 0 means auto
-    if parallelism == 1:
-        return 1
-    if parallelism == 0:
-        if grid < AUTO_PARALLEL_CASES:
-            return 1
-        parallelism = 8
+def _resolve_parallelism(parallelism: int, chunks: int) -> int:
+    # never more workers than CPUs or non-empty chunks
     return max(1, min(parallelism, os.cpu_count() or 1, chunks))
 
 
@@ -308,8 +293,7 @@ def check_fundamental(window: Iterable[int] = DEFAULT_FI_WINDOW,
     Entries are sorted either way, so the report is deterministic.
     """
     keys = window_keys(window)
-    cases = len(keys) ** 5
-    workers = _resolve_parallelism(parallelism, cases, len(keys))
+    workers = _resolve_parallelism(parallelism, len(keys))
     if key_bracket is not None or workers <= 1:
         found = _fi_scan(keys, keys, key_bracket)
     else:
@@ -322,5 +306,5 @@ def check_fundamental(window: Iterable[int] = DEFAULT_FI_WINDOW,
                        for chunk in chunks]
             for fut in futures:
                 found.extend(fut.result())
-    return sweep_report("fundamental-identity", cases, found,
+    return sweep_report("fundamental-identity", len(keys) ** 5, found,
                         axiom="fundamental-identity", family="algebra")

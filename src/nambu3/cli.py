@@ -167,13 +167,13 @@ def _parse_probes(text: Optional[str]) -> Optional[tuple]:
 def _parse_parallelism(text: Optional[str]) -> int:
     if text is None:
         return 1
-    expected = "expected an integer >= 0 (0 = auto)"
+    expected = "expected an integer >= 1"
     try:
         value = parse_int(text)
     except ParseError as exc:
         raise _bad("--parallelism", text,
                    _parse_detail(exc, expected)) from None
-    if value < 0:
+    if value < 1:
         raise _bad("--parallelism", text, expected)
     return value
 

@@ -189,10 +189,7 @@ class PullbackTriAction(Frozen):
 
 
 class InducedLieAction(Frozen):
-    __slots__ = _fields = ("tri", "axiom_window")   # tri: a TriAction
-
-    def __init__(self, tri, axiom_window: tuple = tuple(DEFAULT_AXIOM_WINDOW)):
-        super().__init__(tri, axiom_window)
+    __slots__ = _fields = ("tri",)    # a TriAction, gated as in induce_apply
 
 
 TriAction = Union[TriWeightAction, PullbackTriAction]
@@ -426,8 +423,7 @@ def tri_apply_elem(action: TriAction, xe: AlgElem, ye: AlgElem,
 def lie_apply(action: LieAction, k: PqxzKey, v: ModVec) -> ModVec:
     """Apply one p/q/x/z generator of a Lie action to a module vector."""
     if isinstance(action, InducedLieAction):
-        return induce_apply(action.tri, pqxz_to_deriv(k), v,
-                            axiom_window=action.axiom_window)
+        return induce_apply(action.tri, pqxz_to_deriv(k), v)
     acc: dict = {}
     for key, c in v._terms.items():
         for k2, c2 in _lie_key_terms(action, k, key):
@@ -690,18 +686,14 @@ def _module_verdict(action, window: Iterable[int], probes=None,
     return report, _within_parameter_gate(action, report)
 
 
-# the cached verdict the induced actions read; keyed by normalized windows
+# the cached verdict the induced actions read, always on DEFAULT_AXIOM_WINDOW
+# as the one key: another window, even with equal points, would sweep again
 _module_gate = lru_cache(maxsize=64)(_module_verdict)
 
 
-def _verdict(action, window: Iterable[int]) -> tuple:
-    return _module_gate(action, tuple(sorted(set(window))))
-
-
-def verify_module(action: TriAction,
-                  window: Iterable[int] = DEFAULT_AXIOM_WINDOW) -> DefectReport:
-    """Both ternary module axioms on the window, cached per action."""
-    return _verdict(action, window)[0]
+def verify_module(action: TriAction) -> DefectReport:
+    """Both ternary module axioms on DEFAULT_AXIOM_WINDOW, cached per action."""
+    return _module_gate(action, DEFAULT_AXIOM_WINDOW)[0]
 
 
 def _within_parameter_gate(tri, report: DefectReport) -> bool:
@@ -722,8 +714,8 @@ def _within_parameter_gate(tri, report: DefectReport) -> bool:
     return all(divides(gate, c) for c in coeffs)
 
 
-def _gate_or_raise(tri: TriAction, axiom_window) -> None:
-    report, accepted = _verdict(tri, axiom_window)
+def _gate_or_raise(tri: TriAction) -> None:
+    report, accepted = _module_gate(tri, DEFAULT_AXIOM_WINDOW)
     if accepted:
         return
     raise NotAModule(
@@ -734,38 +726,35 @@ def _gate_or_raise(tri: TriAction, axiom_window) -> None:
 
 
 def induce_apply(tri: TriAction, d: DerivExpr, v: ModVec, *,
-                 require_module: bool = True,
-                 axiom_window: Iterable[int] = DEFAULT_AXIOM_WINDOW) -> ModVec:
+                 require_module: bool = True) -> ModVec:
     """Evaluate a derivation expression through a ternary action.
 
     Inducing a Lie action this way is only sound when the ternary action
-    satisfies the module axioms on ``axiom_window``, so the cached verdict
-    of ``_within_parameter_gate`` is read and NotAModule raised when it
-    rejects the action.  A rational mu must be 0 or 1 even where the window
-    is too small to show a defect; a fully symbolic mu passes as long as
-    every residual defect is divisible by mu^2 - mu, since those actions
-    specialize to genuine modules.  ``require_module=False`` skips the gate
-    entirely for callers probing well-definedness itself.
+    satisfies the module axioms, so the cached verdict of
+    ``_within_parameter_gate`` on ``DEFAULT_AXIOM_WINDOW`` is read and
+    NotAModule raised when it rejects the action.  A rational mu must be 0
+    or 1 even where the window shows no defect; a fully symbolic mu passes
+    as long as every residual defect is divisible by mu^2 - mu, since those
+    actions specialize to genuine modules.  ``require_module=False`` skips
+    the gate entirely for callers probing well-definedness itself.
     """
     if require_module:
-        _gate_or_raise(tri, axiom_window)
+        _gate_or_raise(tri)
     return ModVec.combine((tri_apply(tri, u, w, v), c)
                           for (u, w), c in d._terms.items())
 
 
 def check_induced(tri: TriAction, lie: LieAction,
                   window: Iterable[int] = DEFAULT_PAIR_WINDOW,
-                  probes=None,
-                  axiom_window: Iterable[int] = DEFAULT_AXIOM_WINDOW,
-                  ) -> DefectReport:
+                  probes=None) -> DefectReport:
     """Compare the action induced from a ternary module with a Lie action.
 
     Every generator in the window is expanded into pair derivations,
     pushed through the ternary action, and matched against the Lie action
-    on every probe.  Propagates NotAModule when the ternary side fails its
-    axioms on the axiom window.
+    on every probe.  Propagates NotAModule when the gate of ``induce_apply``
+    rejects the ternary side.
     """
-    _gate_or_raise(tri, axiom_window)
+    _gate_or_raise(tri)
     gens = window_generators(window)
     pv = [(p, ModVec.term(p)) for p in _probe_keys(probes)]
     found = []

@@ -79,11 +79,10 @@ class DefectReport:
         return (f"{self.label}: {self.cases} cases, "
                 f"{len(self.entries)} defects, {verdict}")
 
-    def text_lines(self, limit: int = 20) -> list:
-        lines = [self.summary()]
-        for entry in self.entries[:limit]:
-            lines.append("  " + entry.line())
-        hidden = len(self.entries) - limit
+    def text_lines(self) -> list:
+        shown = self.entries[:20]
+        lines = [self.summary()] + ["  " + entry.line() for entry in shown]
+        hidden = len(self.entries) - len(shown)
         if hidden > 0:
             lines.append(f"  ... and {hidden} more defects")
         return lines

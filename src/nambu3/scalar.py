@@ -274,16 +274,25 @@ class Scalar:
     def __pow__(self, exp: int):
         if not isinstance(exp, int) or exp < 0:
             raise ValueError("scalar exponent must be a nonnegative integer")
-        # square and multiply: the squares are self^(2^k) with 2^k <= exp,
-        # so none leaves the exponent bound unless the result does
-        acc, base = Scalar(1), self
-        while exp:
-            if exp & 1:
-                acc = acc * base
-            exp >>= 1
-            if exp:
-                base = base * base
-        return acc
+        if not exp:
+            return Scalar(1)
+        # a symbol's top exponent in self^exp is exp times its top exponent
+        # in self (a product of nonzero polynomials is nonzero), so this
+        # refuses exactly the powers that leave the bound
+        for mono in self._terms:
+            for name, e in mono:
+                if e * exp >= EXPONENT_LIMIT:
+                    raise ExponentOverflow(
+                        f"exponent {e * exp} of {name} exceeds the 16-bit bound")
+        if len(self._terms) > 1:
+            # repeated products: each multiplies the power by the small base,
+            # where squaring would multiply two large powers
+            acc = self
+            for _ in range(exp - 1):
+                acc = acc * self
+            return acc
+        return Scalar._make({tuple((n, e * exp) for n, e in m): _q(c ** exp)
+                             for m, c in self._terms.items()})
 
     # -- evaluation ---------------------------------------------------------
 

@@ -10,10 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nambu3 import algebra
-from nambu3.algebra import (AUTO_PARALLEL_CASES, AlgElem, BasisKey, L, M,
-                            _resolve_parallelism, assoc_mul, basis_elem,
-                            bracket, bracket_det, bracket_keys,
-                            check_fundamental, delta, omega)
+from nambu3.algebra import (AlgElem, BasisKey, L, M, _resolve_parallelism,
+                            assoc_mul, basis_elem, bracket, bracket_det,
+                            bracket_keys, check_fundamental, delta, omega)
 from nambu3.errors import IndexOverflow
 from nambu3.linear import accumulate
 from nambu3.reports import DefectEntry, DefectReport
@@ -157,19 +156,12 @@ def test_fundamental_identity_parallel_matches_serial():
 
 def test_worker_count_is_clamped(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    assert _resolve_parallelism(10 ** 6, 10 ** 6, 14) == 4
-    assert _resolve_parallelism(3, 10 ** 6, 14) == 3
-    assert _resolve_parallelism(8, 10 ** 6, 2) == 2
-    assert _resolve_parallelism(0, 10 ** 6, 14) == 4
-    assert _resolve_parallelism(0, 100, 14) == 1
-    assert _resolve_parallelism(1, 10 ** 6, 14) == 1
-    # auto stays serial below the threshold: -2..2 (10^5 cases) and -3..2
-    # (12^5) ran slower on two workers than on one, -3..3 (14^5) faster
-    assert _resolve_parallelism(0, 10 ** 5, 10) == 1
-    assert _resolve_parallelism(0, 12 ** 5, 12) == 1
-    assert _resolve_parallelism(0, 14 ** 5, 14) == 4
-    assert _resolve_parallelism(0, AUTO_PARALLEL_CASES - 1, 12) == 1
-    assert _resolve_parallelism(0, AUTO_PARALLEL_CASES, 12) == 4
+    assert _resolve_parallelism(10 ** 6, 14) == 4
+    assert _resolve_parallelism(3, 14) == 3
+    assert _resolve_parallelism(8, 2) == 2
+    assert _resolve_parallelism(1, 14) == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _resolve_parallelism(4, 14) == 1
 
 
 class SerialPool:

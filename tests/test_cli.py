@@ -214,6 +214,18 @@ def test_check_pullback_phi_expected_failure(capsys):
     assert out.rstrip().endswith("expected failure found: yes")
 
 
+@pytest.mark.parametrize("window, cases", [
+    ("0..0", 96), ("-1..0", 1536), ("1..2", 1536)])
+def test_check_pullback_phi_needs_a_defect_on_the_window(capsys, window,
+                                                          cases):
+    # the pinned witness alone is not enough: a window whose sweep finds no
+    # rational defect has not shown the failure, so the suite exits 1
+    code, out, _ = run(capsys, "check", "pullback-phi", "--window", window)
+    assert code == 1
+    assert f"tri-axiom-2: {cases} cases, 0 defects, pass" in out.splitlines()
+    assert out.rstrip().endswith("expected failure found: NO")
+
+
 # -- machine output determinism ----------------------------------------------------------
 
 
@@ -353,7 +365,7 @@ def test_bad_mu_is_config_error(capsys):
     (("check", "fi", "--parallelism", "9" * 5000), "--parallelism",
      "integer literal longer than 1000 digits"),
     (("check", "fi", "--parallelism", "-" + "9" * 900), "--parallelism",
-     "expected an integer >= 0 (0 = auto)")])
+     "expected an integer >= 1")])
 def test_overlong_flag_values_are_cut_in_the_refusal(capsys, argv, flag,
                                                      detail):
     code, out, err = run(capsys, *argv)
@@ -418,7 +430,7 @@ def test_parse_error_exits_2(capsys):
     ("bracket", "L[99999999999999]", "L[1]", "L[0]"),
     # in-range inputs whose bracket index leaves the cap
     ("bracket", "L[1099511627776]", "L[1099511627775]", "M[-1099511627776]"),
-    # exponent 2^16 by one squaring
+    # exponent 2^16 from a one-term power
     ("bracket", "(mu^256)^256 L[1]", "L[1]", "M[3]"),
     # two points cannot decide action equality
     ("decompose", "ad(L[1],M[2])", "--verify", "--window", "0..1"),
@@ -586,7 +598,7 @@ def test_suite_case_formula_matches_the_sweep(capsys, suite, window, points,
     (("check", "module-t", "--parallelism", "2", "--window", "-1..1"),
      "--parallelism"),
     (("check", "pullback-phi", "--lambda", "sym"), "--lambda"),
-    (("check", "induced-psi", "--mu", "1", "--parallelism", "0"),
+    (("check", "induced-psi", "--mu", "1", "--parallelism", "2"),
      "--parallelism"),
     (("orbit", "phi", "--lambda", "5", "--start", "1"), "--lambda"),
 ])
@@ -624,13 +636,13 @@ def test_unknown_suite_exits_2(capsys):
 
 def test_bad_parallelism_is_config_error(capsys):
     # the grammar of every other number flag: no underscores, no plus sign,
-    # no decimals and only ASCII digits
-    for text in ("1_0", "+2", "0.5", "1e3", "\u0661", "", "x", "-3"):
+    # no decimals and only ASCII digits; and no auto mode, so 0 is refused
+    for text in ("1_0", "+2", "0.5", "1e3", "\u0661", "", "x", "-3", "0"):
         code, out, err = run(capsys, "check", "fi", "--window", "0..0",
                              "--parallelism", text)
         assert (code, out) == (2, "")
         assert err == (f"error: bad --parallelism {text!r}: "
-                       "expected an integer >= 0 (0 = auto)\n")
+                       "expected an integer >= 1\n")
 
 
 def test_negative_parallelism_is_config_error(capsys):

@@ -19,7 +19,8 @@ from nambu3.repmod import (ACTION_MEMO_SIZE, InducedLieAction,
                            LieShiftAction, ModVec, OrbitReport,
                            PullbackTriAction, TriWeightAction, WeightKey,
                            _alpha, _interned, _lie_key_terms,
-                           _tri_key_terms, _verdict,
+                           _module_verdict, _tri_key_terms,
+                           _within_parameter_gate,
                            action_family, action_parameters, check_induced,
                            check_lie_module, check_tri_axiom1,
                            check_tri_axiom2, counterexample_phi,
@@ -375,8 +376,8 @@ def test_kernel_caches_are_bounded():
 
 
 def test_verify_module_is_cached_and_merged():
-    rep1 = verify_module(weight_action(None, 1), range(-1, 2))
-    rep2 = verify_module(weight_action(None, 1), range(-1, 2))
+    rep1 = verify_module(weight_action(None, 1))
+    rep2 = verify_module(weight_action(None, 1))
     assert rep1 is rep2
     assert rep1.passed
 
@@ -655,8 +656,7 @@ def test_check_lie_module_reports_a_skewed_table(monkeypatch):
 
 
 def test_induced_action_satisfies_lie_commutators():
-    induced = InducedLieAction(weight_action(None, 1),
-                               axiom_window=tuple(range(-1, 2)))
+    induced = InducedLieAction(weight_action(None, 1))
     assert check_lie_module(induced, range(-2, 3)).passed
 
 
@@ -667,8 +667,7 @@ def test_induced_action_satisfies_lie_commutators():
 def test_check_induced_passes_for_module_parameters(mu_val):
     tri = weight_action(None, mu_val)
     lie = shift_action(None, mu_val)
-    report = check_induced(tri, lie, range(-2, 3),
-                           axiom_window=range(-1, 2))
+    report = check_induced(tri, lie, range(-2, 3))
     assert report.passed
 
 
@@ -676,7 +675,7 @@ def test_check_induced_reports_a_mismatched_lie_action():
     # lam = 0 on the ternary side and 1 on the Lie side: each p generator is
     # off by its shifted probe, while q, x and z act as zero on both sides
     report = check_induced(weight_action(0, 1), shift_action(1, 1),
-                           range(-1, 2), axiom_window=range(-1, 2))
+                           range(-1, 2))
     assert (report.cases, len(report.entries)) == (72, 18)
     assert ('{"axiom":"induced-match","defect":"-1 v[0]",'
             '"family":"psi vs induced(T)","indices":["p","-1"],'
@@ -688,42 +687,38 @@ def test_check_induced_rejects_mu2():
     tri = weight_action(None, 2)
     lie = shift_action(None, 2)
     with pytest.raises(NotAModule) as exc:
-        check_induced(tri, lie, range(-2, 3), axiom_window=range(-1, 2))
+        check_induced(tri, lie, range(-2, 3))
     assert not exc.value.report.passed
 
 
 def test_induce_apply_gate():
     tri = weight_action(None, 2)
     with pytest.raises(NotAModule):
-        induce_apply(tri, ad(L(1), M(0)), V("a0"),
-                     axiom_window=range(-1, 2))
+        induce_apply(tri, ad(L(1), M(0)), V("a0"))
     out = induce_apply(tri, ad(L(1), M(0)), V("a0"), require_module=False)
     assert not out.is_zero
     with pytest.raises(NotAModule):
         induce_apply(weight_action(None, Fraction(1, 3)), ad(L(1), M(0)),
-                     V("a0"), axiom_window=range(-1, 2))
+                     V("a0"))
 
 
 def test_gate_refuses_rational_mu_outside_0_1_on_a_clean_window():
     # both axioms hold on the one-point window at mu = 2, but 2 is not a
     # root of mu^2 - mu, so the action is still no module
     tri = weight_action(None, 2)
-    report, accepted = _verdict(tri, range(0, 1))
+    report, accepted = _module_verdict(tri, range(0, 1))
     assert report.passed and not accepted
     with pytest.raises(NotAModule):
-        induce_apply(tri, pqxz_to_deriv(P(1)), ModVec.term(weight_key(0)),
-                     axiom_window=range(0, 1))
+        induce_apply(tri, pqxz_to_deriv(P(1)), ModVec.term(weight_key(0)))
 
 
 def test_induce_apply_gate_admits_symbolic_parameters():
     # residual axiom defects divisible by mu^2 - mu specialize away
     tri = weight_action()
-    got = induce_apply(tri, ad(L(0), M(-2)), V("a0"),
-                       axiom_window=range(-1, 2))
+    got = induce_apply(tri, ad(L(0), M(-2)), V("a0"))
     a0 = Scalar(weight_tag(0))
     assert got == V("a0", -2) * (lam + a0 - mu * 2)
-    assert induce_apply(tri, KERNEL_RELATION, V("a0"),
-                        axiom_window=range(-1, 2)).is_zero
+    assert induce_apply(tri, KERNEL_RELATION, V("a0")).is_zero
 
 
 def test_module_gate_tests_each_distinct_coefficient_once(monkeypatch):
@@ -746,6 +741,30 @@ def test_module_gate_tests_each_distinct_coefficient_once(monkeypatch):
     distinct = {c for e in report.entries for _, c in e.defect.items()}
     assert len(report.entries) == 14400
     assert len(calls) == len(set(calls)) == len(distinct) == 18
+
+
+@pytest.mark.parametrize("axiom, accepted", [
+    ("tri-axiom-1", False), ("tri-axiom-2", True)])
+def test_gate_needs_a_clean_first_axiom_for_symbolic_mu(axiom, accepted):
+    # a defect in the ideal (mu^2 - mu) is admitted only from the second
+    # axiom; no shipped action has such a first-axiom defect
+    entry = DefectEntry(axiom, ("L", 0, "L", 0, "L", 0, "L", 0),
+                        V("a0") * MU_GATE, "v[a0]")
+    report = DefectReport("module-axioms", 1, [entry])
+    assert _within_parameter_gate(weight_action(), report) is accepted
+
+
+def test_one_gate_entry_serves_every_reader_of_an_action():
+    import nambu3.repmod as repmod
+
+    tri, lie = weight_action(None, 1), shift_action(None, 1)
+    repmod._module_gate.cache_clear()
+    assert check_induced(tri, lie).passed
+    assert verify_module(tri).passed
+    for probe in default_probes():
+        induce_apply(tri, KERNEL_RELATION, ModVec.term(probe))
+    info = repmod._module_gate.cache_info()
+    assert (info.misses, info.hits) == (1, 7)
 
 
 def test_induced_formula_matches_shift_action_for_any_mu():
@@ -793,7 +812,7 @@ def test_kernel_relations_act_as_zero_for_all_parameters():
 def test_kernel_relations_act_as_zero_through_the_gate(mu_val):
     tri = weight_action(None, mu_val)
     for rel in _kernel_relations():
-        out = induce_apply(tri, rel, V("a0"), axiom_window=range(-1, 2))
+        out = induce_apply(tri, rel, V("a0"))
         assert out.is_zero
 
 

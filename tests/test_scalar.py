@@ -106,10 +106,12 @@ def test_power():
     assert (mu + 1) ** 2 == mu * mu + mu * 2 + 1
     with pytest.raises(ValueError):
         (mu + 1) ** -1
-    # 16 squarings, not 65,535 products
+    # a one-term base is raised directly, not by 65,535 products
     assert Scalar(1) ** (EXPONENT_LIMIT - 1) == Scalar(1)
     assert Scalar(-1) ** (EXPONENT_LIMIT - 1) == Scalar(-1)
     assert str(mu ** (EXPONENT_LIMIT - 1)) == f"mu^{EXPONENT_LIMIT - 1}"
+    cube = lam * lam * lam * mu * mu * mu * Fraction(-8, 27)
+    assert (lam * mu * Fraction(-2, 3)) ** 3 == cube
 
 
 @given(scalars(), st.integers(0, 9))
@@ -127,6 +129,9 @@ def test_exponent_overflow_guard():
         big * (mu ** 60000)
     with pytest.raises(ExponentOverflow):
         (mu ** 256) ** 256
+    # a multi-term power is refused before its first product
+    with pytest.raises(ExponentOverflow, match="exponent 90000 of mu"):
+        (mu ** 30000 + lam) ** 3
 
 
 def test_monomial_memo_keeps_products_exact():

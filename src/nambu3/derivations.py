@@ -23,10 +23,11 @@ same way.
 
 ``pqxz_bracket`` tabulates the commutator of generators as operators;
 ``check_pqxz_table`` replays every table entry against actual operator
-composition on basis probes.  ``deriv_equal`` decides action equality on a
-window: each generator action coefficient is affine in the probe index
-within a fixed shift pattern, so two probe points per pattern already decide
-equality and three give margin, hence the >= 3 point requirement.
+composition on basis probes in ``_commutator_scan``, which ``repmod``'s Lie
+module check shares.  ``deriv_equal`` decides action equality on a window:
+each generator action coefficient is affine in the probe index within a
+fixed shift pattern, so two probe points per pattern already decide equality
+and three give margin, hence the >= 3 point requirement.
 """
 from __future__ import annotations
 
@@ -293,6 +294,42 @@ def deriv_equal(d1: DerivExpr, d2: DerivExpr,
     return True
 
 
+def _commutator_scan(gens: tuple, probes: tuple, kernel: Callable,
+                     key_bracket: Callable) -> list:
+    """Defects of a(b v) - b(a v) = [a, b] v over generators a, b in ``gens``
+    and probe keys v, as ``(ka, kb, probe, {key: coeff})``; ``kernel(k, key)``
+    gives k's terms on a key, once per key.  Each unordered pair composes once
+    for both orders, and each order subtracts its own ``key_bracket``."""
+    rows = _SweepTable(kernel, probes)
+    found = []
+    for j, ka in enumerate(gens):
+        ra = rows[ka,]
+        for kb in gens[j:]:
+            rb = rows[kb,]
+            # each order with its negated table coefficients, converted once
+            orders = [(x, y, neg,
+                       [(rows[kt,].seq, -_q(ct.as_rational))
+                        for kt, ct in key_bracket(x, y)._terms.items()])
+                      for x, y, neg in ((ka, kb, False), (kb, ka, True))
+                      if not neg or ka != kb]
+            for i, probe in enumerate(probes):
+                ab: dict = {}
+                for key, c in rb.seq[i]:
+                    for k2, c2 in ra[key]:
+                        accumulate(ab, k2, c * c2)
+                for key, c in ra.seq[i]:
+                    for k2, c2 in rb[key]:
+                        accumulate(ab, k2, -c * c2)
+                for x, y, neg, table in orders:
+                    acc = {k: -c for k, c in ab.items()} if neg else dict(ab)
+                    for seq, ct in table:
+                        for k2, c2 in seq[i]:
+                            accumulate(acc, k2, ct * c2)
+                    if acc:
+                        found.append((x, y, probe, acc))
+    return found
+
+
 def check_pqxz_table(window: Iterable[int] = DEFAULT_PAIR_WINDOW,
                      key_apply: Callable = pqxz_key_apply,
                      key_bracket: Callable = pqxz_key_bracket) -> DefectReport:
@@ -300,41 +337,17 @@ def check_pqxz_table(window: Iterable[int] = DEFAULT_PAIR_WINDOW,
 
     For every generator pair and every basis probe in the window, compares
     apply(a, apply(b, probe)) - apply(b, apply(a, probe)) with the table
-    bracket applied to the probe.  ``key_apply``/``key_bracket`` are
-    injectable so a deliberately corrupted table is detectable.
+    bracket applied to the probe (``_commutator_scan``).  ``key_apply`` and
+    ``key_bracket`` are injectable so a corrupted table is detectable.
     """
+    def terms(k, b):
+        hit = key_apply(k, b)
+        return () if hit is None else ((hit[1], hit[0]),)
     gens = window_generators(window)
     probes = window_keys(window)
-    # one row per generator: its action on each key, one key_apply call per
-    # distinct (generator, key) in this sweep
-    rows = _SweepTable(key_apply, probes)
-    found = []
-    for ka in gens:
-        ra = rows[ka,]
-        for kb in gens:
-            rb = rows[kb,]
-            # negated table coefficients, converted once per generator pair
-            table = [(rows[kt,].seq, -_q(ct.as_rational))
-                     for kt, ct in key_bracket(ka, kb)._terms.items()]
-            for i, probe in enumerate(probes):
-                acc: dict = {}
-                hit = rb.seq[i]
-                if hit is not None:
-                    back = ra[hit[1]]
-                    if back is not None:
-                        accumulate(acc, back[1], hit[0] * back[0])
-                hit = ra.seq[i]
-                if hit is not None:
-                    back = rb[hit[1]]
-                    if back is not None:
-                        accumulate(acc, back[1], -hit[0] * back[0])
-                for seq, ct in table:
-                    hit = seq[i]
-                    if hit is not None:
-                        accumulate(acc, hit[1], ct * hit[0])
-                if acc:
-                    found.append(((ka, kb, probe), None,
-                                  AlgElem(list(acc.items()))))
+    found = [((ka, kb, probe), None, AlgElem(list(acc.items())))
+             for ka, kb, probe, acc in _commutator_scan(
+                 gens, probes, terms, key_bracket)]
     return sweep_report("generator-commutator-table",
                         len(gens) ** 2 * len(probes), found,
                         axiom="generator-commutator", family="derivations")

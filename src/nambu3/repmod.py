@@ -52,9 +52,9 @@ and sums, building a vector of the interned Scalars only for an actual
 defect; the grids are large and the distinct coefficients few.
 
 ``orbit_probe`` walks weight keys, not vectors: each windowed generator is
-a kernel from a key to its merged nonzero terms (``_tri_key_terms``,
-``_lie_key_terms``, or ``lie_apply`` on a one-key vector for an induced
-action), and a line's images are the keys of those terms.
+a kernel from a key to its merged nonzero terms (``_tri_key_terms``, or
+``_lie_kernel``, which ``check_lie_module`` sweeps too), and a line's images
+are the keys of those terms.
 
 ``check_tri_axiom2`` reports each defect as (sum of composed pair actions)
 minus (action of the bracketed triple).  It evaluates a case once per cyclic
@@ -75,8 +75,8 @@ from typing import Iterable, NamedTuple, Union
 from .algebra import (AlgElem, BasisKey, L, M, _SweepTable, bracket_keys,
                       window_keys)
 from .derivations import (DEFAULT_PAIR_WINDOW, DerivExpr, PqxzElem, PqxzKey,
-                          pair_to_pqxz, pqxz_key_bracket, pqxz_to_deriv,
-                          window_generators)
+                          _commutator_scan, pair_to_pqxz, pqxz_key_bracket,
+                          pqxz_to_deriv, window_generators)
 from .errors import NotAModule, NotEigenvector
 from .linear import LinComb, accumulate
 from .reports import DefectReport, sweep_report
@@ -436,6 +436,14 @@ def lie_elem_apply(action: LieAction, e: PqxzElem, v: ModVec) -> ModVec:
                           for key, c in e._terms.items())
 
 
+def _lie_kernel(action: LieAction):
+    """(generator, weight key) -> a tuple of terms; sweep rows hash them."""
+    if isinstance(action, InducedLieAction):
+        return lambda k, key: tuple(
+            lie_apply(action, k, ModVec.term(key))._terms.items())
+    return partial(_lie_key_terms, action)
+
+
 # -- probe policy ----------------------------------------------------------------
 
 
@@ -599,12 +607,8 @@ def _orbit_kernels(action, window) -> list:
         keys = window_keys(window)
         return [partial(_tri_key_terms, action, x, y)
                 for x in keys for y in keys if x != y]
-    if isinstance(action, InducedLieAction):
-        return [lambda key, k=g: lie_apply(action, k,
-                                           ModVec.term(key))._terms.items()
-                for g in window_generators(window)]
-    return [partial(_lie_key_terms, action, g)
-            for g in window_generators(window)]
+    kernel = _lie_kernel(action)
+    return [partial(kernel, g) for g in window_generators(window)]
 
 
 def orbit_probe(action, start: WeightKey,
@@ -658,18 +662,11 @@ def check_lie_module(action: LieAction,
                      probes=None) -> DefectReport:
     """Generator commutators must act as the bracketed generator does."""
     gens = window_generators(window)
-    pv = [(p, ModVec.term(p)) for p in _probe_keys(probes)]
-    found = []
-    for ka in gens:
-        for kb in gens:
-            table = pqxz_key_bracket(ka, kb)
-            for probe, v in pv:
-                defect = (lie_apply(action, ka, lie_apply(action, kb, v))
-                          - lie_apply(action, kb, lie_apply(action, ka, v))
-                          - lie_elem_apply(action, table, v))
-                if defect:
-                    found.append(((ka, kb), probe, defect))
-    return sweep_report("lie-commutator", len(gens) ** 2 * len(pv), found,
+    probes = _probe_keys(probes)
+    found = [((ka, kb), probe, ModVec._of(acc))
+             for ka, kb, probe, acc in _commutator_scan(
+                 gens, probes, _lie_kernel(action), pqxz_key_bracket)]
+    return sweep_report("lie-commutator", len(gens) ** 2 * len(probes), found,
                         axiom="lie-commutator", family=action_family(action),
                         parameters=action_parameters(action))
 

@@ -5,8 +5,9 @@ stdout sha256, the 14,400-line ``--output machine`` stream of
 ``check module-t`` among them.  This runs every job that has an ``argv``
 through ``cli.main`` and judges it with the benchmark's own ``judge_job``,
 so a change to those bytes fails here and not only in a benchmark run.
-Every symbolic-modules job also runs as a traced benchmark child, which
-must pass ``judge_job`` and whose reports must count the pinned cases.
+Every symbolic-modules and integer-sweeps job also runs as a traced
+benchmark child, which must pass ``judge_job`` and whose reports must count
+the pinned cases.
 """
 import hashlib
 import importlib.util
@@ -48,7 +49,8 @@ def test_benchmark_job_matches_its_pinned_output(capsys, job):
     assert _WORKLOADS.judge_job(job, result) is None
 
 
-@pytest.mark.parametrize("job", _WORKLOADS.JOBS["symbolic-modules"],
+@pytest.mark.parametrize("job", _WORKLOADS.JOBS["symbolic-modules"]
+                         + _WORKLOADS.JOBS["integer-sweeps"],
                          ids=lambda job: job.name)
 def test_traced_benchmark_job_counts_its_pinned_cases(job):
     # the child the benchmark starts, with the layer tracer installed

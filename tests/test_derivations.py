@@ -8,10 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from nambu3.algebra import (AlgElem, BasisKey, L, M, basis_elem, bracket,
                             window_keys)
-from nambu3.derivations import (P, Q, X, Z, DerivExpr, ad, ad_apply,
-                                check_pqxz_table, deriv_equal, deriv_to_pqxz,
-                                pair_to_pqxz, pqxz_apply, pqxz_bracket,
-                                pqxz_elem_apply, pqxz_key_apply,
+from nambu3.derivations import (P, Q, X, Z, DerivExpr, PqxzElem, ad,
+                                ad_apply, check_pqxz_table, deriv_equal,
+                                deriv_to_pqxz, pair_to_pqxz, pqxz_apply,
+                                pqxz_bracket, pqxz_elem_apply, pqxz_key_apply,
                                 pqxz_key_bracket, pqxz_to_deriv,
                                 window_generators)
 from nambu3.errors import WindowTooSmall
@@ -284,6 +284,19 @@ def test_table_sweep_matches_reference_route(window):
     expected = _reference_table_records(window, key_apply)
     assert expected
     report = check_pqxz_table(window, key_apply=key_apply)
+    assert [e.record() for e in report.entries] == expected
+
+
+def test_table_sweep_matches_reference_route_under_a_skewed_bracket():
+    # a bracket that is neither antisymmetric nor zero on the diagonal, so
+    # each order of a pair, and the pair (a, a), needs its own table entry
+    def skewed(k1, k2):
+        out = pqxz_key_bracket(k1, k2)
+        return out + PqxzElem.term(P(0)) if k1.family == "p" else out
+
+    expected = _reference_table_records(range(-1, 2), pqxz_key_apply, skewed)
+    assert any(e["indices"][:2] == e["indices"][2:4] for e in expected)
+    report = check_pqxz_table(range(-1, 2), key_bracket=skewed)
     assert [e.record() for e in report.entries] == expected
 
 

@@ -11,10 +11,11 @@ from hypothesis import given, settings, strategies as st
 
 from nambu3.algebra import L, M, bracket_keys, check_fundamental, window_keys
 from nambu3.derivations import (P, Q, X, Z, ad, check_pqxz_table,
-                                pqxz_to_deriv, window_generators)
+                                pqxz_key_bracket, pqxz_to_deriv,
+                                window_generators)
 from nambu3.errors import NotAModule
 from nambu3.linear import accumulate
-from nambu3.reports import DefectEntry, DefectReport
+from nambu3.reports import DefectEntry, DefectReport, sweep_report
 from nambu3.repmod import (ACTION_MEMO_SIZE, InducedLieAction,
                            LieShiftAction, ModVec, OrbitReport,
                            PullbackTriAction, TriWeightAction, WeightKey,
@@ -25,6 +26,7 @@ from nambu3.repmod import (ACTION_MEMO_SIZE, InducedLieAction,
                            check_lie_module, check_tri_axiom1,
                            check_tri_axiom2, counterexample_phi,
                            default_probes, induce_apply, lie_apply,
+                           lie_elem_apply,
                            orbit_probe, pullback_candidate, shift_action,
                            tri_apply, verify_module, weight_action,
                            weight_key, weight_report, zero_twist_action)
@@ -655,9 +657,100 @@ def test_check_lie_module_reports_a_skewed_table(monkeypatch):
             '"probe":"v[1]"}') in report.machine_lines()
 
 
+def _reference_lie_records(action, window) -> list:
+    # reference route: each case on its own, as vectors, with no shared rows
+    gens = window_generators(window)
+    pv = [(p, ModVec.term(p)) for p in default_probes()]
+    found = []
+    for ka in gens:
+        for kb in gens:
+            table = pqxz_key_bracket(ka, kb)
+            for probe, v in pv:
+                defect = (lie_apply(action, ka, lie_apply(action, kb, v))
+                          - lie_apply(action, kb, lie_apply(action, ka, v))
+                          - lie_elem_apply(action, table, v))
+                if defect:
+                    found.append(((ka, kb), probe, defect))
+    report = sweep_report("lie-commutator", len(gens) ** 2 * len(pv), found,
+                          axiom="lie-commutator", family=action_family(action),
+                          parameters=action_parameters(action))
+    return [e.record() for e in report.entries]
+
+
+def _lie_terms_mutant(shift=-1, twist=lambda mu, r: (mu - r) * r,
+                      extra=lambda mu, r: 0):
+    # _lie_key_terms for psi and phi with the direction of the p shift,
+    # phi's zero-line coefficient or an extra psi term replaced
+    def terms(action, k, key):
+        if k.family != "p":
+            return ()
+        r = k.index
+        if isinstance(action, LieShiftAction):
+            coeff = (action.lam + key.alpha() - action.mu * r
+                     + extra(action.mu, r))
+        elif key.is_zero_weight:
+            coeff = twist(action.mu, r)
+        else:
+            coeff = key.alpha() - r
+        return ((key.shift(shift * r), coeff),) if coeff else ()
+
+    return terms
+
+
+# mutant kernel -> (psi defects, phi defects) on -3..3; the twist r(mu + r)
+# is still a module, like every twist a*r + b*r^2
+_LIE_MUTANTS = {
+    "unchanged": (_lie_terms_mutant(), 0, 0),
+    "p-shift-flipped": (_lie_terms_mutant(shift=1), 252, 236),
+    "phi-twist-plus-1": (_lie_terms_mutant(
+        twist=lambda mu, r: (mu - r) * r + 1), 0, 42),
+    "psi-plus-mu-r2": (_lie_terms_mutant(
+        extra=lambda mu, r: mu * (r * r)), 180, 0),
+    "phi-twist-mu-plus-r": (_lie_terms_mutant(
+        twist=lambda mu, r: (mu + r) * r), 0, 0),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(_LIE_MUTANTS))
+def test_lie_sweep_matches_reference_route(monkeypatch, mutant):
+    import nambu3.repmod as repmod
+
+    kernel, *counts = _LIE_MUTANTS[mutant]
+    monkeypatch.setattr(repmod, "_lie_key_terms", kernel)
+    for action, count in zip((shift_action(), zero_twist_action()), counts):
+        expected = _reference_lie_records(action, range(-3, 4))
+        assert len(expected) == count
+        report = check_lie_module(action, range(-3, 4))
+        assert [e.record() for e in report.entries] == expected
+
+
 def test_induced_action_satisfies_lie_commutators():
     induced = InducedLieAction(weight_action(None, 1))
     assert check_lie_module(induced, range(-2, 3)).passed
+    assert _reference_lie_records(induced, range(-2, 3)) == []
+
+
+@pytest.mark.parametrize("action", [shift_action(), zero_twist_action()],
+                         ids=["psi", "phi"])
+def test_lie_check_applies_each_generator_once_per_key(monkeypatch, action):
+    import nambu3.repmod as repmod
+
+    calls, reference = [], []
+
+    def counting(record):
+        def terms(action, k, key):
+            record.append((k, key))
+            return _lie_key_terms(action, k, key)
+
+        return terms
+
+    monkeypatch.setattr(repmod, "_lie_key_terms", counting(calls))
+    assert check_lie_module(action, range(-2, 3)).passed
+    assert calls and len(calls) == len(set(calls))
+    # and to exactly the keys evaluating each case on its own reaches
+    monkeypatch.setattr(repmod, "_lie_key_terms", counting(reference))
+    assert _reference_lie_records(action, range(-2, 3)) == []
+    assert set(calls) == set(reference)
 
 
 # -- induction -------------------------------------------------------------------------------

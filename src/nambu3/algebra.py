@@ -18,7 +18,8 @@ The two must agree everywhere; keeping both gives a structural oracle for
 the table.  ``check_fundamental`` sweeps the ternary Jacobi identity over a
 finite index window, as lookups in a table local to the sweep that makes
 each distinct bracket once (``_SweepTable``, the one table type of every
-sweep: the commutator table and the module axioms use it too).  Indices are
+sweep).  ``_SweepTables`` adds the interned coefficient arithmetic that the
+commutator scan and the module axioms compute with.  Indices are
 Laurent-mode integers capped at +/-2^40; a window index (sweeps take their
 keys from ``window_keys``) or index arithmetic that leaves the cap raises
 IndexOverflow.  The bracket lowers no degree bound and shifts indices by at
@@ -30,6 +31,7 @@ conclusive for the table.
 from __future__ import annotations
 
 import os
+from functools import partial
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from .errors import IndexOverflow
@@ -223,6 +225,102 @@ class _SweepTable(dict):
         row = self[head] = _TableRow(self.fn, head, self.hits)
         row.seq = [row[k] for k in self.keys]
         return row
+
+
+def _intern(ids: dict, values: list, c) -> int:
+    """The id of ``c`` among one sweep's coefficients, added on first sight;
+    every zero is id 0, as an ``int`` 0 and a zero Scalar hash apart."""
+    if not c:
+        return 0
+    i = ids.get(c)
+    if i is None:
+        i = ids[c] = len(values)
+        values.append(c)
+    return i
+
+
+def _interned_terms(kernel: Callable, ids: dict, values: list, *args) -> tuple:
+    """``kernel(*args)`` as ``(key, id)`` pairs, each id that of the
+    coefficient among one sweep's interned ones."""
+    return tuple((k, _intern(ids, values, c)) for k, c in kernel(*args))
+
+
+class _SweepTables:
+    """The kernel rows and the coefficient arithmetic of one sweep.
+
+    ``rows[head][key]`` is ``_interned_terms`` of ``kernel(*head, key)``,
+    and ``rows[head].seq`` holds it at the probe keys.  Every coefficient
+    the sweep makes is interned (``values[i]`` has id ``i``, and id 0 is
+    zero), so rows, products, sums and accumulators hold ints, and each
+    distinct product (``(c, c2, sign)`` composed, ``(c2, b)`` scaled) and
+    sum ``(tot, p)`` is computed once per sweep.
+    """
+
+    def __init__(self, kernel: Callable, probes: tuple):
+        self.values: list = [0]
+        self.ids: dict = {}
+        # a partial, not a bound method: no row refers back to the tables
+        self.rows = _SweepTable(
+            partial(_interned_terms, kernel, self.ids, self.values), probes)
+        self.prods: dict = {}
+        self.sums: dict = {}
+
+    def _add(self, acc: dict, key, p: int) -> None:
+        """Add the coefficient with id ``p`` into acc[key], dropping the key
+        when the sum is zero."""
+        tot = acc.get(key)
+        if tot is not None:
+            s = self.sums.get((tot, p))
+            if s is None:
+                values = self.values
+                s = self.sums[tot, p] = _intern(self.ids, values,
+                                                values[tot] + values[p])
+            p = s
+        if p:
+            acc[key] = p
+        else:
+            acc.pop(key, None)
+
+    def compose_into(self, acc: dict, row: dict, terms,
+                     sign: int = 1) -> None:
+        """Add sign * (row's operator applied to the vector ``terms``)."""
+        prods, add = self.prods, self._add
+        for key, c in terms:
+            for k2, c2 in row[key]:
+                pk = (c, c2, sign)
+                p = prods.get(pk)
+                if p is None:
+                    p = prods[pk] = self._product(c, c2, sign)
+                add(acc, k2, p)
+
+    def _product(self, c: int, c2: int, sign: int) -> int:
+        # the product made with the other sign, if any, is negated instead
+        values = self.values
+        other = self.prods.get((c, c2, -sign))
+        if other is not None:
+            prod = -values[other]
+        else:
+            prod = values[c] * values[c2]
+            if sign < 0:
+                prod = -prod
+        return _intern(self.ids, values, prod)
+
+    def scale_into(self, acc: dict, terms, b) -> None:
+        """Add each term of ``terms`` times the rational ``b``."""
+        prods, values, add = self.prods, self.values, self._add
+        for k2, c2 in terms:
+            pk = (c2, b)
+            p = prods.get(pk)
+            if p is None:
+                p = prods[pk] = _intern(self.ids, values, values[c2] * b)
+            add(acc, k2, p)
+
+    def coeffs(self, acc: dict, sign: int = 1) -> dict:
+        """A case's accumulator over the interned coefficients, times
+        ``sign``."""
+        values = self.values
+        return {k: values[i] if sign > 0 else -values[i]
+                for k, i in acc.items()}
 
 
 def _fi_scan(first_keys: tuple, keys: tuple, kb: Optional[Callable]) -> list:

@@ -23,19 +23,20 @@ same way.
 
 ``pqxz_bracket`` tabulates the commutator of generators as operators;
 ``check_pqxz_table`` replays every table entry against actual operator
-composition on basis probes in ``_commutator_scan``, which ``repmod``'s Lie
-module check shares.  ``deriv_equal`` decides action equality on a window:
-each generator action coefficient is affine in the probe index within a
-fixed shift pattern, so two probe points per pattern already decide equality
-and three give margin, hence the >= 3 point requirement.
+composition on basis probes in ``_commutator_scan``, which computes with
+``algebra._SweepTables`` and also checks ``repmod``'s Lie modules and first
+module axiom.  ``deriv_equal`` decides action equality on a window: each
+generator action coefficient is affine in the probe index within a fixed
+shift pattern, so two probe points per pattern already decide equality and
+three give margin, hence the >= 3 point requirement.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Iterable, NamedTuple
 
-from .algebra import (AlgElem, BasisKey, L, M, _check_index, _SweepTable,
+from .algebra import (AlgElem, BasisKey, L, M, _check_index, _SweepTables,
                       bracket_keys, window_keys)
 from .errors import WindowTooSmall
 from .linear import LinComb, accumulate
@@ -295,39 +296,43 @@ def deriv_equal(d1: DerivExpr, d2: DerivExpr,
 
 
 def _commutator_scan(gens: tuple, probes: tuple, kernel: Callable,
-                     key_bracket: Callable) -> list:
+                     bracket: Callable) -> list:
     """Defects of a(b v) - b(a v) = [a, b] v over generators a, b in ``gens``
-    and probe keys v, as ``(ka, kb, probe, {key: coeff})``; ``kernel(k, key)``
-    gives k's terms on a key, once per key.  Each unordered pair composes once
-    for both orders, and each order subtracts its own ``key_bracket``."""
-    rows = _SweepTable(kernel, probes)
+    and probe keys v, as ``(ka, kb, probe, {key: coeff})``.  ``kernel(k,
+    key)`` gives k's terms on a key, once per distinct (k, key), ``bracket(a,
+    b)`` the terms ``(generator, rational)`` of [a, b], and
+    ``algebra._SweepTables`` the arithmetic.  Each unordered pair composes
+    a(b v) - b(a v) once: the case (a, b) subtracts [a, b] v from it, and
+    the case (b, a) adds [b, a] v to it and negates the sum."""
+    tables = _SweepTables(kernel, probes)
+    rows, coeffs = tables.rows, tables.coeffs
+    compose_into, scale_into = tables.compose_into, tables.scale_into
     found = []
     for j, ka in enumerate(gens):
         ra = rows[ka,]
         for kb in gens[j:]:
             rb = rows[kb,]
-            # each order with its negated table coefficients, converted once
-            orders = [(x, y, neg,
-                       [(rows[kt,].seq, -_q(ct.as_rational))
-                        for kt, ct in key_bracket(x, y)._terms.items()])
-                      for x, y, neg in ((ka, kb, False), (kb, ka, True))
-                      if not neg or ka != kb]
-            for i, probe in enumerate(probes):
+            orders = [(x, y, sign, [(rows[kt,].seq, -sign * ct)
+                                    for kt, ct in bracket(x, y)])
+                      for x, y, sign in ((ka, kb, 1), (kb, ka, -1))
+                      if sign > 0 or ka != kb]
+            for i, (probe, ta, tb) in enumerate(zip(probes, ra.seq, rb.seq)):
                 ab: dict = {}
-                for key, c in rb.seq[i]:
-                    for k2, c2 in ra[key]:
-                        accumulate(ab, k2, c * c2)
-                for key, c in ra.seq[i]:
-                    for k2, c2 in rb[key]:
-                        accumulate(ab, k2, -c * c2)
-                for x, y, neg, table in orders:
-                    acc = {k: -c for k, c in ab.items()} if neg else dict(ab)
+                compose_into(ab, ra, tb)
+                compose_into(ab, rb, ta, sign=-1)
+                for x, y, sign, table in orders:
+                    acc = dict(ab)
                     for seq, ct in table:
-                        for k2, c2 in seq[i]:
-                            accumulate(acc, k2, ct * c2)
+                        scale_into(acc, seq[i], ct)
                     if acc:
-                        found.append((x, y, probe, acc))
+                        found.append((x, y, probe, coeffs(acc, sign)))
     return found
+
+
+def _bracket_terms(key_bracket: Callable, a, b) -> list:
+    """``key_bracket(a, b)`` as ``(generator, rational)`` pairs."""
+    return [(k, _q(c.as_rational))
+            for k, c in key_bracket(a, b)._terms.items()]
 
 
 def check_pqxz_table(window: Iterable[int] = DEFAULT_PAIR_WINDOW,
@@ -347,7 +352,7 @@ def check_pqxz_table(window: Iterable[int] = DEFAULT_PAIR_WINDOW,
     probes = window_keys(window)
     found = [((ka, kb, probe), None, AlgElem(list(acc.items())))
              for ka, kb, probe, acc in _commutator_scan(
-                 gens, probes, terms, key_bracket)]
+                 gens, probes, terms, partial(_bracket_terms, key_bracket))]
     return sweep_report("generator-commutator-table",
                         len(gens) ** 2 * len(probes), found,
                         axiom="generator-commutator", family="derivations")

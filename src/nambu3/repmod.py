@@ -42,14 +42,12 @@ report with ``sweep_report``.
 
 Single-key applications are memoized in bounded caches, and ``tri_apply``
 and ``lie_apply`` build their results from them without re-checking.  The
-axiom sweeps keep tables of their own instead, freed when each sweep returns
-(``_SweepTables``): an ``algebra._SweepTable``, the table type of every
-sweep, with a row per basis pair ``(x, y)`` mapping weight keys to their
-single-key terms and holding them at the probes in its ``seq``, and every
-coefficient the sweep makes, interned under a small int id.  Cases
-accumulate plain (key -> id) dicts through memos of the distinct products
-and sums, building a vector of the interned Scalars only for an actual
-defect; the grids are large and the distinct coefficients few.
+module sweeps keep tables of their own instead, freed when each sweep
+returns: an ``algebra._SweepTables`` with a row per pair ``(x, y)`` (read
+through ``_pair_terms``) or per generator, and every coefficient interned
+under a small int id.  ``check_tri_axiom1`` and ``check_lie_module`` are
+``derivations._commutator_scan``, the first over the window's pairs with
+``_ad_on_pair`` as their bracket; ``check_tri_axiom2`` has its own loop.
 
 ``orbit_probe`` walks weight keys, not vectors: each windowed generator is
 a kernel from a key to its merged nonzero terms (``_tri_key_terms``, or
@@ -72,11 +70,11 @@ from functools import lru_cache, partial
 from math import floor
 from typing import Iterable, NamedTuple, Union
 
-from .algebra import (AlgElem, BasisKey, L, M, _SweepTable, bracket_keys,
-                      window_keys)
+from .algebra import (AlgElem, BasisKey, L, M, _SweepTable, _SweepTables,
+                      bracket_keys, window_keys)
 from .derivations import (DEFAULT_PAIR_WINDOW, DerivExpr, PqxzElem, PqxzKey,
-                          _commutator_scan, pair_to_pqxz, pqxz_key_bracket,
-                          pqxz_to_deriv, window_generators)
+                          _bracket_terms, _commutator_scan, pair_to_pqxz,
+                          pqxz_key_bracket, pqxz_to_deriv, window_generators)
 from .errors import NotAModule, NotEigenvector
 from .linear import LinComb, accumulate
 from .reports import DefectReport, sweep_report
@@ -248,7 +246,7 @@ def action_parameters(action) -> tuple:
 # Term tuples (key, Scalar) with zero coefficients dropped; memoized because
 # the sweeps, the orbits and the induced actions revisit the same (pair, key)
 # combinations constantly.  The axiom sweeps memoize ternary terms in their
-# own tables (``_SweepTables.rows``) rather than in ``_tri_key_terms``.
+# own tables (``algebra._SweepTables.rows``) rather than in ``_tri_key_terms``.
 
 
 @lru_cache(maxsize=KERNEL_CACHE_SIZE)
@@ -303,102 +301,9 @@ def _tri_terms(action, x: BasisKey, y: BasisKey, key: WeightKey) -> tuple:
 _tri_key_terms = lru_cache(maxsize=KERNEL_CACHE_SIZE)(_tri_terms)
 
 
-def _intern(ids: dict, values: list, c: Scalar) -> int:
-    """The id of ``c`` among one sweep's coefficients, added on first
-    sight."""
-    i = ids.get(c)
-    if i is None:
-        i = ids[c] = len(values)
-        values.append(c)
-    return i
-
-
-def _interned_terms(action, ids: dict, values: list, x: BasisKey,
-                    y: BasisKey, key: WeightKey) -> tuple:
-    """``_tri_terms(action, x, y, key)`` as ``(key, id)`` pairs, each id
-    that of the coefficient among one sweep's interned ones."""
-    return tuple((k, _intern(ids, values, c))
-                 for k, c in _tri_terms(action, x, y, key))
-
-
-class _SweepTables:
-    """The pair rows and the coefficient arithmetic of one axiom sweep.
-
-    ``rows[x, y][key]`` is ``_interned_terms`` of the pair at the weight
-    key, and ``rows[x, y].seq`` holds them at the probe keys.
-
-    Every coefficient the sweep makes is interned: ``values[i]`` is the
-    Scalar with id ``i``, ``ids`` maps it back, and id 0 is zero.  Rows,
-    products, sums and each case's accumulator hold ids, so each distinct
-    product (``(c, c2, sign)`` composed, ``(c2, b)`` bracket-scaled) and
-    each distinct sum ``(tot, prod)`` is computed once per sweep, and a case
-    hashes and compares only ints.
-    """
-
-    def __init__(self, action, probe_keys: tuple):
-        self.values: list = [Scalar(0)]
-        self.ids: dict = {self.values[0]: 0}
-        # a partial, not a bound method: no row refers back to the tables
-        self.rows = _SweepTable(
-            partial(_interned_terms, action, self.ids, self.values),
-            probe_keys)
-        self.prods: dict = {}
-        self.sums: dict = {}
-
-    def _add(self, acc: dict, key, p: int) -> None:
-        """Add the coefficient with id ``p`` into acc[key], dropping the key
-        when the sum is zero."""
-        tot = acc.get(key)
-        if tot is not None:
-            s = self.sums.get((tot, p))
-            if s is None:
-                values = self.values
-                s = self.sums[tot, p] = _intern(self.ids, values,
-                                                values[tot] + values[p])
-            p = s
-        if p:
-            acc[key] = p
-        else:
-            acc.pop(key, None)
-
-    def compose_into(self, acc: dict, row: dict, terms,
-                     sign: int = 1) -> None:
-        """Add sign * (row's pair applied to the vector ``terms``)."""
-        prods, add = self.prods, self._add
-        for key, c in terms:
-            for k2, c2 in row[key]:
-                pk = (c, c2, sign)
-                p = prods.get(pk)
-                if p is None:
-                    p = prods[pk] = self._product(c, c2, sign)
-                add(acc, k2, p)
-
-    def _product(self, c: int, c2: int, sign: int) -> int:
-        # the product made with the other sign, if any, is negated instead
-        values = self.values
-        other = self.prods.get((c, c2, -sign))
-        if other is not None:
-            prod = -values[other]
-        else:
-            prod = values[c] * values[c2]
-            if sign < 0:
-                prod = -prod
-        return _intern(self.ids, values, prod)
-
-    def scale_into(self, acc: dict, terms, b: int) -> None:
-        """Add each term of ``terms`` times the bracket coefficient ``b``."""
-        prods, values, add = self.prods, self.values, self._add
-        for k2, c2 in terms:
-            pk = (c2, b)
-            p = prods.get(pk)
-            if p is None:
-                p = prods[pk] = _intern(self.ids, values, values[c2] * b)
-            add(acc, k2, p)
-
-    def defect(self, acc: dict) -> ModVec:
-        """The vector of a case's accumulator, over the interned Scalars."""
-        values = self.values
-        return ModVec._of({k: values[i] for k, i in acc.items()})
+def _pair_terms(action, pair: tuple, key: WeightKey) -> tuple:
+    """The axiom sweeps' kernel: ``_tri_terms`` of the pair ``(x, y)``."""
+    return _tri_terms(action, *pair, key)
 
 
 # -- applying actions ----------------------------------------------------------
@@ -459,43 +364,32 @@ def _probe_keys(probes) -> tuple:
 # -- ternary module axioms ---------------------------------------------------------
 
 
+def _ad_on_pair(brackets: _SweepTable, a: tuple, b: tuple) -> list:
+    """ad(x1, x2) on the pair b = (x3, x4), for a = (x1, x2): the terms
+    ``(([x1,x2,x3], x4), c)`` and ``((x3, [x1,x2,x4]), c)``, read from
+    ``brackets``, the sweep's table of ``bracket_keys``."""
+    (x3, x4), row = b, brackets[a]
+    h3, h4 = row[x3], row[x4]
+    return ([((h3[1], x4), h3[0])] if h3 else []) + (
+        [((x3, h4[1]), h4[0])] if h4 else [])
+
+
 def check_tri_axiom1(action: TriAction,
                      window: Iterable[int] = DEFAULT_AXIOM_WINDOW,
                      probes=None) -> DefectReport:
     """Pair actions must close: commuting two pairs equals acting by the
-    bracketed arguments, summed over the two insertion slots."""
+    bracketed arguments, summed over the two insertion slots.
+
+    The pair operators are the generators of ``_commutator_scan``, and the
+    bracket of (x1, x2) with (x3, x4) is ``_ad_on_pair``.
+    """
     keys = window_keys(window)
     probe_keys = _probe_keys(probes)
-    tables = _SweepTables(action, probe_keys)
-    rows, defect = tables.rows, tables.defect
-    compose_into, scale_into = tables.compose_into, tables.scale_into
-    nones = [None] * len(probe_keys)
-    found = []
-    for x1 in keys:
-        for x2 in keys:
-            r12 = rows[x1, x2]
-            b12 = {x: bracket_keys(x1, x2, x) for x in keys}
-            for x3 in keys:
-                b123 = b12[x3]
-                for x4 in keys:
-                    r34 = rows[x3, x4]
-                    b124 = b12[x4]
-                    s123 = (rows[b123[1], x4].seq if b123 is not None
-                            else nones)
-                    s124 = (rows[x3, b124[1]].seq if b124 is not None
-                            else nones)
-                    for probe, t12, t34, t123, t124 in zip(
-                            probe_keys, r12.seq, r34.seq, s123, s124):
-                        acc: dict = {}
-                        compose_into(acc, r12, t34)
-                        compose_into(acc, r34, t12, sign=-1)
-                        if t123 is not None:
-                            scale_into(acc, t123, -b123[0])
-                        if t124 is not None:
-                            scale_into(acc, t124, -b124[0])
-                        if acc:
-                            found.append(((x1, x2, x3, x4), probe,
-                                          defect(acc)))
+    pairs = tuple((x, y) for x in keys for y in keys)
+    found = [((*a, *b), probe, ModVec._of(acc))
+             for a, b, probe, acc in _commutator_scan(
+                 pairs, probe_keys, partial(_pair_terms, action),
+                 partial(_ad_on_pair, _SweepTable(bracket_keys, keys)))]
     return sweep_report("tri-axiom-1", len(keys) ** 4 * len(probe_keys), found,
                         axiom="tri-axiom-1", family=action_family(action),
                         parameters=action_parameters(action))
@@ -520,8 +414,8 @@ def check_tri_axiom2(action: TriAction,
     """
     keys = window_keys(window)
     probe_keys = _probe_keys(probes)
-    tables = _SweepTables(action, probe_keys)
-    rows, defect = tables.rows, tables.defect
+    tables = _SweepTables(partial(_pair_terms, action), probe_keys)
+    rows, coeffs = tables.rows, tables.coeffs
     compose_into, scale_into = tables.compose_into, tables.scale_into
     nones = [None] * len(probe_keys)
     found = []
@@ -533,14 +427,15 @@ def check_tri_axiom2(action: TriAction,
                     continue
                 rotations = ((triple,) if x1 == x2 == x3
                              else (triple, (x2, x3, x1), (x3, x1, x2)))
-                r12, r23, r31 = rows[x1, x2], rows[x2, x3], rows[x3, x1]
+                r12, r23, r31 = (rows[(x1, x2),], rows[(x2, x3),],
+                                 rows[(x3, x1),])
                 b123 = bracket_keys(x1, x2, x3)
                 for x4 in keys:
-                    s123 = (rows[b123[1], x4].seq if b123 is not None
+                    s123 = (rows[(b123[1], x4),].seq if b123 is not None
                             else nones)
                     for probe, t34, t14, t24, t123 in zip(
-                            probe_keys, rows[x3, x4].seq, rows[x1, x4].seq,
-                            rows[x2, x4].seq, s123):
+                            probe_keys, rows[(x3, x4),].seq,
+                            rows[(x1, x4),].seq, rows[(x2, x4),].seq, s123):
                         acc: dict = {}
                         compose_into(acc, r12, t34)
                         compose_into(acc, r23, t14)
@@ -548,7 +443,7 @@ def check_tri_axiom2(action: TriAction,
                         if t123 is not None:
                             scale_into(acc, t123, -b123[0])
                         if acc:
-                            vec = defect(acc)
+                            vec = ModVec._of(coeffs(acc))
                             found.extend(((*t, x4), probe, vec)
                                          for t in rotations)
     return sweep_report("tri-axiom-2", len(keys) ** 4 * len(probe_keys), found,
@@ -665,7 +560,8 @@ def check_lie_module(action: LieAction,
     probes = _probe_keys(probes)
     found = [((ka, kb), probe, ModVec._of(acc))
              for ka, kb, probe, acc in _commutator_scan(
-                 gens, probes, _lie_kernel(action), pqxz_key_bracket)]
+                 gens, probes, _lie_kernel(action),
+                 partial(_bracket_terms, pqxz_key_bracket))]
     return sweep_report("lie-commutator", len(gens) ** 2 * len(probes), found,
                         axiom="lie-commutator", family=action_family(action),
                         parameters=action_parameters(action))

@@ -288,8 +288,10 @@ def _skewed_tri_terms(kernel):
     ("pullback-phi", range(-1, 2), None),
     ("T", range(-2, 3), (weight_key("a0"), weight_key(1))),
 ], ids=["T -1..1", "pullback-phi -1..1", "T -2..2"])
-def test_axiom2_sweep_matches_the_reference_under_a_skewed_kernel(
+def test_axiom_sweeps_match_the_reference_under_a_skewed_kernel(
         monkeypatch, name, window, probes):
+    # axiom 1 composes each unordered pair of pairs once for both orders,
+    # and axiom 2 each cyclic class once: both exact for any action
     import nambu3.repmod as repmod
 
     skewed = _skewed_tri_terms(repmod._tri_terms)
@@ -297,24 +299,39 @@ def test_axiom2_sweep_matches_the_reference_under_a_skewed_kernel(
     monkeypatch.setattr(repmod, "_tri_terms", skewed)
     monkeypatch.setitem(globals(), "_tri_key_terms", skewed)
     action = _SWEEP_ACTIONS[name]
-    got = check_tri_axiom2(action, window, probes)
-    want = _reference_axiom_report(action, window, probes, 2)
-    assert got.cases == want.cases == (2 * len(window)) ** 4 * len(
-        probes or default_probes())
-    assert got.entries
-    assert ([e.record() for e in got.entries]
-            == [e.record() for e in want.entries])
+    for axiom, sweep in ((1, check_tri_axiom1), (2, check_tri_axiom2)):
+        got = sweep(action, window, probes)
+        want = _reference_axiom_report(action, window, probes, axiom)
+        assert got.cases == want.cases == (2 * len(window)) ** 4 * len(
+            probes or default_probes())
+        assert got.entries
+        assert ([e.record() for e in got.entries]
+                == [e.record() for e in want.entries])
 
 
-@pytest.mark.parametrize("sweep", [check_tri_axiom1, check_tri_axiom2])
+# sweep -> (the kernel its rows read, defects, distinct kernel calls)
+_ARITHMETIC_SWEEPS = {
+    "check_tri_axiom1": (lambda: check_tri_axiom1(weight_action()),
+                         "_tri_terms", 0, 3640),
+    "check_tri_axiom2": (lambda: check_tri_axiom2(weight_action()),
+                         "_tri_terms", 14400, 2920),
+    "lie-psi": (lambda: check_lie_module(shift_action()),
+                "_lie_key_terms", 0, 636),
+    "lie-phi": (lambda: check_lie_module(zero_twist_action()),
+                "_lie_key_terms", 0, 636),
+}
+
+
+@pytest.mark.parametrize("sweep", list(_ARITHMETIC_SWEEPS))
 def test_axiom_sweep_makes_each_distinct_product_and_sum_once(monkeypatch,
                                                               sweep):
     import nambu3.repmod as repmod
 
+    run, kernel_name, defects, distinct_calls = _ARITHMETIC_SWEEPS[sweep]
     # the sweep's own arithmetic, not that of the kernel filling its rows
     in_kernel = []
     kernel_calls = []
-    kernel = repmod._tri_terms
+    kernel = getattr(repmod, kernel_name)
 
     def counted_kernel(*args):
         kernel_calls.append(args)
@@ -333,24 +350,44 @@ def test_axiom_sweep_makes_each_distinct_product_and_sum_once(monkeypatch,
             return op(a, b)
         return wrapped
 
-    monkeypatch.setattr(repmod, "_tri_terms", counted_kernel)
+    monkeypatch.setattr(repmod, kernel_name, counted_kernel)
     monkeypatch.setattr(Scalar, "__add__", counting("add", Scalar.__add__))
-    monkeypatch.setattr(Scalar, "__mul__", counting("mul", Scalar.__mul__))
-    report = sweep(weight_action())
-    assert len(report.entries) == (0 if sweep is check_tri_axiom1 else 14400)
+    # __rmul__ is the original __mul__, bound when the class was built, and
+    # int * Scalar calls it
+    mul = counting("mul", Scalar.__mul__)
+    monkeypatch.setattr(Scalar, "__mul__", mul)
+    monkeypatch.setattr(Scalar, "__rmul__", mul)
+    report = run()
+    assert len(report.entries) == defects
     for name, pairs in calls.items():
         assert pairs, name
         assert len(pairs) == len(set(pairs)), name
-    # each distinct (pair, weight key) once, the twin of the fi scan's count
-    assert len(kernel_calls) == len(set(kernel_calls))
-    assert len(kernel_calls) == (3640 if sweep is check_tri_axiom1 else 2920)
+    # each distinct (generator, key) once, the twin of the fi scan's count
+    assert len(kernel_calls) == len(set(kernel_calls)) == distinct_calls
+
+
+def test_axiom1_makes_each_window_bracket_once(monkeypatch):
+    import nambu3.repmod as repmod
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return bracket_keys(*args)
+
+    monkeypatch.setattr(repmod, "bracket_keys", counted)
+    assert check_tri_axiom1(weight_action()).passed
+    # ad(x1, x2) on each of the 10 window keys, for the 100 pairs (x1, x2);
+    # a bracket per case would make 20,000 calls
+    assert len(calls) == len(set(calls)) == 1000
 
 
 @pytest.mark.parametrize("sweep", [
     check_fundamental, check_pqxz_table,
     lambda: check_tri_axiom1(weight_action()),
-    lambda: check_tri_axiom2(weight_action())],
-    ids=["fi", "pqxz-table", "tri-axiom-1", "tri-axiom-2"])
+    lambda: check_tri_axiom2(weight_action()),
+    lambda: check_lie_module(shift_action())],
+    ids=["fi", "pqxz-table", "tri-axiom-1", "tri-axiom-2", "lie-psi"])
 def test_sweep_tables_leave_no_reference_cycle(sweep):
     # a sweep's tables are freed by reference counting when it returns
     sweep()

@@ -13,8 +13,9 @@ Flag values are numbers in ``parsing``'s grammar (``parse_int`` for windows
 and ``--parallelism``, ``parse_rational`` for ``--lambda`` and ``--mu``); a
 refusal echoes at most ``_ECHO_LIMIT`` characters of one, as do argparse's
 refusals of a choice or an unrecognized argument.  A ``--probes`` list that
-names one line twice is refused.  Every flag is long, so a positional that starts with
-``-`` (``bracket "-L[1]" ...``) is read as one.
+names one line twice is refused.  Every flag is long, so a token with one
+leading dash other than ``-h`` is an argument: a positional
+(``bracket "-L[1]" ...``) or a flag's value (``--window -2..2``).
 
 ``_SUITES`` holds each suite's default window, its case-count formula,
 checked against the budget before any sweep, and the optional flags it
@@ -442,6 +443,22 @@ class _ArgumentParser(argparse.ArgumentParser):
             value = _cut(value)
         super()._check_value(action, value)
 
+    def _parse_optional(self, arg):
+        # every flag is long, so "-L[1]" or "-2..2" is an argument: a
+        # positional or a flag's value
+        if arg.startswith("-") and not arg.startswith("--") and arg != "-h":
+            return None
+        return super()._parse_optional(arg)
+
+    def _get_values(self, action, arg_strings):
+        # argparse before Python 3.13 drops a "--" given as a flag's value
+        # ("--window=--") and stores []; the flag's reader refuses it instead
+        if action.option_strings and arg_strings == ["--"]:
+            value = self._get_value(action, "--")
+            self._check_value(action, value)
+            return value
+        return super()._get_values(action, arg_strings)
+
     def _print_message(self, message, file=None):
         # argparse drops an OSError here; let a closed stdout reach main
         if message:
@@ -474,9 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec.add_argument("expr")
     p_dec.add_argument("--verify", action="store_true",
                        help="re-expand and confirm action equality")
-    p_dec.add_argument("--output", choices=("text", "machine"),
-                       default="text")
-    p_dec.add_argument("--window", metavar="LO..HI")
+    _add_config_flags(p_dec, params=False)
 
     p_orbit = sub.add_parser(
         "orbit", help="reachability of weight lines under one action family")
@@ -493,55 +508,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_VALUE_FLAGS = ("--window", "--lambda", "--mu", "--probes", "--start",
-                "--parallelism", "--output")
-
-
-def _fuse_flag_values(argv) -> list:
-    # argparse refuses option values with a leading dash ("--window -2..2");
-    # rewrite to the equals form, which it accepts.
-    out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok in _VALUE_FLAGS and i + 1 < len(argv):
-            out.append(f"{tok}={argv[i + 1]}")
-            i += 2
-        else:
-            out.append(tok)
-            i += 1
-    return out
-
-
-def _is_flag(tok: str) -> bool:
-    return tok.startswith("--") or tok == "-h"
-
-
-def _dash_positionals(argv: list) -> list:
-    # argparse also reads a positional such as "-L[1]" as an unknown
-    # option.  Every flag here is long (or -h), so move the flags before a
-    # "--" and the positionals after it, unless argv has its own "--".
-    rest = [tok for tok in argv if not _is_flag(tok)]
-    if "--" in argv or not any(tok.startswith("-") for tok in rest):
-        return argv
-    flags = [tok for tok in argv if _is_flag(tok)]
-    return rest[:1] + flags + ["--"] + rest[1:]
-
-
 _parser: Optional[argparse.ArgumentParser] = None
 
 
 def main(argv=None) -> int:
     global _parser
-    if argv is None:
-        argv = sys.argv[1:]
     if _parser is None:
         # built on first use, not at import, and kept for the process
         _parser = build_parser()
     try:
         try:
-            args = _parser.parse_args(
-                _dash_positionals(_fuse_flag_values(argv)))
+            args = _parser.parse_args(argv)
             # resolved per call, so a rebound cmd_* takes effect at once
             code = globals()[f"cmd_{args.command}"](args)
         except SystemExit:

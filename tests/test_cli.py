@@ -56,6 +56,76 @@ def test_unknown_flags_are_still_refused_beside_a_dash_positional(capsys):
         0, "-1 L[0]\n", "")
 
 
+_SUITE_CHOICES = ("(choose from 'fi', 'induced-psi', 'lie-phi', 'lie-psi', "
+                  "'module-t', 'pullback-phi', 'table')")
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    # a flag's value never starts with "--" or is "-h"
+    (("check", "fi", "--window", "--mu"), 2,
+     "error: argument --window: expected one argument\n"),
+    (("orbit", "T", "--start", "-h"), 2,
+     "error: argument --start: expected one argument\n"),
+    (("check", "fi", "--window", "--"), 2,
+     "error: argument --window: expected one argument\n"),
+    # any other token with one leading dash is an argument, never help
+    (("check", "-hx"), 2,
+     f"error: argument suite: invalid choice: '-hx' {_SUITE_CHOICES}\n"),
+    (("check", "-"), 2,
+     f"error: argument suite: invalid choice: '-' {_SUITE_CHOICES}\n"),
+    (("bracket", "-hx", "L[2]", "M[3]"), 2,
+     "error: unknown scalar symbol 'hx' at position 1 "
+     "(expected: lam, mu, a<k>)\n"),
+    (("bracket", "-", "L[2]", "M[3]"), 2,
+     "error: expected a scalar at position 1 (expected: number, symbol, ()\n"),
+    (("check", "fi", "--window=-1..1"), 0, ""),
+])
+def test_single_dash_tokens_are_arguments(capsys, argv, code, err):
+    got_code, out, got_err = run(capsys, *argv)
+    assert (got_code, got_err) == (code, err)
+    if code == 2:
+        assert out == ""
+    else:
+        assert out.startswith("window: -1..1\n")
+
+
+@pytest.mark.parametrize("argv, err", [
+    (("check", "fi", "--window=--"), "bad window '--': expected lo..hi"),
+    (("check", "module-t", "--probes=--", "--window", "0..0"),
+     "expected a number at position 1 (expected: integer)"),
+    (("decompose", "ad(L[1],M[2])", "--window=--", "--verify"),
+     "bad window '--': expected lo..hi"),
+    (("check", "fi", "--output=--"), "argument --output: invalid choice: "
+     "'--' (choose from 'text', 'machine')"),
+    (("weights", "T", "--mu=--"),
+     "bad --mu '--': expected a rational p/q or 'sym'"),
+    (("weights", "T", "--lambda=--"),
+     "bad --lambda '--': expected a rational p/q or 'sym'"),
+    (("check", "fi", "--parallelism=--"),
+     "bad --parallelism '--': expected an integer >= 1"),
+])
+def test_a_double_dash_value_reaches_the_flag_reader(capsys, argv, err):
+    # argparse before Python 3.13 drops it and stores []
+    assert run(capsys, *argv) == (2, "", f"error: {err}\n")
+
+
+def test_decompose_help_is_pinned(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(capsys, "decompose", "--help") == (0, (
+        "usage: nambu3 decompose [-h] [--verify] [--output {text,machine}]\n"
+        "                        [--window LO..HI]\n"
+        "                        expr\n"
+        "\n"
+        "positional arguments:\n"
+        "  expr\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --verify              re-expand and confirm action equality\n"
+        "  --output {text,machine}\n"
+        "  --window LO..HI\n"), "")
+
+
 def test_bracket_zero(capsys):
     code, out, _ = run(capsys, "bracket", "L[1]", "L[2]", "L[3]")
     assert code == 0
@@ -781,8 +851,8 @@ def _fuzz_argv(draw):
     argv += draw(st.lists(_FUZZ_VALUES, max_size=3 if command == "bracket"
                           else 1))
     for _ in range(draw(st.integers(0, 3))):
-        argv.append(draw(_FUZZ_FLAGS))
-        argv.append(draw(_FUZZ_VALUES))
+        flag, value = draw(_FUZZ_FLAGS), draw(_FUZZ_VALUES)
+        argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
     if draw(st.booleans()):
         # never more than one worker: no process pool starts
         argv += ["--parallelism", draw(st.sampled_from(["1", "-1", "x", ""]))]

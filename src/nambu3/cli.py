@@ -9,13 +9,15 @@ reported as one ``error:`` line on stderr by the one ``except`` in ``main``.
 A reader that closes stdout early also exits 2 with one ``error:`` line:
 ``main`` flushes stdout itself, so the broken pipe shows there and not in
 the interpreter's final flush.
-Flag values are numbers in ``parsing``'s grammar (``parse_int`` for windows
-and ``--parallelism``, ``parse_rational`` for ``--lambda`` and ``--mu``); a
-refusal echoes at most ``_ECHO_LIMIT`` characters of one, as do argparse's
-refusals of a choice or an unrecognized argument.  A ``--probes`` list that
-names one line twice is refused.  Every flag is long, so a token with one
-leading dash other than ``-h`` is an argument: a positional
-(``bracket "-L[1]" ...``) or a flag's value (``--window -2..2``).
+Flag values are read by ``_read`` in ``parsing``'s grammar (``parse_int``
+for windows and ``--parallelism``, ``parse_rational`` for ``--lambda`` and
+``--mu``, ``parse_weight_key`` for ``--start`` and each ``--probes`` entry);
+a refusal names the flag and echoes at most ``_ECHO_LIMIT`` characters of
+the value, as do argparse's refusals of a choice or an unrecognized
+argument.  A ``--probes`` list that names one line twice is refused.
+Every flag is long, so a token with one leading dash other than ``-h`` is
+an argument: a positional (``bracket "-L[1]" ...``) or a flag's value
+(``--window -2..2``).
 
 ``_SUITES`` holds each suite's default window, its case-count formula,
 checked against the budget before any sweep, and the optional flags it
@@ -64,6 +66,8 @@ from .repmod import (DEFAULT_AXIOM_WINDOW, ModVec, _module_verdict,
                      zero_twist_action)
 
 _WINDOW_SPAN_LIMIT = 64
+
+_EXPECTED_KEY = "expected a weight key a<k>, a<k>+m or a rational"
 
 # Longest flag value a refusal repeats; a longer one is cut and ends in an
 # ellipsis.
@@ -121,18 +125,19 @@ def _bad(what: str, text: str, detail: str) -> ConfigError:
     return ConfigError(f"bad {what} {_cut(text)!r}: {detail}")
 
 
-def _parse_detail(exc: ParseError, expected: str) -> str:
-    # name the literal bound when it refused the value, else the grammar
-    return exc.message if exc.message == LITERAL_TOO_LONG else expected
+def _read(what: str, text: str, parse, expected: str):
+    """``parse(text)``, its ParseError refused through ``_bad``: naming the
+    literal bound when that refused the value, else ``expected``."""
+    try:
+        return parse(text)
+    except ParseError as exc:
+        detail = exc.message if exc.message == LITERAL_TOO_LONG else expected
+        raise _bad(what, text, detail) from None
 
 
 def _parse_window(text: str) -> range:
-    lo, _, hi = text.partition("..")
-    try:
-        lo, hi = parse_int(lo), parse_int(hi)
-    except ParseError as exc:
-        raise _bad("window", text,
-                   _parse_detail(exc, "expected lo..hi")) from None
+    lo, hi = _read("window", text, lambda t: [
+        parse_int(end) for end in t.partition("..")[::2]], "expected lo..hi")
     if lo > hi:
         raise _bad("window", text, "lo must not exceed hi")
     if hi - lo > _WINDOW_SPAN_LIMIT:
@@ -143,11 +148,7 @@ def _parse_window(text: str) -> range:
 def _parse_param(text: Optional[str], name: str) -> Optional[Fraction]:
     if text is None or text == "sym":
         return None
-    try:
-        return parse_rational(text)
-    except ParseError as exc:
-        raise _bad(name, text, _parse_detail(
-            exc, "expected a rational p/q or 'sym'")) from None
+    return _read(name, text, parse_rational, "expected a rational p/q or 'sym'")
 
 
 def _parse_probes(text: Optional[str]) -> Optional[tuple]:
@@ -158,7 +159,7 @@ def _parse_probes(text: Optional[str]) -> Optional[tuple]:
         part = part.strip()
         if not part:
             raise ConfigError(f"bad probe list {text!r}: empty entry")
-        probe = parse_weight_key(part)
+        probe = _read("--probes entry", part, parse_weight_key, _EXPECTED_KEY)
         if probe in probes:
             raise ConfigError(f"duplicate probe v[{probe}]")
         probes[probe] = None
@@ -169,11 +170,7 @@ def _parse_parallelism(text: Optional[str]) -> int:
     if text is None:
         return 1
     expected = "expected an integer >= 1"
-    try:
-        value = parse_int(text)
-    except ParseError as exc:
-        raise _bad("--parallelism", text,
-                   _parse_detail(exc, expected)) from None
+    value = _read("--parallelism", text, parse_int, expected)
     if value < 1:
         raise _bad("--parallelism", text, expected)
     return value
@@ -353,7 +350,7 @@ def cmd_orbit(args) -> int:
     _refuse_unread(args, f"orbit {args.family}",
                    ("mu",) if args.family == "phi" else ("lam", "mu"))
     config = _build_config(args, DEFAULT_PAIR_WINDOW)
-    start = parse_weight_key(args.start)
+    start = _read("--start", args.start, parse_weight_key, _EXPECTED_KEY)
     if args.family == "T":
         action = weight_action(config.lam, config.mu)
     elif args.family == "psi":
@@ -386,7 +383,7 @@ def cmd_orbit(args) -> int:
 
 def cmd_weights(args) -> int:
     config = _build_config(args, DEFAULT_PAIR_WINDOW)
-    start = parse_weight_key(args.start)
+    start = _read("--start", args.start, parse_weight_key, _EXPECTED_KEY)
     action = weight_action(config.lam, config.mu)
     keys = [start.shift(m) for m in config.window]
     try:

@@ -20,8 +20,8 @@ Actions:
 * ``PullbackTriAction``: a ternary action built from a Lie action by
   decomposing ad(x, y) over the p/q/x/z generator basis and applying that.
 * ``InducedLieAction``: the reverse construction, evaluating a ternary
-  action on the expanded generator pairs; requires the ternary action to
-  actually satisfy the module axioms (NotAModule otherwise).
+  action on the expanded generator pairs; building one reads the module
+  gate and raises NotAModule when the ternary action is no module.
 
 ``weight_action``, ``shift_action`` and ``zero_twist_action`` intern their
 result in one bounded memo (``ACTION_MEMO_SIZE``): equal parameters give the
@@ -51,8 +51,8 @@ under a small int id.  ``check_tri_axiom1`` and ``check_lie_module`` are
 
 ``orbit_probe`` walks weight keys, not vectors: each windowed generator is
 a kernel from a key to its merged nonzero terms (``_tri_key_terms``, or
-``_lie_kernel``, which ``check_lie_module`` sweeps too), and a line's images
-are the keys of those terms.
+``_lie_key_terms``, which the Lie sweep and ``check_induced`` read too),
+and a line's images are the keys of those terms.
 
 ``check_tri_axiom2`` reports each defect as (sum of composed pair actions)
 minus (action of the bracketed triple).  It evaluates a case once per cyclic
@@ -187,7 +187,11 @@ class PullbackTriAction(Frozen):
 
 
 class InducedLieAction(Frozen):
-    __slots__ = _fields = ("tri",)    # a TriAction, gated as in induce_apply
+    __slots__ = _fields = ("tri",)    # a TriAction the module gate accepts
+
+    def __init__(self, tri):
+        _gate_or_raise(tri)
+        super().__init__(tri)
 
 
 TriAction = Union[TriWeightAction, PullbackTriAction]
@@ -270,7 +274,13 @@ def _lie_key_terms(action, k: PqxzKey, key: WeightKey) -> tuple:
         if not coeff:
             return ()
         return ((key.shift(-r), coeff),)
-    raise TypeError(f"not a closed-form Lie action: {action!r}")
+    if isinstance(action, InducedLieAction):
+        acc: dict = {}
+        for (u, w), c in _expansion(k)._terms.items():
+            for k2, c2 in _tri_key_terms(action.tri, u, w, key):
+                accumulate(acc, k2, c2 * c)
+        return tuple(acc.items())
+    raise TypeError(f"not a Lie action: {action!r}")
 
 
 def _tri_terms(action, x: BasisKey, y: BasisKey, key: WeightKey) -> tuple:
@@ -299,6 +309,8 @@ def _tri_terms(action, x: BasisKey, y: BasisKey, key: WeightKey) -> tuple:
 
 
 _tri_key_terms = lru_cache(maxsize=KERNEL_CACHE_SIZE)(_tri_terms)
+# each generator's ad pairs, expanded once for all the keys it meets
+_expansion = lru_cache(maxsize=KERNEL_CACHE_SIZE)(pqxz_to_deriv)
 
 
 def _pair_terms(action, pair: tuple, key: WeightKey) -> tuple:
@@ -327,8 +339,6 @@ def tri_apply_elem(action: TriAction, xe: AlgElem, ye: AlgElem,
 
 def lie_apply(action: LieAction, k: PqxzKey, v: ModVec) -> ModVec:
     """Apply one p/q/x/z generator of a Lie action to a module vector."""
-    if isinstance(action, InducedLieAction):
-        return induce_apply(action.tri, pqxz_to_deriv(k), v)
     acc: dict = {}
     for key, c in v._terms.items():
         for k2, c2 in _lie_key_terms(action, k, key):
@@ -339,14 +349,6 @@ def lie_apply(action: LieAction, k: PqxzKey, v: ModVec) -> ModVec:
 def lie_elem_apply(action: LieAction, e: PqxzElem, v: ModVec) -> ModVec:
     return ModVec.combine((lie_apply(action, key, v), c)
                           for key, c in e._terms.items())
-
-
-def _lie_kernel(action: LieAction):
-    """(generator, weight key) -> a tuple of terms; sweep rows hash them."""
-    if isinstance(action, InducedLieAction):
-        return lambda k, key: tuple(
-            lie_apply(action, k, ModVec.term(key))._terms.items())
-    return partial(_lie_key_terms, action)
 
 
 # -- probe policy ----------------------------------------------------------------
@@ -502,8 +504,8 @@ def _orbit_kernels(action, window) -> list:
         keys = window_keys(window)
         return [partial(_tri_key_terms, action, x, y)
                 for x in keys for y in keys if x != y]
-    kernel = _lie_kernel(action)
-    return [partial(kernel, g) for g in window_generators(window)]
+    return [partial(_lie_key_terms, action, g)
+            for g in window_generators(window)]
 
 
 def orbit_probe(action, start: WeightKey,
@@ -560,7 +562,7 @@ def check_lie_module(action: LieAction,
     probes = _probe_keys(probes)
     found = [((ka, kb), probe, ModVec._of(acc))
              for ka, kb, probe, acc in _commutator_scan(
-                 gens, probes, _lie_kernel(action),
+                 gens, probes, partial(_lie_key_terms, action),
                  partial(_bracket_terms, pqxz_key_bracket))]
     return sweep_report("lie-commutator", len(gens) ** 2 * len(probes), found,
                         axiom="lie-commutator", family=action_family(action),
@@ -614,12 +616,12 @@ def _gate_or_raise(tri: TriAction) -> None:
     raise NotAModule(
         f"cannot induce from {action_family(tri)}"
         f"({dict(action_parameters(tri))}): "
-        f"{len(report.entries)} module-axiom defects on the window",
+        f"{len(report.entries)} module-axiom defects on the gate window "
+        f"{DEFAULT_AXIOM_WINDOW[0]}..{DEFAULT_AXIOM_WINDOW[-1]}",
         report=report)
 
 
-def induce_apply(tri: TriAction, d: DerivExpr, v: ModVec, *,
-                 require_module: bool = True) -> ModVec:
+def induce_apply(tri: TriAction, d: DerivExpr, v: ModVec) -> ModVec:
     """Evaluate a derivation expression through a ternary action.
 
     Inducing a Lie action this way is only sound when the ternary action
@@ -628,11 +630,11 @@ def induce_apply(tri: TriAction, d: DerivExpr, v: ModVec, *,
     NotAModule raised when it rejects the action.  A rational mu must be 0
     or 1 even where the window shows no defect; a fully symbolic mu passes
     as long as every residual defect is divisible by mu^2 - mu, since those
-    actions specialize to genuine modules.  ``require_module=False`` skips
-    the gate entirely for callers probing well-definedness itself.
+    actions specialize to genuine modules.  ``InducedLieAction`` is the
+    checks' route, gated once when built; this one takes any derivation
+    expression.
     """
-    if require_module:
-        _gate_or_raise(tri)
+    _gate_or_raise(tri)
     return ModVec.combine((tri_apply(tri, u, w, v), c)
                           for (u, w), c in d._terms.items())
 
@@ -642,24 +644,25 @@ def check_induced(tri: TriAction, lie: LieAction,
                   probes=None) -> DefectReport:
     """Compare the action induced from a ternary module with a Lie action.
 
-    Every generator in the window is expanded into pair derivations,
-    pushed through the ternary action, and matched against the Lie action
-    on every probe.  Propagates NotAModule when the gate of ``induce_apply``
-    rejects the ternary side.
+    The kernel of ``InducedLieAction(tri)``, each generator expanded into
+    pair derivations and pushed through the ternary action, is matched
+    against the Lie action's kernel on every windowed generator and probe.
+    Building the induced action reads the module gate, so NotAModule
+    propagates when the gate rejects the ternary side.
     """
-    _gate_or_raise(tri)
+    induced = InducedLieAction(tri)
     gens = window_generators(window)
-    pv = [(p, ModVec.term(p)) for p in _probe_keys(probes)]
+    probes = _probe_keys(probes)
     found = []
     for k in gens:
-        expanded = pqxz_to_deriv(k)
-        for probe, v in pv:
-            defect = (induce_apply(tri, expanded, v, require_module=False)
-                      - lie_apply(lie, k, v))
-            if defect:
-                found.append(((k,), probe, defect))
+        for probe in probes:
+            acc = dict(_lie_key_terms(induced, k, probe))
+            for key, c in _lie_key_terms(lie, k, probe):
+                accumulate(acc, key, -c)
+            if acc:
+                found.append(((k,), probe, ModVec._of(acc)))
     return sweep_report(
-        "induced-match", len(gens) * len(pv), found, axiom="induced-match",
+        "induced-match", len(gens) * len(probes), found, axiom="induced-match",
         family=f"{action_family(lie)} vs induced({action_family(tri)})",
         parameters=action_parameters(lie))
 

@@ -89,10 +89,13 @@ def test_single_dash_tokens_are_arguments(capsys, argv, code, err):
         assert out.startswith("window: -1..1\n")
 
 
+_KEY_EXPECTED = "expected a weight key a<k>, a<k>+m or a rational"
+
+
 @pytest.mark.parametrize("argv, err", [
     (("check", "fi", "--window=--"), "bad window '--': expected lo..hi"),
     (("check", "module-t", "--probes=--", "--window", "0..0"),
-     "expected a number at position 1 (expected: integer)"),
+     f"bad --probes entry '--': {_KEY_EXPECTED}"),
     (("decompose", "ad(L[1],M[2])", "--window=--", "--verify"),
      "bad window '--': expected lo..hi"),
     (("check", "fi", "--output=--"), "argument --output: invalid choice: "
@@ -106,6 +109,16 @@ def test_single_dash_tokens_are_arguments(capsys, argv, code, err):
 ])
 def test_a_double_dash_value_reaches_the_flag_reader(capsys, argv, err):
     # argparse before Python 3.13 drops it and stores []
+    assert run(capsys, *argv) == (2, "", f"error: {err}\n")
+
+
+@pytest.mark.parametrize("argv, err", [
+    (("orbit", "T", "--start", "b7"), f"bad --start 'b7': {_KEY_EXPECTED}"),
+    (("weights", "T", "--start=1/0"), f"bad --start '1/0': {_KEY_EXPECTED}"),
+    (("check", "module-t", "--probes", "0,x", "--window", "0..0"),
+     f"bad --probes entry 'x': {_KEY_EXPECTED}"),
+])
+def test_a_weight_key_refusal_names_the_flag(capsys, argv, err):
     assert run(capsys, *argv) == (2, "", f"error: {err}\n")
 
 
@@ -266,6 +279,16 @@ def test_check_induced_psi_mu2_fails(capsys):
                        "--window", "-1..1")
     assert code == 1
     assert "verdict: FAIL" in out
+
+
+def test_a_refused_induction_names_the_gate_window(capsys):
+    # the gate sweeps its own window, whatever --window says
+    code, out, _ = run(capsys, "check", "induced-psi", "--mu", "2",
+                       "--window", "0..0")
+    assert code == 1
+    assert out.splitlines()[0] == (
+        "not a module: cannot induce from T({'lam': 'lam', 'mu': '2'}): "
+        "14400 module-axiom defects on the gate window -2..2")
 
 
 def test_check_induced_psi_symbolic_fails(capsys):

@@ -19,7 +19,7 @@ from nambu3.reports import DefectEntry, DefectReport, sweep_report
 from nambu3.repmod import (ACTION_MEMO_SIZE, InducedLieAction,
                            LieShiftAction, ModVec, OrbitReport,
                            PullbackTriAction, TriWeightAction, WeightKey,
-                           _alpha, _interned, _lie_key_terms,
+                           _alpha, _expansion, _interned, _lie_key_terms,
                            _module_verdict, _tri_key_terms,
                            _within_parameter_gate,
                            action_family, action_parameters, check_induced,
@@ -410,7 +410,7 @@ def test_equal_defect_coefficients_are_shared():
 
 
 def test_kernel_caches_are_bounded():
-    for cache in (_tri_key_terms, _lie_key_terms, _alpha):
+    for cache in (_tri_key_terms, _lie_key_terms, _alpha, _expansion):
         assert cache.cache_info().maxsize is not None
 
 
@@ -825,11 +825,34 @@ def test_induce_apply_gate():
     tri = weight_action(None, 2)
     with pytest.raises(NotAModule):
         induce_apply(tri, ad(L(1), M(0)), V("a0"))
-    out = induce_apply(tri, ad(L(1), M(0)), V("a0"), require_module=False)
-    assert not out.is_zero
+    # the refused formula is nonzero: mu = 2 put into the symbolic result,
+    # which the gate admits
+    out = induce_apply(weight_action(), ad(L(1), M(0)), V("a0"))
+    at_2 = {k: c.substitute({"mu": 2}) for k, c in out.items()}
+    a0 = Scalar(weight_tag(0))
+    assert at_2 == {weight_key("a0", -1): lam + a0 - 2}
     with pytest.raises(NotAModule):
         induce_apply(weight_action(None, Fraction(1, 3)), ad(L(1), M(0)),
                      V("a0"))
+
+
+@pytest.mark.parametrize("mu_val", [2, Fraction(1, 3)], ids=["2", "1/3"])
+def test_an_induced_action_is_built_only_from_a_module(mu_val):
+    with pytest.raises(NotAModule) as exc:
+        InducedLieAction(weight_action(None, mu_val))
+    assert isinstance(exc.value.report, DefectReport)
+
+
+@pytest.mark.parametrize("mu_val", [0, 1, None], ids=["0", "1", "sym"])
+def test_induced_kernel_matches_induce_apply(mu_val):
+    # the one kernel the checks read against the second route, on every
+    # generator of -3..3 and every default probe
+    tri = weight_action(None, mu_val)
+    induced = InducedLieAction(tri)
+    for k in window_generators(range(-3, 4)):
+        for probe in default_probes():
+            want = induce_apply(tri, pqxz_to_deriv(k), ModVec.term(probe))
+            assert dict(_lie_key_terms(induced, k, probe)) == want._terms
 
 
 def test_gate_refuses_rational_mu_outside_0_1_on_a_clean_window():
@@ -898,15 +921,15 @@ def test_one_gate_entry_serves_every_reader_of_an_action():
 
 
 def test_induced_formula_matches_shift_action_for_any_mu():
-    # formula-level agreement holds even at mu=2; only the gate fails there
-    tri = weight_action(None, 2)
-    lie = shift_action(None, 2)
+    # an identity in symbolic mu holds at every value, mu = 2 among them,
+    # where only the gate refuses the action
+    tri = weight_action()
+    lie = shift_action()
     for fam, r in [("p", 2), ("p", 0), ("q", 1), ("x", -1), ("z", 3)]:
         gen = {"p": P, "q": Q, "x": X, "z": Z}[fam](r)
         for probe in default_probes():
             v = ModVec.term(probe)
-            got = induce_apply(tri, pqxz_to_deriv(gen), v,
-                               require_module=False)
+            got = induce_apply(tri, pqxz_to_deriv(gen), v)
             assert got == lie_apply(lie, gen, v)
 
 
@@ -930,11 +953,10 @@ def _kernel_relations():
 
 
 def test_kernel_relations_act_as_zero_for_all_parameters():
-    tri = weight_action()  # fully symbolic, gate skipped
+    tri = weight_action()  # fully symbolic, which the gate admits
     for rel in _kernel_relations():
         for probe in default_probes():
-            out = induce_apply(tri, rel, ModVec.term(probe),
-                               require_module=False)
+            out = induce_apply(tri, rel, ModVec.term(probe))
             assert out.is_zero
 
 

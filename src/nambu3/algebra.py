@@ -18,7 +18,8 @@ The two must agree everywhere; keeping both gives a structural oracle for
 the table.  ``check_fundamental`` sweeps the ternary Jacobi identity over a
 finite index window, as lookups in a table local to the sweep that makes
 each distinct bracket once (``_SweepTable``, the one table type of every
-sweep).  ``_SweepTables`` adds the interned coefficient arithmetic that the
+sweep), one case per antisymmetry class with the default table.
+``_SweepTables`` adds the interned coefficient arithmetic that the
 commutator scan and the module axioms compute with.  Indices are
 Laurent-mode integers capped at +/-2^40; a window index (sweeps take their
 keys from ``window_keys``) or index arithmetic that leaves the cap raises
@@ -323,37 +324,60 @@ class _SweepTables:
                 for k, i in acc.items()}
 
 
-def _fi_scan(first_keys: tuple, keys: tuple, kb: Optional[Callable]) -> list:
+# (permutation of a case's five keys, its sign): the 2 orders of (x1, x2)
+# times the 6 orders of (x3, x4, x5)
+_FI_ORDERINGS = tuple(
+    (p12 + p345, s12 * s345) for p12, s12 in (((0, 1), 1), ((1, 0), -1))
+    for p345, s345 in (((2, 3, 4), 1), ((3, 4, 2), 1), ((4, 2, 3), 1),
+                       ((3, 2, 4), -1), ((2, 4, 3), -1), ((4, 3, 2), -1)))
+
+
+def _fi_scan(firsts: Iterable[int], keys: tuple,
+             kb: Optional[Callable]) -> list:
     """Defects of [x1,x2,[x3,x4,x5]] = [[x1,x2,x3],x4,x5]
-    + [x3,[x1,x2,x4],x5] + [x3,x4,[x1,x2,x5]] for x1 in ``first_keys``,
-    as ``sweep_report`` triples.
+    + [x3,[x1,x2,x4],x5] + [x3,x4,[x1,x2,x5]] for x1 at the positions
+    ``firsts`` of ``keys``, as ``sweep_report`` triples.
+
+    With ``kb`` None the table is ``bracket_keys``, which sorts its
+    arguments: both sides are then antisymmetric in (x1, x2) and in
+    (x3, x4, x5), so the scan evaluates only x1 < x2 and x3 < x4 < x5
+    (``keys`` is sorted) and reports each defect at its 12 signed
+    orderings.  An injected ``kb`` may be neither, so it gets every case.
 
     Every bracket is a lookup in one table local to the scan, keyed by its
     first two arguments: the row (x1, x2) is ad(x1, x2), the row (x3, x4)
     holds the inner brackets and the third outer one, and the rows
     (image, x4) and (x3, image) the other two outer brackets, where
-    ``image`` is a key ad(x1, x2) lands on.  So ``kb`` is called once per
-    distinct argument triple (14,504 times at -3..3), with the argument
-    order of evaluating each case on its own, and an injected table that is
-    not antisymmetric finds the same defects.
+    ``image`` is a key ad(x1, x2) lands on.  So the table is called once per
+    distinct argument triple (10,248 times at -3..3, 14,504 for an injected
+    ``kb``), with the argument order of evaluating each case on its own, and
+    an injected table that is not antisymmetric finds the same defects.
     """
     if kb is None:
-        kb = bracket_keys
+        kb, orderings, skip = bracket_keys, _FI_ORDERINGS, 1
+    else:
+        orderings, skip = ((tuple(range(5)), 1),), 0
+    # with skip 1, x2 starts after x1, x4 after x3 and x5 after x4, and x4
+    # stops before the last key; with skip 0 every level spans all keys
     table = _SweepTable(kb, keys)
     nones = [None] * len(keys)
     found = []
-    for x1 in first_keys:
-        for x2 in keys:
+    for i1 in firsts:
+        x1 = keys[i1]
+        for x2 in keys[(i1 + 1) * skip:]:
             ad = table[x1, x2]
-            for x3, first in zip(keys, ad.seq):
-                for x4, second in zip(keys, ad.seq):
+            for i3, (x3, first) in enumerate(zip(keys, ad.seq)):
+                for i4 in range((i3 + 1) * skip, len(keys) - skip):
+                    x4, second = keys[i4], ad.seq[i4]
                     inners = table[x3, x4]
                     outer1 = (nones if first is None
                               else table[first[1], x4].seq)
                     outer2 = (nones if second is None
                               else table[x3, second[1]].seq)
+                    lo = (i4 + 1) * skip
                     for x5, inner, third, hit1, hit2 in zip(
-                            keys, inners.seq, ad.seq, outer1, outer2):
+                            keys[lo:], inners.seq[lo:], ad.seq[lo:],
+                            outer1[lo:], outer2[lo:]):
                         acc: dict = {}
                         if inner is not None:
                             hit = ad[inner[1]]
@@ -371,8 +395,12 @@ def _fi_scan(first_keys: tuple, keys: tuple, kb: Optional[Callable]) -> list:
                                 k = hit[1]
                                 acc[k] = acc.get(k, 0) - third[0] * hit[0]
                         if any(acc.values()):
-                            found.append(((x1, x2, x3, x4, x5), None,
-                                          AlgElem(list(acc.items()))))
+                            case = (x1, x2, x3, x4, x5)
+                            defect = AlgElem(list(acc.items()))
+                            signed = {1: defect, -1: -defect}
+                            for perm, sign in orderings:
+                                found.append((tuple(case[i] for i in perm),
+                                              None, signed[sign]))
     return found
 
 
@@ -386,23 +414,25 @@ def check_fundamental(window: Iterable[int] = DEFAULT_FI_WINDOW,
                       parallelism: int = 1) -> DefectReport:
     """Sweep the ternary Jacobi identity over all key 5-tuples in the window.
 
-    With the default table the grid may be fanned out across processes;
-    a custom ``key_bracket`` (fault injection) always runs serially.
-    Entries are sorted either way, so the report is deterministic.
+    The default table gets ``_fi_scan``'s scan of one case per antisymmetry
+    class, which may fan out across processes; a custom ``key_bracket``
+    (fault injection) gets every case, serially.  Entries are sorted either
+    way, so the report is deterministic.
     """
     keys = window_keys(window)
-    workers = _resolve_parallelism(parallelism, len(keys))
+    n = len(keys)
+    # the last first key has no later second key in the default table's scan
+    workers = _resolve_parallelism(parallelism, n - 1)
     if key_bracket is not None or workers <= 1:
-        found = _fi_scan(keys, keys, key_bracket)
+        found = _fi_scan(range(n), keys, key_bracket)
     else:
         # imported here: a process that never fans out never loads it
         from concurrent.futures import ProcessPoolExecutor
-        chunks = [keys[i::workers] for i in range(workers)]
         found = []
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_fi_scan, chunk, keys, None)
-                       for chunk in chunks]
+            futures = [pool.submit(_fi_scan, range(i, n, workers), keys, None)
+                       for i in range(workers)]
             for fut in futures:
                 found.extend(fut.result())
-    return sweep_report("fundamental-identity", len(keys) ** 5, found,
+    return sweep_report("fundamental-identity", n ** 5, found,
                         axiom="fundamental-identity", family="algebra")

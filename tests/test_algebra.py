@@ -198,8 +198,19 @@ def test_fundamental_pool_size_is_clamped(monkeypatch):
     sizes = _serial_pool(monkeypatch)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     report = check_fundamental(range(-1, 2), parallelism=10 ** 6)
-    assert sizes == [6]
+    # the last of the 6 first keys has no later second key: 5 chunks
+    assert sizes == [5]
     assert report.passed and report.cases == 6 ** 5
+
+
+def test_a_window_of_one_pair_starts_no_pool(monkeypatch):
+    # 0..0 has keys L[0], M[0]: only the first one heads a case, so a
+    # request for two workers runs serially
+    sizes = _serial_pool(monkeypatch)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    report = check_fundamental(range(0, 1), parallelism=2)
+    assert sizes == []
+    assert report.passed and report.cases == 2 ** 5
 
 
 def _skewed(k1, k2, k3):
@@ -241,6 +252,23 @@ def _counting(calls: list):
         return bracket_keys(*args)
 
     return kb
+
+
+def _sorted(kb):
+    # kb on its arguments in sorted order, times the parity of the sort, and
+    # None on a repeated key: a totally antisymmetric table, as the default
+    # table is and as the scan over one ordering per class requires
+    def antisymmetric(*args):
+        keys, sign = list(args), 1
+        for i, j in ((0, 1), (1, 2), (0, 1)):
+            if keys[i] > keys[j]:
+                keys[i], keys[j], sign = keys[j], keys[i], -sign
+        if keys[0] == keys[1] or keys[1] == keys[2]:
+            return None
+        hit = kb(*keys)
+        return None if hit is None else (sign * hit[0], hit[1])
+
+    return antisymmetric
 
 
 def test_fault_injection_is_detected():
@@ -312,11 +340,16 @@ def _assert_matches_reference_route(window, skewed, monkeypatch):
     expected = _reference_fi_records(window, skewed)
     assert expected
     assert _records(check_fundamental(window, key_bracket=skewed)) == expected
-    # the pool path: same scan on chunks of first keys, the bracket table
-    # looked up as a module global; the stand-in pool starts no process
+    # the default-table path, serial and on the pool: one case per
+    # antisymmetry class, the bracket table looked up as a module global,
+    # so it gets the skewed table made antisymmetric; the stand-in pool
+    # starts no process
+    expected = _reference_fi_records(window, _sorted(skewed))
+    assert expected
+    monkeypatch.setattr(algebra, "bracket_keys", _sorted(skewed))
+    assert _records(check_fundamental(window)) == expected
     sizes = _serial_pool(monkeypatch)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(algebra, "bracket_keys", skewed)
     assert _records(check_fundamental(window, parallelism=2)) == expected
     assert sizes == [2]
 
@@ -355,6 +388,37 @@ def test_fi_scan_brackets_each_distinct_triple_once():
     assert check_fundamental(range(-3, 4), key_bracket=_counting(calls)).passed
     # evaluating every case on its own makes 1,046,640 calls
     assert len(calls) == len(set(calls)) == 14504
+
+
+def _flipped(orderings, i):
+    perm, sign = orderings[i]
+    return orderings[:i] + ((perm, -sign),) + orderings[i + 1:]
+
+
+def test_each_signed_ordering_of_the_default_scan_is_needed(monkeypatch):
+    # _skewed only shifts the keys bracket_keys returns, so it stays
+    # antisymmetric and the default path may read it
+    window = range(-1, 2)
+    expected = _reference_fi_records(window, _skewed)
+    monkeypatch.setattr(algebra, "bracket_keys", _skewed)
+    assert _records(check_fundamental(window)) == expected
+    orderings = algebra._FI_ORDERINGS
+    assert len(set(orderings)) == 12
+    for i in range(12):
+        for mutant in (_flipped(orderings, i),
+                       orderings[:i] + orderings[i + 1:]):
+            monkeypatch.setattr(algebra, "_FI_ORDERINGS", mutant)
+            assert _records(check_fundamental(window)) != expected
+
+
+@pytest.mark.parametrize("window, distinct", [(range(-2, 3), 3120),
+                                              (range(-3, 4), 10248)])
+def test_default_scan_brackets_each_distinct_triple_once(window, distinct,
+                                                         monkeypatch):
+    calls = []
+    monkeypatch.setattr(algebra, "bracket_keys", _counting(calls))
+    assert check_fundamental(window).passed
+    assert len(calls) == len(set(calls)) == distinct
 
 
 def test_fi_scan_brackets_the_triples_of_the_reference_route():

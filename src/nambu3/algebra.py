@@ -296,15 +296,19 @@ class _SweepTables:
 
     def _product(self, c: int, c2: int, sign: int) -> int:
         # the product made with the other sign, if any, is negated instead
-        values = self.values
         other = self.prods.get((c, c2, -sign))
         if other is not None:
-            prod = -values[other]
-        else:
-            prod = values[c] * values[c2]
-            if sign < 0:
-                prod = -prod
-        return _intern(self.ids, values, prod)
+            return self.neg(other)
+        prod = self.values[c] * self.values[c2]
+        return _intern(self.ids, self.values, prod if sign > 0 else -prod)
+
+    def neg(self, c: int) -> int:
+        """The id of minus the coefficient with id ``c``, memoized."""
+        p = self.prods.get((c, -1))
+        if p is None:
+            p = self.prods[c, -1] = _intern(self.ids, self.values,
+                                            -self.values[c])
+        return p
 
     def scale_into(self, acc: dict, terms, b) -> None:
         """Add each term of ``terms`` times the rational ``b``."""
@@ -318,9 +322,10 @@ class _SweepTables:
 
     def coeffs(self, acc: dict, sign: int = 1) -> dict:
         """A case's accumulator over the interned coefficients, times
-        ``sign``."""
+        ``sign``: a negated one is interned too, so equal coefficients are
+        one object."""
         values = self.values
-        return {k: values[i] if sign > 0 else -values[i]
+        return {k: values[i if sign > 0 else self.neg(i)]
                 for k, i in acc.items()}
 
 

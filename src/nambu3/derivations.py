@@ -295,17 +295,17 @@ def deriv_equal(d1: DerivExpr, d2: DerivExpr,
     return True
 
 
-def _commutator_scan(gens: tuple, probes: tuple, kernel: Callable,
+def _commutator_scan(gens: tuple, tables: _SweepTables,
                      bracket: Callable) -> list:
     """Defects of a(b v) - b(a v) = [a, b] v over generators a, b in ``gens``
-    and probe keys v, as ``(ka, kb, probe, {key: coeff})``.  ``kernel(k,
-    key)`` gives k's terms on a key, once per distinct (k, key), ``bracket(a,
-    b)`` the terms ``(generator, rational)`` of [a, b], and
-    ``algebra._SweepTables`` the arithmetic.  Each unordered pair composes
+    and probe keys v, as ``(ka, kb, probe, acc, sign)``: the defect is
+    ``tables.coeffs(acc, sign)``.  ``tables`` is the ``algebra._SweepTables``
+    of a kernel giving a generator's terms on a key, once per distinct
+    (generator, key), and of the probes; ``bracket(a, b)`` gives the terms
+    ``(generator, rational)`` of [a, b].  Each unordered pair composes
     a(b v) - b(a v) once: the case (a, b) subtracts [a, b] v from it, and
     the case (b, a) adds [b, a] v to it and negates the sum."""
-    tables = _SweepTables(kernel, probes)
-    rows, coeffs = tables.rows, tables.coeffs
+    rows, probes = tables.rows, tables.rows.keys
     compose_into, scale_into = tables.compose_into, tables.scale_into
     found = []
     for j, ka in enumerate(gens):
@@ -325,7 +325,7 @@ def _commutator_scan(gens: tuple, probes: tuple, kernel: Callable,
                     for seq, ct in table:
                         scale_into(acc, seq[i], ct)
                     if acc:
-                        found.append((x, y, probe, coeffs(acc, sign)))
+                        found.append((x, y, probe, acc, sign))
     return found
 
 
@@ -350,9 +350,10 @@ def check_pqxz_table(window: Iterable[int] = DEFAULT_PAIR_WINDOW,
         return () if hit is None else ((hit[1], hit[0]),)
     gens = window_generators(window)
     probes = window_keys(window)
-    found = [((ka, kb, probe), None, AlgElem(list(acc.items())))
-             for ka, kb, probe, acc in _commutator_scan(
-                 gens, probes, terms, partial(_bracket_terms, key_bracket))]
+    tables = _SweepTables(terms, probes)
+    found = [((ka, kb, probe), None, AlgElem(tables.coeffs(acc, sign)))
+             for ka, kb, probe, acc, sign in _commutator_scan(
+                 gens, tables, partial(_bracket_terms, key_bracket))]
     return sweep_report("generator-commutator-table",
                         len(gens) ** 2 * len(probes), found,
                         axiom="generator-commutator", family="derivations")

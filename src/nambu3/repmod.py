@@ -46,7 +46,7 @@ module sweeps keep tables of their own instead, freed when each sweep
 returns: an ``algebra._SweepTables`` with a row per pair ``(x, y)`` (read
 through ``_pair_terms``) or per generator, and every coefficient interned
 under a small int id.  ``check_tri_axiom1`` and ``check_lie_module`` are
-``derivations._commutator_scan``, the first over the window's pairs with
+``derivations._commutator_scan``, the first over pairs of window keys with
 ``_ad_on_pair`` as their bracket; ``check_tri_axiom2`` has its own loop.
 
 ``orbit_probe`` walks weight keys, not vectors: each windowed generator is
@@ -55,10 +55,14 @@ a kernel from a key to its merged nonzero terms (``_tri_key_terms``, or
 and a line's images are the keys of those terms.
 
 ``check_tri_axiom2`` reports each defect as (sum of composed pair actions)
-minus (action of the bracketed triple).  It evaluates a case once per cyclic
-class of (x1, x2, x3) and reports the defect at every rotation: rotating the
-triple only permutes the three composed terms, and the bracket of an even
-permutation of its arguments is the same, so this holds for any action.
+minus (action of the bracketed triple).  Both axiom sweeps use one property
+of the action, checked first on the rows a full sweep reads (``_is_skew``):
+rho(x, y) = -rho(y, x).  Then a defect is antisymmetric in (x1, x2) and in
+(x3, x4) (axiom 1), or in (x1, x2, x3) (axiom 2), and zero on a repeated
+key, so one case per class is evaluated and its defect reported at every
+signed ordering.  An action that fails the check gets the full sweeps: every
+pair of pairs, and one case per cyclic class of (x1, x2, x3) reported at
+each rotation, which holds for any action.
 ``counterexample_phi`` reports the designed failure the other way around,
 bracket side first, because its published lhs/rhs split names the bracket
 side lhs.
@@ -67,6 +71,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, partial
+from itertools import combinations, combinations_with_replacement, product
 from math import floor
 from typing import Iterable, NamedTuple, Union
 
@@ -376,6 +381,45 @@ def _ad_on_pair(brackets: _SweepTable, a: tuple, b: tuple) -> list:
         [((x3, h4[1]), h4[0])] if h4 else [])
 
 
+# (permutation of a case's four keys, its sign): the orders of (x1, x2)
+# times those of (x3, x4) in axiom 1, the 3 rotations and then the 3
+# transpositions of (x1, x2, x3) in axiom 2
+_AXIOM1_ORDERINGS = (((0, 1, 2, 3), 1), ((1, 0, 2, 3), -1),
+                     ((0, 1, 3, 2), -1), ((1, 0, 3, 2), 1))
+_AXIOM2_ORDERINGS = (((0, 1, 2, 3), 1), ((1, 2, 0, 3), 1), ((2, 0, 1, 3), 1),
+                     ((1, 0, 2, 3), -1), ((0, 2, 1, 3), -1),
+                     ((2, 1, 0, 3), -1))
+
+
+def _is_skew(tables: _SweepTables, keys: tuple, brackets=None) -> bool:
+    """Whether rho(x, y) = -rho(y, x) on the rows a full axiom sweep reads:
+    (a) each window pair, rho(x, x) = 0 included, at the probes and every
+    key a window pair sends a probe to; (b) with ``brackets``, each pair of
+    a window key and an image h of ad(x1, x2), x1 < x2, at the probes."""
+    rows, neg, probes = tables.rows, tables.neg, tables.rows.keys
+    at = dict.fromkeys(probes)
+    for pair in product(keys, repeat=2):
+        at.update((k, None) for terms in rows[pair,].seq for k, _ in terms)
+    checks = [((x, y), (y, x), at)
+              for x, y in combinations_with_replacement(keys, 2)]
+    if brackets is not None:
+        images = dict.fromkeys(hit[1] for a in combinations(keys, 2)
+                               for hit in brackets[a].seq if hit)
+        checks += [((h, x), (x, h), probes) for h in images for x in keys]
+    return all(dict(rows[a,][k]) == {k2: neg(c) for k2, c in rows[b,][k]}
+               for a, b, where in checks for k in where)
+
+
+def _report_at(found: list, tables: _SweepTables, case: tuple, probe,
+               acc: dict, orderings: tuple, sign: int = 1) -> None:
+    """Append the defect ``tables.coeffs(acc, sign)`` of ``case`` at each
+    distinct signed ordering of it, one shared vector per sign."""
+    cases = {tuple(case[i] for i in perm): s for perm, s in orderings}
+    vecs = {s: ModVec._of(tables.coeffs(acc, s * sign))
+            for s in set(cases.values())}
+    found.extend((c, probe, vecs[s]) for c, s in cases.items())
+
+
 def check_tri_axiom1(action: TriAction,
                      window: Iterable[int] = DEFAULT_AXIOM_WINDOW,
                      probes=None) -> DefectReport:
@@ -383,15 +427,21 @@ def check_tri_axiom1(action: TriAction,
     bracketed arguments, summed over the two insertion slots.
 
     The pair operators are the generators of ``_commutator_scan``, and the
-    bracket of (x1, x2) with (x3, x4) is ``_ad_on_pair``.
+    bracket of (x1, x2) with (x3, x4) is ``_ad_on_pair``.  A skew action's
+    scan runs over the 45 pairs x < y of the default window and reports each
+    defect at its 4 signed orderings; any other over all 100 ordered pairs.
     """
     keys = window_keys(window)
     probe_keys = _probe_keys(probes)
-    pairs = tuple((x, y) for x in keys for y in keys)
-    found = [((*a, *b), probe, ModVec._of(acc))
-             for a, b, probe, acc in _commutator_scan(
-                 pairs, probe_keys, partial(_pair_terms, action),
-                 partial(_ad_on_pair, _SweepTable(bracket_keys, keys)))]
+    tables = _SweepTables(partial(_pair_terms, action), probe_keys)
+    brackets = _SweepTable(bracket_keys, keys)
+    skew = _is_skew(tables, keys, brackets)
+    pairs = tuple(combinations(keys, 2) if skew else product(keys, repeat=2))
+    orderings = _AXIOM1_ORDERINGS if skew else _AXIOM1_ORDERINGS[:1]
+    found = []
+    for a, b, probe, acc, sign in _commutator_scan(
+            pairs, tables, partial(_ad_on_pair, brackets)):
+        _report_at(found, tables, (*a, *b), probe, acc, orderings, sign)
     return sweep_report("tri-axiom-1", len(keys) ** 4 * len(probe_keys), found,
                         axiom="tri-axiom-1", family=action_family(action),
                         parameters=action_parameters(action))
@@ -405,49 +455,41 @@ def check_tri_axiom2(action: TriAction,
     bracket-action side.
 
     A case's defect is rho(x1,x2)rho(x3,x4) + rho(x2,x3)rho(x1,x4)
-    + rho(x3,x1)rho(x2,x4) - b rho([x1,x2,x3], x4).  Rotating (x1, x2, x3)
-    only permutes the three composed terms, and ``bracket_keys`` gives an
-    even permutation of its arguments the same (coefficient, key).  So each
-    cyclic class of (x1, x2, x3) is evaluated once, at its least rotation,
-    and its defect, one shared vector, is reported at every distinct
-    rotation with the same x4 and probe: 340 classes of 1,000 triples on
-    the default window.  No property of the action is used, and the report
-    still counts every case.
+    + rho(x3,x1)rho(x2,x4) - b rho([x1,x2,x3], x4).  A skew action's sweep
+    evaluates the 120 triples x1 < x2 < x3 of the default window and reports
+    each defect at its 6 signed orderings; any other's the least rotation of
+    each of 340 cyclic classes, reported at every distinct rotation.  Both
+    keep x4 and the probe, and the report still counts every case.
     """
     keys = window_keys(window)
     probe_keys = _probe_keys(probes)
     tables = _SweepTables(partial(_pair_terms, action), probe_keys)
-    rows, coeffs = tables.rows, tables.coeffs
+    rows = tables.rows
     compose_into, scale_into = tables.compose_into, tables.scale_into
+    skew = _is_skew(tables, keys)
+    triples = combinations(keys, 3) if skew else (
+        t for t in product(keys, repeat=3)
+        if t <= t[1:] + t[:1] and t <= t[2:] + t[:2])
+    orderings = _AXIOM2_ORDERINGS if skew else _AXIOM2_ORDERINGS[:3]
     nones = [None] * len(probe_keys)
     found = []
-    for x1 in keys:
-        for x2 in keys:
-            for x3 in keys:
-                triple = (x1, x2, x3)
-                if triple > (x2, x3, x1) or triple > (x3, x1, x2):
-                    continue
-                rotations = ((triple,) if x1 == x2 == x3
-                             else (triple, (x2, x3, x1), (x3, x1, x2)))
-                r12, r23, r31 = (rows[(x1, x2),], rows[(x2, x3),],
-                                 rows[(x3, x1),])
-                b123 = bracket_keys(x1, x2, x3)
-                for x4 in keys:
-                    s123 = (rows[(b123[1], x4),].seq if b123 is not None
-                            else nones)
-                    for probe, t34, t14, t24, t123 in zip(
-                            probe_keys, rows[(x3, x4),].seq,
-                            rows[(x1, x4),].seq, rows[(x2, x4),].seq, s123):
-                        acc: dict = {}
-                        compose_into(acc, r12, t34)
-                        compose_into(acc, r23, t14)
-                        compose_into(acc, r31, t24)
-                        if t123 is not None:
-                            scale_into(acc, t123, -b123[0])
-                        if acc:
-                            vec = ModVec._of(coeffs(acc))
-                            found.extend(((*t, x4), probe, vec)
-                                         for t in rotations)
+    for x1, x2, x3 in triples:
+        r12, r23, r31 = rows[(x1, x2),], rows[(x2, x3),], rows[(x3, x1),]
+        b123 = bracket_keys(x1, x2, x3)
+        for x4 in keys:
+            s123 = rows[(b123[1], x4),].seq if b123 is not None else nones
+            for probe, t34, t14, t24, t123 in zip(
+                    probe_keys, rows[(x3, x4),].seq, rows[(x1, x4),].seq,
+                    rows[(x2, x4),].seq, s123):
+                acc: dict = {}
+                compose_into(acc, r12, t34)
+                compose_into(acc, r23, t14)
+                compose_into(acc, r31, t24)
+                if t123 is not None:
+                    scale_into(acc, t123, -b123[0])
+                if acc:
+                    _report_at(found, tables, (x1, x2, x3, x4), probe, acc,
+                               orderings)
     return sweep_report("tri-axiom-2", len(keys) ** 4 * len(probe_keys), found,
                         axiom="tri-axiom-2", family=action_family(action),
                         parameters=action_parameters(action))
@@ -560,10 +602,10 @@ def check_lie_module(action: LieAction,
     """Generator commutators must act as the bracketed generator does."""
     gens = window_generators(window)
     probes = _probe_keys(probes)
-    found = [((ka, kb), probe, ModVec._of(acc))
-             for ka, kb, probe, acc in _commutator_scan(
-                 gens, probes, partial(_lie_key_terms, action),
-                 partial(_bracket_terms, pqxz_key_bracket))]
+    tables = _SweepTables(partial(_lie_key_terms, action), probes)
+    found = [((ka, kb), probe, ModVec._of(tables.coeffs(acc, sign)))
+             for ka, kb, probe, acc, sign in _commutator_scan(
+                 gens, tables, partial(_bracket_terms, pqxz_key_bracket))]
     return sweep_report("lie-commutator", len(gens) ** 2 * len(probes), found,
                         axiom="lie-commutator", family=action_family(action),
                         parameters=action_parameters(action))

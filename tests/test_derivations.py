@@ -287,17 +287,65 @@ def test_table_sweep_matches_reference_route(window):
     assert [e.record() for e in report.entries] == expected
 
 
-def test_table_sweep_matches_reference_route_under_a_skewed_bracket():
+def _skewed_bracket(k1, k2):
     # a bracket that is neither antisymmetric nor zero on the diagonal, so
     # each order of a pair, and the pair (a, a), needs its own table entry
-    def skewed(k1, k2):
-        out = pqxz_key_bracket(k1, k2)
-        return out + PqxzElem.term(P(0)) if k1.family == "p" else out
+    out = pqxz_key_bracket(k1, k2)
+    return out + PqxzElem.term(P(0)) if k1.family == "p" else out
 
-    expected = _reference_table_records(range(-1, 2), pqxz_key_apply, skewed)
+
+def test_table_sweep_matches_reference_route_under_a_skewed_bracket():
+    expected = _reference_table_records(range(-1, 2), pqxz_key_apply,
+                                        _skewed_bracket)
     assert any(e["indices"][:2] == e["indices"][2:4] for e in expected)
-    report = check_pqxz_table(range(-1, 2), key_bracket=skewed)
+    report = check_pqxz_table(range(-1, 2), key_bracket=_skewed_bracket)
     assert [e.record() for e in report.entries] == expected
+
+
+# ad(A) as W ⋉ (sl2 ⊗ C[t, 1/t]): p[r] -> d_r, q[r] -> -h t^r,
+# x[r] -> e t^r, z[r] -> f t^r, with [d_m, d_n] = (m - n) d_{m+n},
+# [d_m, y t^s] = -s y t^{m+s} and [y t^r, y' t^s] = [y, y'] t^{r+s}
+_TO_MODEL = {"p": ("d", 1), "q": ("h", -1), "x": ("e", 1), "z": ("f", 1)}
+_FROM_MODEL = {"d": (P, 1), "h": (Q, -1), "e": (X, 1), "f": (Z, 1)}
+_SL2 = {("h", "e"): ("e", 2), ("h", "f"): ("f", -2), ("e", "f"): ("h", 1)}
+
+
+def _model_basis_bracket(a, m, b, n):
+    """[a t^m, b t^n] in the model as (name, coefficient) at the power
+    m + n, where ``d`` at power m is the Witt generator d_m."""
+    if a == b == "d":
+        return "d", m - n
+    if a == "d":
+        return b, -n
+    if b == "d":
+        return a, m
+    if (a, b) in _SL2:
+        return _SL2[a, b]
+    if (b, a) in _SL2:
+        return _SL2[b, a][0], -_SL2[b, a][1]
+    return None, 0
+
+
+def _model_bracket(k1, k2) -> PqxzElem:
+    """[k1, k2] computed in the model and read back as p/q/x/z."""
+    (a, ca), (b, cb) = _TO_MODEL[k1.family], _TO_MODEL[k2.family]
+    name, c = _model_basis_bracket(a, k1.index, b, k2.index)
+    if name is None:
+        return PqxzElem.zero()
+    gen, sign = _FROM_MODEL[name]
+    return PqxzElem.term(gen(k1.index + k2.index), ca * cb * c * sign)
+
+
+def _model_mismatches(key_bracket, window) -> list:
+    gens = window_generators(window)
+    return [(a, b) for a in gens for b in gens
+            if key_bracket(a, b) != _model_bracket(a, b)]
+
+
+def test_generator_table_is_the_witt_loop_algebra_bracket():
+    # a third route for the table: the model knows nothing of L, M or ad
+    assert _model_mismatches(pqxz_key_bracket, range(-8, 9)) == []
+    assert _model_mismatches(_skewed_bracket, range(-8, 9))
 
 
 def test_elem_bracket_is_bilinear():

@@ -309,6 +309,176 @@ def test_axiom_sweeps_match_the_reference_under_a_skewed_kernel(
                 == [e.record() for e in want.entries])
 
 
+def _symmetric_factor(kernel):
+    # the pair kernel times a factor symmetric in (x, y) and never zero, so
+    # a skew action stays skew but is no longer a module
+    def terms(action, x, y, key):
+        f = x.index * x.index + y.index * y.index + 1
+        return tuple((k, c * f) for k, c in kernel(action, x, y, key))
+
+    return terms
+
+
+def _skew_broken_outside_the_window(kernel, bound):
+    # rho(x, y) = +rho(y, x) once a pair key lies outside the window: only
+    # the rows (h, x) and (x, h), h an image of ad(x1, x2), can see it
+    def terms(action, x, y, key):
+        out = kernel(action, x, y, key)
+        if x > y and max(abs(x.index), abs(y.index)) > bound:
+            return tuple((k, -c) for k, c in out)
+        return out
+
+    return terms
+
+
+def _skew_broken_off_the_probes(kernel, probes):
+    # rho(x, y) = -2 rho(y, x) for x > y, but only at weight keys that are
+    # not probes: only the images of the probes can see it
+    def terms(action, x, y, key):
+        out = kernel(action, x, y, key)
+        if x > y and key not in probes:
+            return tuple((k, c * 2) for k, c in out)
+        return out
+
+    return terms
+
+
+def _acting_diagonal(kernel):
+    # rho(x, x) acts, and no other pair changes: only the pairs (x, x) of
+    # part (a) can see it
+    def terms(action, x, y, key):
+        if x == y:
+            return ((key.shift(x.index), Scalar(x.index + 3)),)
+        return kernel(action, x, y, key)
+
+    return terms
+
+
+def _skew_at_the_probes_only(tables, keys, brackets=None):
+    # repmod._is_skew with its part (a) read at the probes alone
+    rows, neg = tables.rows, tables.neg
+    heads = [((x, y), (y, x)) for x in keys for y in keys]
+    if brackets is not None:
+        images = {hit[1] for a in itertools.combinations(keys, 2)
+                  for hit in brackets[a].seq if hit}
+        heads += [((h, x), (x, h)) for h in images for x in keys]
+    return all(dict(s) == {k: neg(c) for k, c in t} for a, b in heads
+               for s, t in zip(rows[a,].seq, rows[b,].seq))
+
+
+def _records(report):
+    return [e.record() for e in report.entries]
+
+
+def _patch_kernel(monkeypatch, kernel):
+    # the sweep's rows read _tri_terms, the reference _tri_key_terms
+    import nambu3.repmod as repmod
+
+    monkeypatch.setattr(repmod, "_tri_terms", kernel)
+    monkeypatch.setitem(globals(), "_tri_key_terms", kernel)
+
+
+def _spy_skew(monkeypatch) -> list:
+    # the verdicts of repmod._is_skew, one per sweep
+    import nambu3.repmod as repmod
+
+    verdicts, real = [], repmod._is_skew
+
+    def spy(*args):
+        verdicts.append(real(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(repmod, "_is_skew", spy)
+    return verdicts
+
+
+@pytest.mark.parametrize("name", ["T", "pullback-psi"])
+def test_axiom_sweeps_take_the_skew_route_under_a_skew_mutant(monkeypatch,
+                                                              name):
+    import nambu3.repmod as repmod
+
+    _patch_kernel(monkeypatch, _symmetric_factor(repmod._tri_terms))
+    verdicts = _spy_skew(monkeypatch)
+    for axiom, sweep in ((1, check_tri_axiom1), (2, check_tri_axiom2)):
+        got = sweep(_SWEEP_ACTIONS[name], range(-1, 2))
+        want = _reference_axiom_report(_SWEEP_ACTIONS[name], range(-1, 2),
+                                       None, axiom)
+        assert got.entries and got.cases == want.cases
+        assert _records(got) == _records(want)
+    assert verdicts == [True, True]
+
+
+@pytest.mark.parametrize("axiom, table", [(1, "_AXIOM1_ORDERINGS"),
+                                          (2, "_AXIOM2_ORDERINGS")])
+def test_each_signed_ordering_of_the_skew_route_is_needed(monkeypatch, axiom,
+                                                          table):
+    import nambu3.repmod as repmod
+
+    _patch_kernel(monkeypatch, _symmetric_factor(repmod._tri_terms))
+    sweep = (check_tri_axiom1, check_tri_axiom2)[axiom - 1]
+    action, probes = weight_action(), (weight_key("a0"), weight_key(1))
+    expected = _records(_reference_axiom_report(action, range(-1, 2), probes,
+                                                axiom))
+    assert _records(sweep(action, range(-1, 2), probes)) == expected
+    orderings = getattr(repmod, table)
+    assert len(set(orderings)) == (4, 6)[axiom - 1]
+    for i, (perm, sign) in enumerate(orderings):
+        flipped = orderings[:i] + ((perm, -sign),) + orderings[i + 1:]
+        for mutant in (flipped, orderings[:i] + orderings[i + 1:]):
+            monkeypatch.setattr(repmod, table, mutant)
+            assert _records(sweep(action, range(-1, 2), probes)) != expected
+
+
+def test_a_skew_break_outside_the_window_takes_the_full_scan(monkeypatch):
+    import nambu3.repmod as repmod
+
+    real = repmod._is_skew
+    _patch_kernel(monkeypatch, _skew_broken_outside_the_window(
+        repmod._tri_terms, 1))
+    verdicts = _spy_skew(monkeypatch)
+    _assert_matches_reference(weight_action(), range(-1, 2))
+    assert verdicts == [False, True]
+    # part (b) is what sees it: without (b) the first axiom goes wrong
+    want = _records(_reference_axiom_report(weight_action(), range(-1, 2),
+                                            None, 1))
+    monkeypatch.setattr(repmod, "_is_skew",
+                        lambda tables, keys, brackets=None: real(tables, keys))
+    assert _records(check_tri_axiom1(weight_action(), range(-1, 2))) != want
+
+
+def test_a_skew_break_off_the_probes_takes_the_full_scan(monkeypatch):
+    import nambu3.repmod as repmod
+
+    _patch_kernel(monkeypatch, _skew_broken_off_the_probes(
+        repmod._tri_terms, default_probes()))
+    verdicts = _spy_skew(monkeypatch)
+    _assert_matches_reference(weight_action(), range(-1, 2))
+    assert verdicts == [False, False]
+    # part (a) at the probes' images is what sees it
+    monkeypatch.setattr(repmod, "_is_skew", _skew_at_the_probes_only)
+    for axiom, sweep in ((1, check_tri_axiom1), (2, check_tri_axiom2)):
+        want = _reference_axiom_report(weight_action(), range(-1, 2), None,
+                                       axiom)
+        assert _records(sweep(weight_action(), range(-1, 2))) != _records(
+            want)
+
+
+def test_an_acting_diagonal_takes_the_full_scan(monkeypatch):
+    import nambu3.repmod as repmod
+
+    _patch_kernel(monkeypatch, _acting_diagonal(repmod._tri_terms))
+    verdicts = _spy_skew(monkeypatch)
+    _assert_matches_reference(weight_action(), range(-1, 2))
+    assert verdicts == [False, False]
+    # without the pairs (x, x) the second axiom goes wrong; the first still
+    # falls back, since part (b) meets the rows (x, x) too
+    monkeypatch.setattr(repmod, "combinations_with_replacement",
+                        itertools.combinations)
+    want = _reference_axiom_report(weight_action(), range(-1, 2), None, 2)
+    assert _records(check_tri_axiom2(weight_action(), range(-1, 2))) != (
+        _records(want))
+
+
 # sweep -> (the kernel its rows read, defects, distinct kernel calls)
 _ARITHMETIC_SWEEPS = {
     "check_tri_axiom1": (lambda: check_tri_axiom1(weight_action()),
@@ -377,9 +547,9 @@ def test_axiom1_makes_each_window_bracket_once(monkeypatch):
 
     monkeypatch.setattr(repmod, "bracket_keys", counted)
     assert check_tri_axiom1(weight_action()).passed
-    # ad(x1, x2) on each of the 10 window keys, for the 100 pairs (x1, x2);
-    # a bracket per case would make 20,000 calls
-    assert len(calls) == len(set(calls)) == 1000
+    # ad(x1, x2) on each of the 10 window keys, for the 45 pairs x1 < x2
+    # of the skew route; a bracket per case would make 20,000 calls
+    assert len(calls) == len(set(calls)) == 450
 
 
 @pytest.mark.parametrize("sweep", [

@@ -18,7 +18,9 @@ The two must agree everywhere; keeping both gives a structural oracle for
 the table.  ``check_fundamental`` sweeps the ternary Jacobi identity over a
 finite index window, as lookups in a table local to the sweep that makes
 each distinct bracket once (``_SweepTable``, the one table type of every
-sweep), one case per antisymmetry class with the default table.
+sweep), one case per antisymmetry class of the table.  The sweep reads
+``bracket_keys`` as a module global, which is where a fault is injected; an
+injected table must stay totally antisymmetric, as ``bracket_keys`` is.
 ``_SweepTables`` adds the interned coefficient arithmetic that the
 commutator scan and the module axioms compute with.  Indices are
 Laurent-mode integers capped at +/-2^40; a window index (sweeps take their
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 import os
 from functools import partial
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple
 
 from .errors import IndexOverflow
 from .linear import LinComb, accumulate
@@ -337,49 +339,42 @@ _FI_ORDERINGS = tuple(
                        ((3, 2, 4), -1), ((2, 4, 3), -1), ((4, 3, 2), -1)))
 
 
-def _fi_scan(firsts: Iterable[int], keys: tuple,
-             kb: Optional[Callable]) -> list:
+def _fi_scan(firsts: Iterable[int], keys: tuple) -> list:
     """Defects of [x1,x2,[x3,x4,x5]] = [[x1,x2,x3],x4,x5]
     + [x3,[x1,x2,x4],x5] + [x3,x4,[x1,x2,x5]] for x1 at the positions
     ``firsts`` of ``keys``, as ``sweep_report`` triples.
 
-    With ``kb`` None the table is ``bracket_keys``, which sorts its
-    arguments: both sides are then antisymmetric in (x1, x2) and in
-    (x3, x4, x5), so the scan evaluates only x1 < x2 and x3 < x4 < x5
-    (``keys`` is sorted) and reports each defect at its 12 signed
-    orderings.  An injected ``kb`` may be neither, so it gets every case.
+    ``bracket_keys`` sorts its arguments, so it is totally antisymmetric:
+    both sides are then antisymmetric in (x1, x2) and in (x3, x4, x5), and
+    zero on a repeated key in either group.  So the scan evaluates only
+    x1 < x2 and x3 < x4 < x5 (``keys`` is sorted) and reports each defect
+    at its 12 signed orderings.  The table is read as a module global when
+    the scan starts, so a fault injected there must stay totally
+    antisymmetric.
 
     Every bracket is a lookup in one table local to the scan, keyed by its
     first two arguments: the row (x1, x2) is ad(x1, x2), the row (x3, x4)
     holds the inner brackets and the third outer one, and the rows
     (image, x4) and (x3, image) the other two outer brackets, where
     ``image`` is a key ad(x1, x2) lands on.  So the table is called once per
-    distinct argument triple (10,248 times at -3..3, 14,504 for an injected
-    ``kb``), with the argument order of evaluating each case on its own, and
-    an injected table that is not antisymmetric finds the same defects.
+    distinct argument triple (10,248 times at -3..3).
     """
-    if kb is None:
-        kb, orderings, skip = bracket_keys, _FI_ORDERINGS, 1
-    else:
-        orderings, skip = ((tuple(range(5)), 1),), 0
-    # with skip 1, x2 starts after x1, x4 after x3 and x5 after x4, and x4
-    # stops before the last key; with skip 0 every level spans all keys
-    table = _SweepTable(kb, keys)
+    table = _SweepTable(bracket_keys, keys)
     nones = [None] * len(keys)
     found = []
     for i1 in firsts:
         x1 = keys[i1]
-        for x2 in keys[(i1 + 1) * skip:]:
+        for x2 in keys[i1 + 1:]:
             ad = table[x1, x2]
             for i3, (x3, first) in enumerate(zip(keys, ad.seq)):
-                for i4 in range((i3 + 1) * skip, len(keys) - skip):
+                for i4 in range(i3 + 1, len(keys) - 1):
                     x4, second = keys[i4], ad.seq[i4]
                     inners = table[x3, x4]
                     outer1 = (nones if first is None
                               else table[first[1], x4].seq)
                     outer2 = (nones if second is None
                               else table[x3, second[1]].seq)
-                    lo = (i4 + 1) * skip
+                    lo = i4 + 1
                     for x5, inner, third, hit1, hit2 in zip(
                             keys[lo:], inners.seq[lo:], ad.seq[lo:],
                             outer1[lo:], outer2[lo:]):
@@ -403,7 +398,7 @@ def _fi_scan(firsts: Iterable[int], keys: tuple,
                             case = (x1, x2, x3, x4, x5)
                             defect = AlgElem(list(acc.items()))
                             signed = {1: defect, -1: -defect}
-                            for perm, sign in orderings:
+                            for perm, sign in _FI_ORDERINGS:
                                 found.append((tuple(case[i] for i in perm),
                                               None, signed[sign]))
     return found
@@ -415,27 +410,24 @@ def _resolve_parallelism(parallelism: int, chunks: int) -> int:
 
 
 def check_fundamental(window: Iterable[int] = DEFAULT_FI_WINDOW,
-                      key_bracket: Optional[Callable] = None,
                       parallelism: int = 1) -> DefectReport:
     """Sweep the ternary Jacobi identity over all key 5-tuples in the window.
 
-    The default table gets ``_fi_scan``'s scan of one case per antisymmetry
-    class, which may fan out across processes; a custom ``key_bracket``
-    (fault injection) gets every case, serially.  Entries are sorted either
-    way, so the report is deterministic.
+    ``_fi_scan`` evaluates one case per antisymmetry class and may fan out
+    across processes.  Entries are sorted, so the report is deterministic.
     """
     keys = window_keys(window)
     n = len(keys)
-    # the last first key has no later second key in the default table's scan
+    # the last first key has no later second key
     workers = _resolve_parallelism(parallelism, n - 1)
-    if key_bracket is not None or workers <= 1:
-        found = _fi_scan(range(n), keys, key_bracket)
+    if workers <= 1:
+        found = _fi_scan(range(n), keys)
     else:
         # imported here: a process that never fans out never loads it
         from concurrent.futures import ProcessPoolExecutor
         found = []
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_fi_scan, range(i, n, workers), keys, None)
+            futures = [pool.submit(_fi_scan, range(i, n, workers), keys)
                        for i in range(workers)]
             for fut in futures:
                 found.extend(fut.result())

@@ -158,10 +158,11 @@ def _parse_probes(text: Optional[str]) -> Optional[tuple]:
     for part in text.split(","):
         part = part.strip()
         if not part:
-            raise ConfigError(f"bad probe list {text!r}: empty entry")
+            raise _bad("--probes", text, "empty entry")
         probe = _read("--probes entry", part, parse_weight_key, _EXPECTED_KEY)
         if probe in probes:
-            raise ConfigError(f"duplicate probe v[{probe}]")
+            raise _bad("--probes", text,
+                       f"duplicate probe v[{_cut(str(probe))}]")
         probes[probe] = None
     return tuple(probes)
 

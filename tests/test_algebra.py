@@ -5,17 +5,21 @@ import os
 import random
 from concurrent.futures import Future
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from nambu3 import algebra
-from nambu3.algebra import (AlgElem, BasisKey, L, M, _resolve_parallelism,
-                            assoc_mul, basis_elem, bracket, bracket_det,
-                            bracket_keys, check_fundamental, delta, omega)
+from nambu3.algebra import (AlgElem, BasisKey, L, M, _SweepTable,
+                            _SweepTables, _resolve_parallelism, assoc_mul,
+                            basis_elem, bracket, bracket_det, bracket_keys,
+                            check_fundamental, delta, omega, window_keys)
+from nambu3.derivations import _commutator_scan
 from nambu3.errors import IndexOverflow
 from nambu3.linear import accumulate
-from nambu3.reports import DefectEntry, DefectReport
+from nambu3.reports import DefectEntry, DefectReport, sweep_report
+from nambu3.repmod import _ad_on_pair
 from nambu3.scalar import LAMBDA, Scalar
 
 
@@ -271,8 +275,9 @@ def _sorted(kb):
     return antisymmetric
 
 
-def test_fault_injection_is_detected():
-    report = check_fundamental(range(-1, 2), key_bracket=_skewed)
+def test_fault_injection_is_detected(monkeypatch):
+    monkeypatch.setattr(algebra, "bracket_keys", _skewed)
+    report = check_fundamental(range(-1, 2))
     assert not report.passed
     entry = report.entries[0]
     assert entry.axiom == "fundamental-identity"
@@ -337,9 +342,6 @@ def _records(report):
 
 
 def _assert_matches_reference_route(window, skewed, monkeypatch):
-    expected = _reference_fi_records(window, skewed)
-    assert expected
-    assert _records(check_fundamental(window, key_bracket=skewed)) == expected
     # the default-table path, serial and on the pool: one case per
     # antisymmetry class, the bracket table looked up as a module global,
     # so it gets the skewed table made antisymmetric; the stand-in pool
@@ -377,17 +379,10 @@ def _thirds(kb):
 
 def test_fi_sweep_matches_reference_route_on_fraction_coefficients(
         monkeypatch):
-    assert check_fundamental(range(-1, 2), key_bracket=_thirds(bracket_keys)
-                             ).passed
+    monkeypatch.setattr(algebra, "bracket_keys", _thirds(bracket_keys))
+    assert check_fundamental(range(-1, 2)).passed
     _assert_matches_reference_route(range(-1, 2), _thirds(_randomly_skewed(8)),
                                     monkeypatch)
-
-
-def test_fi_scan_brackets_each_distinct_triple_once():
-    calls = []
-    assert check_fundamental(range(-3, 4), key_bracket=_counting(calls)).passed
-    # evaluating every case on its own makes 1,046,640 calls
-    assert len(calls) == len(set(calls)) == 14504
 
 
 def _flipped(orderings, i):
@@ -421,13 +416,46 @@ def test_default_scan_brackets_each_distinct_triple_once(window, distinct,
     assert len(calls) == len(set(calls)) == distinct
 
 
-def test_fi_scan_brackets_the_triples_of_the_reference_route():
-    window = range(-1, 2)
-    scan, reference = [], []
-    check_fundamental(window, key_bracket=_counting(scan))
-    _reference_fi_records(window, _counting(reference))
-    assert len(scan) == len(set(scan))
-    assert set(scan) == set(reference)
+def _adjoint_axiom1_records(window, kb):
+    # a third route: the identity is the first module axiom of the adjoint
+    # module, rho(x, y) k = kb(x, y, k), swept by the commutator scan over
+    # every ordered pair of window keys with ad(x1, x2) on a pair as the
+    # bracket; each ordered case is evaluated on its own, so kb need not be
+    # antisymmetric
+    keys = window_keys(window)
+
+    def terms(pair, k):
+        hit = kb(*pair, k)
+        return () if hit is None else ((hit[1], hit[0]),)
+
+    tables = _SweepTables(terms, keys)
+    found = [((*a, *b, probe), None, AlgElem(tables.coeffs(acc, sign)))
+             for a, b, probe, acc, sign in _commutator_scan(
+                 tuple(itertools.product(keys, repeat=2)), tables,
+                 partial(_ad_on_pair, _SweepTable(kb, keys)))]
+    return _records(sweep_report("fundamental-identity", len(keys) ** 5,
+                                 found, axiom="fundamental-identity",
+                                 family="algebra"))
+
+
+@pytest.mark.parametrize("kb, window, defects", [
+    (bracket_keys, range(-2, 3), 0),
+    (_sorted(_skewed), range(-1, 2), 1944),
+    (_sorted(_randomly_skewed(8)), range(-1, 2), 732),
+], ids=["clean -2..2", "sorted skewed", "sorted seeded skew"])
+def test_fi_is_the_first_axiom_of_the_adjoint_module(kb, window, defects,
+                                                     monkeypatch):
+    monkeypatch.setattr(algebra, "bracket_keys", kb)
+    expected = _records(check_fundamental(window))
+    assert len(expected) == defects
+    assert _adjoint_axiom1_records(window, kb) == expected
+
+
+def test_adjoint_route_is_exact_on_a_table_that_is_not_antisymmetric():
+    window, kb = range(-1, 2), _randomly_skewed(8)
+    expected = _reference_fi_records(window, kb)
+    assert len(expected) == 1633
+    assert _adjoint_axiom1_records(window, kb) == expected
 
 
 def test_index_overflow_guard():

@@ -458,7 +458,12 @@ def test_bad_mu_is_config_error(capsys):
     (("check", "fi", "--parallelism", "9" * 5000), "--parallelism",
      "integer literal longer than 1000 digits"),
     (("check", "fi", "--parallelism", "-" + "9" * 900), "--parallelism",
-     "expected an integer >= 1")])
+     "expected an integer >= 1"),
+    (("check", "module-t", "--probes", ",".join(map(str, range(60))) + ",,",
+      "--window", "0..0"), "--probes", "empty entry"),
+    (("check", "module-t", "--probes", f"a0+{'9' * 900},a0+{'9' * 900}",
+      "--window", "0..0"), "--probes",
+     f"duplicate probe v[a0+{'9' * 77}\u2026]")])
 def test_overlong_flag_values_are_cut_in_the_refusal(capsys, argv, flag,
                                                      detail):
     code, out, err = run(capsys, *argv)
@@ -764,7 +769,8 @@ def test_repeated_probe_is_refused(capsys, probes, key):
     code, out, err = run(capsys, "check", "module-t", "--window", "0..1",
                          "--probes", probes)
     assert (code, out) == (2, "")
-    assert err == f"error: duplicate probe v[{key}]\n"
+    assert err == (f"error: bad --probes {probes!r}: "
+                   f"duplicate probe v[{key}]\n")
 
 
 def test_closed_stdout_exits_2_without_a_traceback():

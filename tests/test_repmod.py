@@ -257,7 +257,8 @@ def test_actions_survive_pickling_and_copying():
 
 
 def test_bracket_is_the_same_at_every_rotation_of_its_arguments():
-    # the premise of sweeping the second axiom once per cyclic class
+    # the premise of reporting a second-axiom defect at the rotations of
+    # its triple: they share the bracketed key
     keys = window_keys(range(-3, 4))
     for x1, x2, x3 in itertools.product(keys, repeat=3):
         hit = bracket_keys(x1, x2, x3)
@@ -405,6 +406,28 @@ def test_axiom_sweeps_take_the_skew_route_under_a_skew_mutant(monkeypatch,
                                        None, axiom)
         assert got.entries and got.cases == want.cases
         assert _records(got) == _records(want)
+    assert verdicts == [True, True]
+
+
+_SHIPPED_ACTIONS = {
+    "T": weight_action(),
+    "T mu=0": weight_action(None, 0),
+    "T mu=1": weight_action(None, 1),
+    "T mu=2": weight_action(None, 2),
+    "T 1/2,-3/4": weight_action(Fraction(1, 2), Fraction(-3, 4)),
+    "pullback-psi": pullback_candidate(shift_action()),
+    "pullback-phi": pullback_candidate(zero_twist_action()),
+    "pullback-phi mu=1": pullback_candidate(zero_twist_action(1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SHIPPED_ACTIONS))
+def test_every_shipped_action_takes_the_skew_route(monkeypatch, name):
+    # the premise of the reduced axiom sweeps: an action that fell back
+    # would pay for every pair of pairs and all 1,000 triples
+    verdicts = _spy_skew(monkeypatch)
+    for sweep in (check_tri_axiom1, check_tri_axiom2):
+        sweep(_SHIPPED_ACTIONS[name], range(-2, 3))
     assert verdicts == [True, True]
 
 

@@ -43,11 +43,12 @@ report with ``sweep_report``.
 Single-key applications are memoized in bounded caches, and ``tri_apply``
 and ``lie_apply`` build their results from them without re-checking.  The
 module sweeps keep tables of their own instead, freed when each sweep
-returns: an ``algebra._SweepTables`` with a row per pair ``(x, y)`` (read
-through ``_pair_terms``) or per generator, and every coefficient interned
-under a small int id.  ``check_tri_axiom1`` and ``check_lie_module`` are
-``derivations._commutator_scan``, the first over pairs of window keys with
-``_ad_on_pair`` as their bracket; ``check_tri_axiom2`` has its own loop.
+returns: an ``algebra._SweepTables`` with a row per sorted pair ``(x, y)``
+(read through ``_pair_terms``) or per generator, and every coefficient
+interned under a small int id.  ``check_tri_axiom1`` and ``check_lie_module``
+are ``derivations._commutator_scan``, the first over sorted pairs of window
+keys with ``_ad_on_pair`` as their bracket; ``check_tri_axiom2`` has its own
+loop.
 
 ``orbit_probe`` walks weight keys, not vectors: each windowed generator is
 a kernel from a key to its merged nonzero terms (``_tri_key_terms``, or
@@ -55,15 +56,13 @@ a kernel from a key to its merged nonzero terms (``_tri_key_terms``, or
 and a line's images are the keys of those terms.
 
 ``check_tri_axiom2`` reports each defect as (sum of composed pair actions)
-minus (action of the bracketed triple).  Both axiom sweeps use one property
-of the action, checked first on the rows a full sweep reads (``_is_skew``):
-rho(x, y) = -rho(y, x).  Then a defect is antisymmetric in (x1, x2) and in
+minus (action of the bracketed triple).  A pair action is a map on A∧A, so
+rho(y, x) = -rho(x, y) and rho(x, x) = 0 by definition: ``_tri_terms``
+gives rho on a sorted pair x < y only, and ``_wedge_terms`` reads every
+other order from it.  So a defect is antisymmetric in (x1, x2) and in
 (x3, x4) (axiom 1), or in (x1, x2, x3) (axiom 2), and zero on a repeated
-key, so one case per class is evaluated and its defect reported at every
-signed ordering.  An action that fails the check gets the full sweeps, every
-pair of pairs and every triple, each case evaluated on its own.  Every
-shipped action is skew, so the full sweeps are the safety net, not a route
-any shipped input takes.
+key: each sweep evaluates one case per class, keeps rows for sorted pairs
+only, and reports each defect at every signed ordering.
 ``counterexample_phi`` reports the designed failure the other way around,
 bracket side first, because its published lhs/rhs split names the bracket
 side lhs.
@@ -72,7 +71,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations
 from math import floor
 from typing import Iterable, NamedTuple, Union
 
@@ -290,22 +289,18 @@ def _lie_key_terms(action, k: PqxzKey, key: WeightKey) -> tuple:
 
 
 def _tri_terms(action, x: BasisKey, y: BasisKey, key: WeightKey) -> tuple:
+    """rho(x, y) on ``key`` for a sorted pair x < y; read it through
+    ``_wedge_terms``, which gives every other order."""
     if isinstance(action, TriWeightAction):
+        # x < y of different kinds: x is the L and y the M
         if x.kind == y.kind:
             return ()
-        sign = 1
-        if x.kind == "M":
-            x, y, sign = y, x, -1
         shift = y.index - x.index
         coeff = action.lam + key.alpha() + action.mu * shift
-        if sign < 0:
-            coeff = -coeff
         if not coeff:
             return ()
         return ((key.shift(shift), coeff),)
     if isinstance(action, PullbackTriAction):
-        if x == y:
-            return ()
         acc: dict = {}
         for pk, c in pair_to_pqxz(x, y)._terms.items():
             for k2, c2 in _lie_key_terms(action.lie, pk, key):
@@ -314,13 +309,23 @@ def _tri_terms(action, x: BasisKey, y: BasisKey, key: WeightKey) -> tuple:
     raise TypeError(f"not a ternary action: {action!r}")
 
 
-_tri_key_terms = lru_cache(maxsize=KERNEL_CACHE_SIZE)(_tri_terms)
+def _wedge_terms(action, x: BasisKey, y: BasisKey, key: WeightKey) -> tuple:
+    """rho(x, y) on ``key`` read on A∧A: ``_tri_terms`` of the sorted pair,
+    negated when the pair comes swapped, and nothing when x == y."""
+    if x < y:
+        return _tri_terms(action, x, y, key)
+    if x == y:
+        return ()
+    return tuple((k, -c) for k, c in _tri_terms(action, y, x, key))
+
+
+_tri_key_terms = lru_cache(maxsize=KERNEL_CACHE_SIZE)(_wedge_terms)
 # each generator's ad pairs, expanded once for all the keys it meets
 _expansion = lru_cache(maxsize=KERNEL_CACHE_SIZE)(pqxz_to_deriv)
 
 
 def _pair_terms(action, pair: tuple, key: WeightKey) -> tuple:
-    """The axiom sweeps' kernel: ``_tri_terms`` of the pair ``(x, y)``."""
+    """The axiom sweeps' kernel: ``_tri_terms`` of a sorted pair."""
     return _tri_terms(action, *pair, key)
 
 
@@ -372,43 +377,33 @@ def _probe_keys(probes) -> tuple:
 # -- ternary module axioms ---------------------------------------------------------
 
 
+def _sorted_term(x: BasisKey, y: BasisKey, c) -> list:
+    """The term c (x ∧ y) on sorted pairs: ``[((x, y), c)]`` for x < y,
+    the swapped pair with -c for x > y, and nothing for x == y."""
+    if x < y:
+        return [((x, y), c)]
+    return [((y, x), -c)] if y < x else []
+
+
 def _ad_on_pair(brackets: _SweepTable, a: tuple, b: tuple) -> list:
     """ad(x1, x2) on the pair b = (x3, x4), for a = (x1, x2): the terms
-    ``(([x1,x2,x3], x4), c)`` and ``((x3, [x1,x2,x4]), c)``, read from
-    ``brackets``, the sweep's table of ``bracket_keys``."""
+    ``[x1,x2,x3] ∧ x4`` and ``x3 ∧ [x1,x2,x4]`` on sorted pairs
+    (``_sorted_term``), read from ``brackets``, the sweep's table of
+    ``bracket_keys``."""
     (x3, x4), row = b, brackets[a]
     h3, h4 = row[x3], row[x4]
-    return ([((h3[1], x4), h3[0])] if h3 else []) + (
-        [((x3, h4[1]), h4[0])] if h4 else [])
+    return ((_sorted_term(h3[1], x4, h3[0]) if h3 else [])
+            + (_sorted_term(x3, h4[1], h4[0]) if h4 else []))
 
 
 # (permutation of a case's four keys, its sign): the orders of (x1, x2)
 # times those of (x3, x4) in axiom 1, the 6 orders of (x1, x2, x3) in
-# axiom 2; the identity comes first, as the one ordering of a full scan
+# axiom 2; the identity, the case the sweep evaluates, comes first
 _AXIOM1_ORDERINGS = (((0, 1, 2, 3), 1), ((1, 0, 2, 3), -1),
                      ((0, 1, 3, 2), -1), ((1, 0, 3, 2), 1))
 _AXIOM2_ORDERINGS = (((0, 1, 2, 3), 1), ((1, 2, 0, 3), 1), ((2, 0, 1, 3), 1),
                      ((1, 0, 2, 3), -1), ((0, 2, 1, 3), -1),
                      ((2, 1, 0, 3), -1))
-
-
-def _is_skew(tables: _SweepTables, keys: tuple, brackets=None) -> bool:
-    """Whether rho(x, y) = -rho(y, x) on the rows a full axiom sweep reads:
-    (a) each window pair, rho(x, x) = 0 included, at the probes and every
-    key a window pair sends a probe to; (b) with ``brackets``, each pair of
-    a window key and an image h of ad(x1, x2), x1 < x2, at the probes."""
-    rows, neg, probes = tables.rows, tables.neg, tables.rows.keys
-    at = dict.fromkeys(probes)
-    for pair in product(keys, repeat=2):
-        at.update((k, None) for terms in rows[pair,].seq for k, _ in terms)
-    checks = [((x, y), (y, x), at)
-              for x, y in combinations_with_replacement(keys, 2)]
-    if brackets is not None:
-        images = dict.fromkeys(hit[1] for a in combinations(keys, 2)
-                               for hit in brackets[a].seq if hit)
-        checks += [((h, x), (x, h), probes) for h in images for x in keys]
-    return all(dict(rows[a,][k]) == {k2: neg(c) for k2, c in rows[b,][k]}
-               for a, b, where in checks for k in where)
 
 
 def _report_at(found: list, tables: _SweepTables, case: tuple, probe,
@@ -428,21 +423,20 @@ def check_tri_axiom1(action: TriAction,
     bracketed arguments, summed over the two insertion slots.
 
     The pair operators are the generators of ``_commutator_scan``, and the
-    bracket of (x1, x2) with (x3, x4) is ``_ad_on_pair``.  A skew action's
-    scan runs over the 45 pairs x < y of the default window and reports each
-    defect at its 4 signed orderings; any other over all 100 ordered pairs.
+    bracket of (x1, x2) with (x3, x4) is ``_ad_on_pair``.  The scan runs
+    over the 45 pairs x < y of the default window and reports each defect
+    at its 4 signed orderings.
     """
     keys = window_keys(window)
     probe_keys = _probe_keys(probes)
     tables = _SweepTables(partial(_pair_terms, action), probe_keys)
     brackets = _SweepTable(bracket_keys, keys)
-    skew = _is_skew(tables, keys, brackets)
-    pairs = tuple(combinations(keys, 2) if skew else product(keys, repeat=2))
-    orderings = _AXIOM1_ORDERINGS if skew else _AXIOM1_ORDERINGS[:1]
     found = []
     for a, b, probe, acc, sign in _commutator_scan(
-            pairs, tables, partial(_ad_on_pair, brackets)):
-        _report_at(found, tables, (*a, *b), probe, acc, orderings, sign)
+            tuple(combinations(keys, 2)), tables,
+            partial(_ad_on_pair, brackets)):
+        _report_at(found, tables, (*a, *b), probe, acc, _AXIOM1_ORDERINGS,
+                   sign)
     return sweep_report("tri-axiom-1", len(keys) ** 4 * len(probe_keys), found,
                         axiom="tri-axiom-1", family=action_family(action),
                         parameters=action_parameters(action))
@@ -456,38 +450,39 @@ def check_tri_axiom2(action: TriAction,
     bracket-action side.
 
     A case's defect is rho(x1,x2)rho(x3,x4) + rho(x2,x3)rho(x1,x4)
-    + rho(x3,x1)rho(x2,x4) - b rho([x1,x2,x3], x4).  A skew action's sweep
-    evaluates the 120 triples x1 < x2 < x3 of the default window and reports
-    each defect at its 6 signed orderings; any other's all 1,000 triples.
-    Both keep x4 and the probe, and the report still counts every case.
+    + rho(x3,x1)rho(x2,x4) - b rho([x1,x2,x3], x4).  The sweep evaluates
+    the 120 triples x1 < x2 < x3 of the default window and reports each
+    defect at its 6 signed orderings; it keeps x4 and the probe, and the
+    report still counts every case.  Each pair is read from its sorted row
+    (``_sorted_term``), with the sign of the sort where the row is used.
     """
     keys = window_keys(window)
     probe_keys = _probe_keys(probes)
     tables = _SweepTables(partial(_pair_terms, action), probe_keys)
     rows = tables.rows
     compose_into, scale_into = tables.compose_into, tables.scale_into
-    skew = _is_skew(tables, keys)
-    triples = combinations(keys, 3) if skew else product(keys, repeat=3)
-    orderings = _AXIOM2_ORDERINGS if skew else _AXIOM2_ORDERINGS[:1]
-    nones = [None] * len(probe_keys)
     found = []
-    for x1, x2, x3 in triples:
-        r12, r23, r31 = rows[(x1, x2),], rows[(x2, x3),], rows[(x3, x1),]
+    for x1, x2, x3 in combinations(keys, 3):
+        r12, r23, r13 = rows[(x1, x2),], rows[(x2, x3),], rows[(x1, x3),]
         b123 = bracket_keys(x1, x2, x3)
         for x4 in keys:
-            s123 = rows[(b123[1], x4),].seq if b123 is not None else nones
-            for probe, t34, t14, t24, t123 in zip(
-                    probe_keys, rows[(x3, x4),].seq, rows[(x1, x4),].seq,
-                    rows[(x2, x4),].seq, s123):
+            # rho(x3, x1) is -rho(x1, x3)
+            composed = [(row, rows[pair,].seq, s)
+                        for row, x, sign in ((r12, x3, 1), (r23, x1, 1),
+                                             (r13, x2, -1))
+                        for pair, s in _sorted_term(x, x4, sign)]
+            scaled = [] if b123 is None else [
+                (rows[pair,].seq, b)
+                for pair, b in _sorted_term(b123[1], x4, -b123[0])]
+            for i, probe in enumerate(probe_keys):
                 acc: dict = {}
-                compose_into(acc, r12, t34)
-                compose_into(acc, r23, t14)
-                compose_into(acc, r31, t24)
-                if t123 is not None:
-                    scale_into(acc, t123, -b123[0])
+                for row, seq, s in composed:
+                    compose_into(acc, row, seq[i], s)
+                for seq, b in scaled:
+                    scale_into(acc, seq[i], b)
                 if acc:
                     _report_at(found, tables, (x1, x2, x3, x4), probe, acc,
-                               orderings)
+                               _AXIOM2_ORDERINGS)
     return sweep_report("tri-axiom-2", len(keys) ** 4 * len(probe_keys), found,
                         axiom="tri-axiom-2", family=action_family(action),
                         parameters=action_parameters(action))
@@ -539,11 +534,11 @@ class OrbitReport(NamedTuple):
 
 def _orbit_kernels(action, window) -> list:
     """Each windowed generator as a map from a weight key to its merged
-    nonzero terms."""
+    nonzero terms; a pair x > y only negates the terms of (y, x), so the
+    pairs x < y reach every line."""
     if isinstance(action, (TriWeightAction, PullbackTriAction)):
-        keys = window_keys(window)
         return [partial(_tri_key_terms, action, x, y)
-                for x in keys for y in keys if x != y]
+                for x, y in combinations(window_keys(window), 2)]
     return [partial(_lie_key_terms, action, g)
             for g in window_generators(window)]
 

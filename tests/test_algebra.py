@@ -19,7 +19,6 @@ from nambu3.derivations import _commutator_scan
 from nambu3.errors import IndexOverflow
 from nambu3.linear import accumulate
 from nambu3.reports import DefectEntry, DefectReport, sweep_report
-from nambu3.repmod import _ad_on_pair
 from nambu3.scalar import LAMBDA, Scalar
 
 
@@ -416,12 +415,21 @@ def test_default_scan_brackets_each_distinct_triple_once(window, distinct,
     assert len(calls) == len(set(calls)) == distinct
 
 
+def _ad_on_ordered_pair(brackets, a, b):
+    # ad(x1, x2) on the ordered pair b = (x3, x4): the terms
+    # (([x1,x2,x3], x4), c) and ((x3, [x1,x2,x4]), c), no pair sorted
+    (x3, x4), row = b, brackets[a]
+    h3, h4 = row[x3], row[x4]
+    return ([((h3[1], x4), h3[0])] if h3 else []) + (
+        [((x3, h4[1]), h4[0])] if h4 else [])
+
+
 def _adjoint_axiom1_records(window, kb):
     # a third route: the identity is the first module axiom of the adjoint
     # module, rho(x, y) k = kb(x, y, k), swept by the commutator scan over
-    # every ordered pair of window keys with ad(x1, x2) on a pair as the
-    # bracket; each ordered case is evaluated on its own, so kb need not be
-    # antisymmetric
+    # every ordered pair of window keys with ad(x1, x2) on an ordered pair
+    # as the bracket; each ordered case is evaluated on its own, so kb need
+    # not be antisymmetric
     keys = window_keys(window)
 
     def terms(pair, k):
@@ -432,7 +440,7 @@ def _adjoint_axiom1_records(window, kb):
     found = [((*a, *b, probe), None, AlgElem(tables.coeffs(acc, sign)))
              for a, b, probe, acc, sign in _commutator_scan(
                  tuple(itertools.product(keys, repeat=2)), tables,
-                 partial(_ad_on_pair, _SweepTable(kb, keys)))]
+                 partial(_ad_on_ordered_pair, _SweepTable(kb, keys)))]
     return _records(sweep_report("fundamental-identity", len(keys) ** 5,
                                  found, axiom="fundamental-identity",
                                  family="algebra"))

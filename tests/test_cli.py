@@ -389,7 +389,7 @@ def test_repeated_orbit_matches_cached_actions_by_identity(capsys,
     # left the bounded action memo is still matched by comparison.
     monkeypatch.setattr(repmod, "_tri_key_terms",
                         lru_cache(maxsize=repmod.KERNEL_CACHE_SIZE)(
-                            repmod._tri_terms))
+                            repmod._wedge_terms))
     argv = ("orbit", "T", "--lambda", "1/2", "--mu", "0", "--start", "a0")
     first = run(capsys, *argv)
     compared = []

@@ -267,13 +267,10 @@ def test_bracket_is_the_same_at_every_rotation_of_its_arguments():
 
 
 def _skewed_tri_terms(kernel):
-    # a pair kernel that is neither antisymmetric nor translation
-    # covariant: some pairs are moved and scaled by their absolute indices,
-    # and same-kind pairs act in one order only
+    # a pair kernel that is not translation covariant: some pairs are moved
+    # and scaled by their absolute indices, and same-kind pairs act
     def terms(action, x, y, key):
         if x.kind == y.kind:
-            if x.index < y.index:
-                return ()
             return ((key.shift(y.index), Scalar(2 * x.index + 7)),)
         out = kernel(action, x, y, key)
         if (x.index - 2 * y.index) % 3:
@@ -284,6 +281,19 @@ def _skewed_tri_terms(kernel):
     return terms
 
 
+def _wedge(kernel):
+    # kernel read on A∧A, the twin of _sorted in tests/test_algebra.py: its
+    # value at x < y, that value negated at x > y, and nothing at x == y
+    def wedged(action, x, y, key):
+        if x == y:
+            return ()
+        if x < y:
+            return kernel(action, x, y, key)
+        return tuple((k, -c) for k, c in kernel(action, y, x, key))
+
+    return wedged
+
+
 @pytest.mark.parametrize("name, window, probes", [
     ("T", range(-1, 2), None),
     ("pullback-phi", range(-1, 2), None),
@@ -291,14 +301,11 @@ def _skewed_tri_terms(kernel):
 ], ids=["T -1..1", "pullback-phi -1..1", "T -2..2"])
 def test_axiom_sweeps_match_the_reference_under_a_skewed_kernel(
         monkeypatch, name, window, probes):
-    # axiom 1 composes each unordered pair of pairs once for both orders,
-    # and axiom 2 each cyclic class once: both exact for any action
+    # the sweeps read the kernel at sorted pairs only, so they match the
+    # reference, which evaluates every ordered case of the kernel on A∧A
     import nambu3.repmod as repmod
 
-    skewed = _skewed_tri_terms(repmod._tri_terms)
-    # the sweep's rows read _tri_terms, the reference _tri_key_terms
-    monkeypatch.setattr(repmod, "_tri_terms", skewed)
-    monkeypatch.setitem(globals(), "_tri_key_terms", skewed)
+    _patch_kernel(monkeypatch, _skewed_tri_terms(repmod._tri_terms))
     action = _SWEEP_ACTIONS[name]
     for axiom, sweep in ((1, check_tri_axiom1), (2, check_tri_axiom2)):
         got = sweep(action, window, probes)
@@ -321,8 +328,8 @@ def _symmetric_factor(kernel):
 
 
 def _skew_broken_outside_the_window(kernel, bound):
-    # rho(x, y) = +rho(y, x) once a pair key lies outside the window: only
-    # the rows (h, x) and (x, h), h an image of ad(x1, x2), can see it
+    # rho(x, y) = +rho(y, x) for x > y once a pair key lies outside the
+    # window, as the rows (h, x), h an image of ad(x1, x2), would see it
     def terms(action, x, y, key):
         out = kernel(action, x, y, key)
         if x > y and max(abs(x.index), abs(y.index)) > bound:
@@ -334,7 +341,7 @@ def _skew_broken_outside_the_window(kernel, bound):
 
 def _skew_broken_off_the_probes(kernel, probes):
     # rho(x, y) = -2 rho(y, x) for x > y, but only at weight keys that are
-    # not probes: only the images of the probes can see it
+    # not probes, as the images of the probes would see it
     def terms(action, x, y, key):
         out = kernel(action, x, y, key)
         if x > y and key not in probes:
@@ -345,8 +352,7 @@ def _skew_broken_off_the_probes(kernel, probes):
 
 
 def _acting_diagonal(kernel):
-    # rho(x, x) acts, and no other pair changes: only the pairs (x, x) of
-    # part (a) can see it
+    # rho(x, x) acts, and no other pair changes
     def terms(action, x, y, key):
         if x == y:
             return ((key.shift(x.index), Scalar(x.index + 3)),)
@@ -355,42 +361,17 @@ def _acting_diagonal(kernel):
     return terms
 
 
-def _skew_at_the_probes_only(tables, keys, brackets=None):
-    # repmod._is_skew with its part (a) read at the probes alone
-    rows, neg = tables.rows, tables.neg
-    heads = [((x, y), (y, x)) for x in keys for y in keys]
-    if brackets is not None:
-        images = {hit[1] for a in itertools.combinations(keys, 2)
-                  for hit in brackets[a].seq if hit}
-        heads += [((h, x), (x, h)) for h in images for x in keys]
-    return all(dict(s) == {k: neg(c) for k, c in t} for a, b in heads
-               for s, t in zip(rows[a,].seq, rows[b,].seq))
-
-
 def _records(report):
     return [e.record() for e in report.entries]
 
 
 def _patch_kernel(monkeypatch, kernel):
-    # the sweep's rows read _tri_terms, the reference _tri_key_terms
+    # the sweep's rows read _tri_terms at sorted pairs, the reference
+    # _tri_key_terms at every ordered pair
     import nambu3.repmod as repmod
 
     monkeypatch.setattr(repmod, "_tri_terms", kernel)
-    monkeypatch.setitem(globals(), "_tri_key_terms", kernel)
-
-
-def _spy_skew(monkeypatch) -> list:
-    # the verdicts of repmod._is_skew, one per sweep
-    import nambu3.repmod as repmod
-
-    verdicts, real = [], repmod._is_skew
-
-    def spy(*args):
-        verdicts.append(real(*args))
-        return verdicts[-1]
-
-    monkeypatch.setattr(repmod, "_is_skew", spy)
-    return verdicts
+    monkeypatch.setitem(globals(), "_tri_key_terms", _wedge(kernel))
 
 
 @pytest.mark.parametrize("name", ["T", "pullback-psi"])
@@ -399,14 +380,12 @@ def test_axiom_sweeps_take_the_skew_route_under_a_skew_mutant(monkeypatch,
     import nambu3.repmod as repmod
 
     _patch_kernel(monkeypatch, _symmetric_factor(repmod._tri_terms))
-    verdicts = _spy_skew(monkeypatch)
     for axiom, sweep in ((1, check_tri_axiom1), (2, check_tri_axiom2)):
         got = sweep(_SWEEP_ACTIONS[name], range(-1, 2))
         want = _reference_axiom_report(_SWEEP_ACTIONS[name], range(-1, 2),
                                        None, axiom)
         assert got.entries and got.cases == want.cases
         assert _records(got) == _records(want)
-    assert verdicts == [True, True]
 
 
 _SHIPPED_ACTIONS = {
@@ -423,12 +402,28 @@ _SHIPPED_ACTIONS = {
 
 @pytest.mark.parametrize("name", sorted(_SHIPPED_ACTIONS))
 def test_every_shipped_action_takes_the_skew_route(monkeypatch, name):
-    # the premise of the reduced axiom sweeps: an action that fell back
-    # would pay for every pair of pairs and all 1,000 triples
-    verdicts = _spy_skew(monkeypatch)
+    # rho is read on A∧A: neither the sweeps nor tri_apply ever ask the
+    # kernel for a pair x >= y, so the sweeps keep rows for sorted pairs
+    import nambu3.repmod as repmod
+
+    asked, real = [], repmod._tri_terms
+
+    def spy(action, x, y, key):
+        asked.append((x, y))
+        return real(action, x, y, key)
+
+    monkeypatch.setattr(repmod, "_tri_terms", spy)
+    # an empty cache, so every tri_apply below reaches the kernel
+    _tri_key_terms.cache_clear()
+    action = _SHIPPED_ACTIONS[name]
     for sweep in (check_tri_axiom1, check_tri_axiom2):
-        sweep(_SHIPPED_ACTIONS[name], range(-2, 3))
-    assert verdicts == [True, True]
+        sweep(action, range(-2, 3))
+    swept = len(asked)
+    v = V("a0") + V(0) + V(1)
+    for x, y in itertools.product(window_keys(range(-1, 2)), repeat=2):
+        tri_apply(action, x, y, v)
+    assert swept and len(asked) > swept
+    assert all(x < y for x, y in asked)
 
 
 @pytest.mark.parametrize("axiom, table", [(1, "_AXIOM1_ORDERINGS"),
@@ -452,62 +447,29 @@ def test_each_signed_ordering_of_the_skew_route_is_needed(monkeypatch, axiom,
             assert _records(sweep(action, range(-1, 2), probes)) != expected
 
 
-def test_a_skew_break_outside_the_window_takes_the_full_scan(monkeypatch):
+@pytest.mark.parametrize("mutant", [
+    lambda kernel: _skew_broken_outside_the_window(kernel, 1),
+    lambda kernel: _skew_broken_off_the_probes(kernel, default_probes()),
+    _acting_diagonal], ids=["outside-window", "off-probes", "diagonal"])
+@pytest.mark.parametrize("name", ["T", "pullback-phi"])
+def test_kernel_values_at_x_ge_y_reach_no_report(monkeypatch, name, mutant):
+    # rho is read on A∧A, so what the kernel gives at x >= y never reaches
+    # a report
     import nambu3.repmod as repmod
 
-    real = repmod._is_skew
-    _patch_kernel(monkeypatch, _skew_broken_outside_the_window(
-        repmod._tri_terms, 1))
-    verdicts = _spy_skew(monkeypatch)
-    _assert_matches_reference(weight_action(), range(-1, 2))
-    assert verdicts == [False, True]
-    # part (b) is what sees it: without (b) the first axiom goes wrong
-    want = _records(_reference_axiom_report(weight_action(), range(-1, 2),
-                                            None, 1))
-    monkeypatch.setattr(repmod, "_is_skew",
-                        lambda tables, keys, brackets=None: real(tables, keys))
-    assert _records(check_tri_axiom1(weight_action(), range(-1, 2))) != want
-
-
-def test_a_skew_break_off_the_probes_takes_the_full_scan(monkeypatch):
-    import nambu3.repmod as repmod
-
-    _patch_kernel(monkeypatch, _skew_broken_off_the_probes(
-        repmod._tri_terms, default_probes()))
-    verdicts = _spy_skew(monkeypatch)
-    _assert_matches_reference(weight_action(), range(-1, 2))
-    assert verdicts == [False, False]
-    # part (a) at the probes' images is what sees it
-    monkeypatch.setattr(repmod, "_is_skew", _skew_at_the_probes_only)
-    for axiom, sweep in ((1, check_tri_axiom1), (2, check_tri_axiom2)):
-        want = _reference_axiom_report(weight_action(), range(-1, 2), None,
-                                       axiom)
-        assert _records(sweep(weight_action(), range(-1, 2))) != _records(
-            want)
-
-
-def test_an_acting_diagonal_takes_the_full_scan(monkeypatch):
-    import nambu3.repmod as repmod
-
-    _patch_kernel(monkeypatch, _acting_diagonal(repmod._tri_terms))
-    verdicts = _spy_skew(monkeypatch)
-    _assert_matches_reference(weight_action(), range(-1, 2))
-    assert verdicts == [False, False]
-    # without the pairs (x, x) the second axiom goes wrong; the first still
-    # falls back, since part (b) meets the rows (x, x) too
-    monkeypatch.setattr(repmod, "combinations_with_replacement",
-                        itertools.combinations)
-    want = _reference_axiom_report(weight_action(), range(-1, 2), None, 2)
-    assert _records(check_tri_axiom2(weight_action(), range(-1, 2))) != (
-        _records(want))
+    action, window = _SWEEP_ACTIONS[name], range(-1, 2)
+    sweeps = (check_tri_axiom1, check_tri_axiom2)
+    want = [_records(sweep(action, window)) for sweep in sweeps]
+    monkeypatch.setattr(repmod, "_tri_terms", mutant(repmod._tri_terms))
+    assert [_records(sweep(action, window)) for sweep in sweeps] == want
 
 
 # sweep -> (the kernel its rows read, defects, distinct kernel calls)
 _ARITHMETIC_SWEEPS = {
     "check_tri_axiom1": (lambda: check_tri_axiom1(weight_action()),
-                         "_tri_terms", 0, 3640),
+                         "_tri_terms", 0, 1710),
     "check_tri_axiom2": (lambda: check_tri_axiom2(weight_action()),
-                         "_tri_terms", 14400, 2920),
+                         "_tri_terms", 14400, 1706),
     "lie-psi": (lambda: check_lie_module(shift_action()),
                 "_lie_key_terms", 0, 636),
     "lie-phi": (lambda: check_lie_module(zero_twist_action()),

@@ -22,7 +22,8 @@ an argument: a positional (``bracket "-L[1]" ...``) or a flag's value
 ``_SUITES`` holds each suite's default window, its case-count formula,
 checked against the budget before any sweep, and the optional flags it
 reads; any other explicit flag exits 2.  ``_emit_check`` prints a report
-with its verdict line and returns the exit code.
+with its verdict line and returns the exit code; it prints every machine
+defect stream, ``induced-psi``'s gate refusal and ``pullback-phi`` included.
 
 ``check pullback-phi`` inverts the usual convention on purpose: that suite
 documents a designed failure, so finding the nonzero defect is the expected
@@ -289,13 +290,11 @@ def cmd_check(args) -> int:
             report = check_induced(tri, lie, config.window, config.probes)
         except NotAModule as exc:
             if config.output == "machine":
-                for line in exc.report.machine_lines():
-                    print(line)
-            else:
-                print(f"not a module: {exc}")
-                for line in exc.report.text_lines():
-                    print(line)
-                print("verdict: FAIL")
+                return _emit_check(exc.report, config, ok=False)
+            print(f"not a module: {exc}")
+            for line in exc.report.text_lines():
+                print(line)
+            print("verdict: FAIL")
             return 1
         ok = report.passed and verify_module(tri).passed
         extra = []
@@ -311,17 +310,15 @@ def cmd_check(args) -> int:
         found = defect == expected and any(
             c.is_rational for e in report.entries for _, c in e.defect.items())
         if config.output == "machine":
-            for line in report.machine_lines():
-                print(line)
-        else:
-            print(f"window: {_window_str(config.window)}")
-            print("counterexample (L[4],L[3],M[2],M[1]) on v[0]:")
-            print(f"  lhs: {lhs}")
-            print(f"  rhs: {rhs}")
-            print(f"  defect: {defect}")
-            for line in report.text_lines():
-                print(line)
-            print("expected failure found:", "yes" if found else "NO")
+            return _emit_check(report, config, ok=found)
+        print(f"window: {_window_str(config.window)}")
+        print("counterexample (L[4],L[3],M[2],M[1]) on v[0]:")
+        print(f"  lhs: {lhs}")
+        print(f"  rhs: {rhs}")
+        print(f"  defect: {defect}")
+        for line in report.text_lines():
+            print(line)
+        print("expected failure found:", "yes" if found else "NO")
         return 0 if found else 1
 
     raise ConfigError(f"unknown suite {suite!r}")

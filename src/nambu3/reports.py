@@ -5,10 +5,17 @@ A report passes exactly when its entry list is empty.  Entries are sorted by
 evaluation order, including parallel runs.  ``json_line`` is the one
 canonical JSON form of a machine-stream record.  Entries and reports are
 plain slotted classes, compared field by field.
+
+Entries share values (a module-axiom sweep reports one defect vector at
+each signed ordering of a case), so ``sweep_report`` flattens each index
+assignment once and ``machine_lines`` encodes each distinct field once,
+joining the pieces in the key order of ``json_line(e.record())``.
 """
 from __future__ import annotations
 
 import json
+from itertools import chain
+from operator import attrgetter
 from typing import Any, Iterable, Tuple
 
 
@@ -39,10 +46,6 @@ class DefectEntry:
         return all(getattr(self, name) == getattr(other, name)
                    for name in self.__slots__)
 
-    @property
-    def sort_key(self):
-        return (self.axiom, self.indices, self.probe)
-
     def record(self) -> dict:
         return {
             "axiom": self.axiom,
@@ -59,6 +62,9 @@ class DefectEntry:
         return f"{self.axiom} at {where}{probe}: defect = {self.defect}"
 
 
+_ENTRY_ORDER = attrgetter("axiom", "indices", "probe")
+
+
 class DefectReport:
     """A sweep's label, its case count and its entries, sorted."""
 
@@ -66,7 +72,7 @@ class DefectReport:
 
     def __init__(self, label: str, cases: int, entries: Iterable = ()):
         self.label, self.cases = label, cases
-        self.entries = sorted(entries, key=lambda e: e.sort_key)
+        self.entries = sorted(entries, key=_ENTRY_ORDER)
 
     __eq__ = DefectEntry.__eq__
 
@@ -88,7 +94,29 @@ class DefectReport:
         return lines
 
     def machine_lines(self) -> list:
-        return [json_line(e.record()) for e in self.entries]
+        """``json_line(e.record())`` of each entry; objects are keyed by
+        ``id``, since the entries keep them alive."""
+        encode = _ENCODER.encode
+        defects, indices, contexts, lines = {}, {}, {}, []
+        for e in self.entries:
+            defect = defects.get(id(e.defect))
+            if defect is None:
+                defect = defects[id(e.defect)] = encode(str(e.defect))
+            where = indices.get(id(e.indices))
+            if where is None:
+                where = indices[id(e.indices)] = encode(
+                    [str(i) for i in e.indices])
+            context = (e.axiom, e.family, id(e.parameters), e.probe)
+            pieces = contexts.get(context)
+            if pieces is None:
+                pieces = contexts[context] = (
+                    f'{{"axiom":{encode(e.axiom)},"defect":',
+                    f',"family":{encode(e.family)},"indices":',
+                    f',"parameters":{json_line(dict(e.parameters))}'
+                    f',"probe":{encode(e.probe)}}}')
+            head, middle, tail = pieces
+            lines.append(f"{head}{defect}{middle}{where}{tail}")
+        return lines
 
     def merged_with(self, other: "DefectReport", label: str) -> "DefectReport":
         return DefectReport(label, self.cases + other.cases,
@@ -100,9 +128,14 @@ def sweep_report(label: str, cases: int, found: list, *, axiom: str,
     """A sweep's report from its ``(keys, probe, defect)`` triples, replacing
     each triple in ``found`` by its entry so no sweep holds both at once.
     Keys flatten into the indices; ``probe`` is a weight key or None."""
+    flat, shown = {}, {}
     for i, (keys, probe, defect) in enumerate(found):
-        found[i] = DefectEntry(
-            axiom=axiom, indices=tuple(part for key in keys for part in key),
-            defect=defect, probe="" if probe is None else f"v[{probe}]",
-            family=family, parameters=parameters)
+        indices = flat.get(keys)
+        if indices is None:
+            indices = flat[keys] = tuple(chain.from_iterable(keys))
+        text = shown.get(probe)
+        if text is None:
+            text = shown[probe] = "" if probe is None else f"v[{probe}]"
+        found[i] = DefectEntry(axiom, indices, defect, text, family,
+                               parameters)
     return DefectReport(label, cases, found)

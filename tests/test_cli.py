@@ -332,12 +332,16 @@ def test_machine_output_is_deterministic(capsys):
 
 
 def test_machine_records_are_compact_sorted_json(capsys):
-    _, out, _ = run(capsys, "check", "module-t", "--mu", "2",
-                    "--window", "-1..1", "--output", "machine")
-    line = out.splitlines()[0]
-    record = json.loads(line)
-    assert json.dumps(record, sort_keys=True,
-                      separators=(",", ":")) == line
+    # every line, re-encoded by json.dumps outside the reports encoder
+    for suite, extra in (("module-t", ()), ("module-t", ("--mu", "2")),
+                         ("pullback-phi", ())):
+        _, out, _ = run(capsys, "check", suite, *extra, "--window", "-1..1",
+                        "--output", "machine")
+        lines = out.splitlines()
+        assert lines, (suite, extra)
+        for line in lines:
+            assert json.dumps(json.loads(line), sort_keys=True,
+                              separators=(",", ":")) == line
 
 
 def test_orbit_machine_output(capsys):

@@ -39,7 +39,7 @@ from typing import Callable, Iterable, NamedTuple
 
 from .errors import IndexOverflow
 from .linear import LinComb, accumulate
-from .reports import DefectReport, sweep_report
+from .reports import DefectReport, signed_orderings, sweep_report
 
 INDEX_LIMIT = 1 << 40
 
@@ -333,24 +333,22 @@ class _SweepTables:
 
 # (permutation of a case's five keys, its sign): the 2 orders of (x1, x2)
 # times the 6 orders of (x3, x4, x5)
-_FI_ORDERINGS = tuple(
-    (p12 + p345, s12 * s345) for p12, s12 in (((0, 1), 1), ((1, 0), -1))
-    for p345, s345 in (((2, 3, 4), 1), ((3, 4, 2), 1), ((4, 2, 3), 1),
-                       ((3, 2, 4), -1), ((2, 4, 3), -1), ((4, 3, 2), -1)))
+_FI_ORDERINGS = signed_orderings(2, 3)
 
 
 def _fi_scan(firsts: Iterable[int], keys: tuple) -> list:
     """Defects of [x1,x2,[x3,x4,x5]] = [[x1,x2,x3],x4,x5]
     + [x3,[x1,x2,x4],x5] + [x3,x4,[x1,x2,x5]] for x1 at the positions
-    ``firsts`` of ``keys``, as ``sweep_report`` triples.
+    ``firsts`` of ``keys``, as ``sweep_report`` triples with the defect at
+    each sign.
 
     ``bracket_keys`` sorts its arguments, so it is totally antisymmetric:
     both sides are then antisymmetric in (x1, x2) and in (x3, x4, x5), and
     zero on a repeated key in either group.  So the scan evaluates only
-    x1 < x2 and x3 < x4 < x5 (``keys`` is sorted) and reports each defect
-    at its 12 signed orderings.  The table is read as a module global when
-    the scan starts, so a fault injected there must stay totally
-    antisymmetric.
+    x1 < x2 and x3 < x4 < x5 (``keys`` is sorted), and each defect stands
+    for its 12 signed orderings (``_FI_ORDERINGS``).  The table is read as a
+    module global when the scan starts, so a fault injected there must stay
+    totally antisymmetric.
 
     Every bracket is a lookup in one table local to the scan, keyed by its
     first two arguments: the row (x1, x2) is ad(x1, x2), the row (x3, x4)
@@ -395,12 +393,9 @@ def _fi_scan(firsts: Iterable[int], keys: tuple) -> list:
                                 k = hit[1]
                                 acc[k] = acc.get(k, 0) - third[0] * hit[0]
                         if any(acc.values()):
-                            case = (x1, x2, x3, x4, x5)
                             defect = AlgElem(list(acc.items()))
-                            signed = {1: defect, -1: -defect}
-                            for perm, sign in _FI_ORDERINGS:
-                                found.append((tuple(case[i] for i in perm),
-                                              None, signed[sign]))
+                            found.append(((x1, x2, x3, x4, x5), None,
+                                          {1: defect, -1: -defect}))
     return found
 
 
@@ -432,4 +427,5 @@ def check_fundamental(window: Iterable[int] = DEFAULT_FI_WINDOW,
             for fut in futures:
                 found.extend(fut.result())
     return sweep_report("fundamental-identity", n ** 5, found,
-                        axiom="fundamental-identity", family="algebra")
+                        axiom="fundamental-identity", family="algebra",
+                        orderings=_FI_ORDERINGS)

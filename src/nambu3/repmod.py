@@ -48,7 +48,8 @@ returns: an ``algebra._SweepTables`` with a row per sorted pair ``(x, y)``
 interned under a small int id.  ``check_tri_axiom1`` and ``check_lie_module``
 are ``derivations._commutator_scan``, the first over sorted pairs of window
 keys with ``_ad_on_pair`` as their bracket; ``check_tri_axiom2`` has its own
-loop.
+loop.  ``_module_verdict`` runs both axioms on one ``_pair_tables``, freed
+when it returns.
 
 ``orbit_probe`` walks weight keys, not vectors: each windowed generator is
 a kernel from a key to its merged nonzero terms (``_tri_key_terms``, or
@@ -82,7 +83,7 @@ from .derivations import (DEFAULT_PAIR_WINDOW, DerivExpr, PqxzElem, PqxzKey,
                           pqxz_key_bracket, pqxz_to_deriv, window_generators)
 from .errors import NotAModule, NotEigenvector
 from .linear import LinComb, accumulate
-from .reports import DefectReport, sweep_report
+from .reports import DefectReport, signed_orderings, sweep_report
 from .scalar import LAMBDA, MU, Frozen, Indeterminate, Scalar, divides
 
 DEFAULT_AXIOM_WINDOW = range(-2, 3)
@@ -399,52 +400,49 @@ def _ad_on_pair(brackets: _SweepTable, a: tuple, b: tuple) -> list:
 # (permutation of a case's four keys, its sign): the orders of (x1, x2)
 # times those of (x3, x4) in axiom 1, the 6 orders of (x1, x2, x3) in
 # axiom 2; the identity, the case the sweep evaluates, comes first
-_AXIOM1_ORDERINGS = (((0, 1, 2, 3), 1), ((1, 0, 2, 3), -1),
-                     ((0, 1, 3, 2), -1), ((1, 0, 3, 2), 1))
-_AXIOM2_ORDERINGS = (((0, 1, 2, 3), 1), ((1, 2, 0, 3), 1), ((2, 0, 1, 3), 1),
-                     ((1, 0, 2, 3), -1), ((0, 2, 1, 3), -1),
-                     ((2, 1, 0, 3), -1))
+_AXIOM1_ORDERINGS = signed_orderings(2, 2)
+_AXIOM2_ORDERINGS = signed_orderings(3, 1)
 
 
-def _report_at(found: list, tables: _SweepTables, case: tuple, probe,
-               acc: dict, orderings: tuple, sign: int = 1) -> None:
-    """Append the defect ``tables.coeffs(acc, sign)`` of ``case`` at each
-    signed ordering of it, one shared vector per sign."""
-    vecs = {s: ModVec._of(tables.coeffs(acc, s * sign))
-            for s in {s for _, s in orderings}}
-    found.extend((tuple(case[i] for i in perm), probe, vecs[s])
-                 for perm, s in orderings)
+def _pair_tables(action, probes) -> _SweepTables:
+    """The axiom sweeps' tables: a row per sorted pair, on the probes."""
+    return _SweepTables(partial(_pair_terms, action), _probe_keys(probes))
+
+
+def _signed(tables: _SweepTables, acc: dict, sign: int = 1) -> dict:
+    """The defect ``tables.coeffs(acc, sign)`` at each sign."""
+    return {s: ModVec._of(tables.coeffs(acc, s * sign)) for s in (1, -1)}
 
 
 def check_tri_axiom1(action: TriAction,
                      window: Iterable[int] = DEFAULT_AXIOM_WINDOW,
-                     probes=None) -> DefectReport:
+                     probes=None, *, tables=None) -> DefectReport:
     """Pair actions must close: commuting two pairs equals acting by the
     bracketed arguments, summed over the two insertion slots.
 
     The pair operators are the generators of ``_commutator_scan``, and the
     bracket of (x1, x2) with (x3, x4) is ``_ad_on_pair``.  The scan runs
     over the 45 pairs x < y of the default window and reports each defect
-    at its 4 signed orderings.
+    at its 4 signed orderings.  ``tables``, the ``_pair_tables`` of
+    ``action`` on ``probes``, may be shared with ``check_tri_axiom2``.
     """
     keys = window_keys(window)
-    probe_keys = _probe_keys(probes)
-    tables = _SweepTables(partial(_pair_terms, action), probe_keys)
+    if tables is None:
+        tables = _pair_tables(action, probes)
     brackets = _SweepTable(bracket_keys, keys)
-    found = []
-    for a, b, probe, acc, sign in _commutator_scan(
-            tuple(combinations(keys, 2)), tables,
-            partial(_ad_on_pair, brackets)):
-        _report_at(found, tables, (*a, *b), probe, acc, _AXIOM1_ORDERINGS,
-                   sign)
-    return sweep_report("tri-axiom-1", len(keys) ** 4 * len(probe_keys), found,
-                        axiom="tri-axiom-1", family=action_family(action),
-                        parameters=action_parameters(action))
+    found = [((*a, *b), probe, _signed(tables, acc, sign))
+             for a, b, probe, acc, sign in _commutator_scan(
+                 tuple(combinations(keys, 2)), tables,
+                 partial(_ad_on_pair, brackets))]
+    return sweep_report(
+        "tri-axiom-1", len(keys) ** 4 * len(tables.rows.keys), found,
+        axiom="tri-axiom-1", family=action_family(action),
+        parameters=action_parameters(action), orderings=_AXIOM1_ORDERINGS)
 
 
 def check_tri_axiom2(action: TriAction,
                      window: Iterable[int] = DEFAULT_AXIOM_WINDOW,
-                     probes=None) -> DefectReport:
+                     probes=None, *, tables=None) -> DefectReport:
     """Acting by a bracketed triple must match the cyclic sum of composed
     pair actions.  Defects are reported as composed-products side minus
     bracket-action side.
@@ -455,17 +453,19 @@ def check_tri_axiom2(action: TriAction,
     defect at its 6 signed orderings; it keeps x4 and the probe, and the
     report still counts every case.  Each pair is read from its sorted row
     (``_sorted_term``), with the sign of the sort where the row is used.
+    ``tables`` is as in ``check_tri_axiom1``.
     """
     keys = window_keys(window)
-    probe_keys = _probe_keys(probes)
-    tables = _SweepTables(partial(_pair_terms, action), probe_keys)
-    rows = tables.rows
+    if tables is None:
+        tables = _pair_tables(action, probes)
+    rows, probe_keys = tables.rows, tables.rows.keys
     compose_into, scale_into = tables.compose_into, tables.scale_into
     found = []
     for x1, x2, x3 in combinations(keys, 3):
         r12, r23, r13 = rows[(x1, x2),], rows[(x2, x3),], rows[(x1, x3),]
         b123 = bracket_keys(x1, x2, x3)
         for x4 in keys:
+            case = (x1, x2, x3, x4)
             # rho(x3, x1) is -rho(x1, x3)
             composed = [(row, rows[pair,].seq, s)
                         for row, x, sign in ((r12, x3, 1), (r23, x1, 1),
@@ -481,11 +481,11 @@ def check_tri_axiom2(action: TriAction,
                 for seq, b in scaled:
                     scale_into(acc, seq[i], b)
                 if acc:
-                    _report_at(found, tables, (x1, x2, x3, x4), probe, acc,
-                               _AXIOM2_ORDERINGS)
-    return sweep_report("tri-axiom-2", len(keys) ** 4 * len(probe_keys), found,
-                        axiom="tri-axiom-2", family=action_family(action),
-                        parameters=action_parameters(action))
+                    found.append((case, probe, _signed(tables, acc)))
+    return sweep_report(
+        "tri-axiom-2", len(keys) ** 4 * len(probe_keys), found,
+        axiom="tri-axiom-2", family=action_family(action),
+        parameters=action_parameters(action), orderings=_AXIOM2_ORDERINGS)
 
 
 # -- weights -------------------------------------------------------------------------
@@ -609,9 +609,11 @@ def check_lie_module(action: LieAction,
 
 def _module_verdict(action, window: Iterable[int], probes=None,
                     label: str = "module-axioms") -> tuple:
-    """Both module axioms on the window: (report under label, accepted)."""
-    r1 = check_tri_axiom1(action, window, probes)
-    r2 = check_tri_axiom2(action, window, probes)
+    """Both module axioms on the window, swept on one ``_pair_tables``:
+    (report under label, accepted)."""
+    tables = _pair_tables(action, probes)
+    r1 = check_tri_axiom1(action, window, probes, tables=tables)
+    r2 = check_tri_axiom2(action, window, probes, tables=tables)
     report = r1.merged_with(r2, label)
     return report, _within_parameter_gate(action, report)
 
@@ -637,10 +639,11 @@ def _within_parameter_gate(tri, report: DefectReport) -> bool:
     gate = mu * mu - mu
     if mu.is_rational:
         return report.passed and not gate
-    if any(entry.axiom != "tri-axiom-2" for entry in report.entries):
+    # each class read once, at +1: a sign changes no divisibility
+    if any(c.axiom != "tri-axiom-2" for c in report.classes):
         return False
-    coeffs = {c for entry in report.entries
-              for c in entry.defect._terms.values()}
+    coeffs = {c for cls in report.classes
+              for c in cls.defects[1]._terms.values()}
     return all(divides(gate, c) for c in coeffs)
 
 
@@ -651,7 +654,7 @@ def _gate_or_raise(tri: TriAction) -> None:
     raise NotAModule(
         f"cannot induce from {action_family(tri)}"
         f"({dict(action_parameters(tri))}): "
-        f"{len(report.entries)} module-axiom defects on the gate window "
+        f"{report.defect_count} module-axiom defects on the gate window "
         f"{DEFAULT_AXIOM_WINDOW[0]}..{DEFAULT_AXIOM_WINDOW[-1]}",
         report=report)
 

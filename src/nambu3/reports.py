@@ -1,22 +1,25 @@
 """Defect reports produced by the finite-window checkers.
 
-A report passes exactly when its entry list is empty.  Entries are sorted by
-(axiom, index assignment, probe) so reports are deterministic regardless of
-evaluation order, including parallel runs.  ``json_line`` is the one
-canonical JSON form of a machine-stream record.  Entries and reports are
-plain slotted classes, compared field by field.
-
-Entries share values (a module-axiom sweep reports one defect vector at
-each signed ordering of a case), so ``sweep_report`` flattens each index
-assignment once and ``machine_lines`` encodes each distinct field once,
-joining the pieces in the key order of ``json_line(e.record())``.
+A report holds one ``DefectClass`` per defect class: a case, its probe line,
+its defect at each sign, and the signed orderings of the case it stands for
+(``signed_orderings`` of an antisymmetric axiom, or the case alone).  It
+passes exactly when it holds no class; counting, the gate and
+``merged_with`` read the classes without expanding them.  Output expands
+them, sorted by (axiom, index assignment, probe) and then in class order,
+so reports are deterministic regardless of evaluation order, including
+parallel runs; the sort is over each case's index tuples, not over entries.
+``entries`` (built on first use) is the reference route, ``text_lines``
+expands only the entries it shows, and ``machine_lines`` joins each line
+from pieces encoded once, in the key order of ``json_line(e.record())``,
+the one canonical JSON form of a machine-stream record.
 """
 from __future__ import annotations
 
 import json
-from itertools import chain
-from operator import attrgetter
-from typing import Any, Iterable, Tuple
+from itertools import (accumulate, chain, combinations, groupby, islice,
+                       permutations, product)
+from operator import itemgetter
+from typing import Any, Iterable, NamedTuple, Tuple
 
 
 # one encoder for every line: json.dumps would build one per call
@@ -62,80 +65,156 @@ class DefectEntry:
         return f"{self.axiom} at {where}{probe}: defect = {self.defect}"
 
 
-_ENTRY_ORDER = attrgetter("axiom", "indices", "probe")
+def signed_orderings(*sizes: int) -> tuple:
+    """(permutation, parity) of each ordering of a case that permutes each
+    block of consecutive positions of ``sizes`` within itself: the product
+    of their symmetric groups, identity first."""
+    blocks = [permutations(range(end - size, end))
+              for size, end in zip(sizes, accumulate(sizes))]
+    perms = [tuple(chain.from_iterable(ps)) for ps in product(*blocks)]
+    return tuple((p, (-1) ** sum(a > b for a, b in combinations(p, 2)))
+                 for p in perms)
+
+
+class DefectClass(NamedTuple):
+    """A case (keys that flatten into the indices), its probe line (or ""),
+    its defect vector at each sign, and its signed orderings."""
+
+    axiom: str
+    family: str
+    parameters: tuple
+    case: tuple
+    probe: str
+    defects: dict
+    orderings: tuple
+
+
+# the case alone, its indices one key
+_IDENTITY = (((0,), 1),)
+
+
+def _entry(indices: tuple, c: DefectClass, sign: int) -> DefectEntry:
+    return DefectEntry(c.axiom, indices, c.defects[sign], c.probe, c.family,
+                       c.parameters)
 
 
 class DefectReport:
-    """A sweep's label, its case count and its entries, sorted."""
+    """A sweep's label, its case count and its defect classes."""
 
-    __slots__ = ("label", "cases", "entries")
+    __slots__ = ("label", "cases", "classes", "_entries")
 
-    def __init__(self, label: str, cases: int, entries: Iterable = ()):
-        self.label, self.cases = label, cases
-        self.entries = sorted(entries, key=_ENTRY_ORDER)
+    def __init__(self, label: str, cases: int, entries: Iterable = (), *,
+                 classes: Iterable = ()):
+        self.label, self.cases, self._entries = label, cases, None
+        self.classes = [*classes, *(
+            DefectClass(e.axiom, e.family, e.parameters, (e.indices,),
+                        e.probe, {1: e.defect}, _IDENTITY) for e in entries)]
 
-    __eq__ = DefectEntry.__eq__
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.label, self.cases, self.entries)
+                == (other.label, other.cases, other.entries))
 
     @property
     def passed(self) -> bool:
-        return not self.entries
+        return not self.classes
+
+    @property
+    def defect_count(self) -> int:
+        return sum(len(c.orderings) for c in self.classes)
+
+    def _sorted(self):
+        """Yield (indices, class, sign) of each entry, sorted by (axiom,
+        indices, probe), then in class and ordering order.  The classes of
+        one case, one per probe, share its index tuple at each ordering, so
+        only those tuples are sorted, and each one's entries after it."""
+        cases = {}
+        for n, c in enumerate(self.classes):
+            cases.setdefault((c.axiom, id(c.case), id(c.orderings)),
+                             []).append((n, c))
+        units = []
+        for members in cases.values():
+            first = members[0][1]
+            for k, (perm, sign) in enumerate(first.orderings):
+                indices = tuple(chain.from_iterable(
+                    map(first.case.__getitem__, perm)))
+                units.append((first.axiom, indices, k, sign, members))
+        units.sort(key=itemgetter(0, 1))
+        for (_, indices), tied in groupby(units, itemgetter(0, 1)):
+            rows = sorted((c.probe, n, k, c, sign)
+                          for _, _, k, sign, members in tied
+                          for n, c in members)
+            for _, _, _, c, sign in rows:
+                yield indices, c, sign
+
+    @property
+    def entries(self) -> list:
+        """The classes expanded, sorted; built on first use."""
+        if self._entries is None:
+            self._entries = [_entry(*row) for row in self._sorted()]
+        return self._entries
 
     def summary(self) -> str:
         verdict = "pass" if self.passed else "fail"
         return (f"{self.label}: {self.cases} cases, "
-                f"{len(self.entries)} defects, {verdict}")
+                f"{self.defect_count} defects, {verdict}")
 
     def text_lines(self) -> list:
-        shown = self.entries[:20]
+        shown = [_entry(*row) for row in islice(self._sorted(), 20)]
         lines = [self.summary()] + ["  " + entry.line() for entry in shown]
-        hidden = len(self.entries) - len(shown)
+        hidden = self.defect_count - len(shown)
         if hidden > 0:
             lines.append(f"  ... and {hidden} more defects")
         return lines
 
     def machine_lines(self) -> list:
-        """``json_line(e.record())`` of each entry; objects are keyed by
-        ``id``, since the entries keep them alive."""
+        """``json_line(e.record())`` of each entry, in sorted order;
+        vectors and index tuples are keyed by ``id``, since the classes
+        and the sort keep them alive."""
         encode = _ENCODER.encode
-        defects, indices, contexts, lines = {}, {}, {}, []
-        for e in self.entries:
-            defect = defects.get(id(e.defect))
+        vectors, wheres, contexts, lines = {}, {}, {}, []
+        for indices, c, sign in self._sorted():
+            vec = c.defects[sign]
+            defect = vectors.get(id(vec))
             if defect is None:
-                defect = defects[id(e.defect)] = encode(str(e.defect))
-            where = indices.get(id(e.indices))
+                defect = vectors[id(vec)] = encode(str(vec))
+            where = wheres.get(id(indices))
             if where is None:
-                where = indices[id(e.indices)] = encode(
-                    [str(i) for i in e.indices])
-            context = (e.axiom, e.family, id(e.parameters), e.probe)
+                where = wheres[id(indices)] = encode(
+                    [str(i) for i in indices])
+            context = (c.axiom, c.family, id(c.parameters), c.probe)
             pieces = contexts.get(context)
             if pieces is None:
                 pieces = contexts[context] = (
-                    f'{{"axiom":{encode(e.axiom)},"defect":',
-                    f',"family":{encode(e.family)},"indices":',
-                    f',"parameters":{json_line(dict(e.parameters))}'
-                    f',"probe":{encode(e.probe)}}}')
+                    f'{{"axiom":{encode(c.axiom)},"defect":',
+                    f',"family":{encode(c.family)},"indices":',
+                    f',"parameters":{json_line(dict(c.parameters))}'
+                    f',"probe":{encode(c.probe)}}}')
             head, middle, tail = pieces
             lines.append(f"{head}{defect}{middle}{where}{tail}")
         return lines
 
     def merged_with(self, other: "DefectReport", label: str) -> "DefectReport":
         return DefectReport(label, self.cases + other.cases,
-                            self.entries + other.entries)
+                            classes=self.classes + other.classes)
 
 
 def sweep_report(label: str, cases: int, found: list, *, axiom: str,
-                 family: str, parameters: tuple = ()) -> DefectReport:
+                 family: str, parameters: tuple = (),
+                 orderings: tuple = None) -> DefectReport:
     """A sweep's report from its ``(keys, probe, defect)`` triples, replacing
-    each triple in ``found`` by its entry so no sweep holds both at once.
-    Keys flatten into the indices; ``probe`` is a weight key or None."""
-    flat, shown = {}, {}
+    each triple in ``found`` by its class so no sweep holds both at once;
+    ``probe`` is a weight key or None.  With ``orderings``, ``defect`` maps
+    each sign to a vector and the triple stands for ``keys`` at each
+    ordering; without, it is one entry."""
+    shown = {}
     for i, (keys, probe, defect) in enumerate(found):
-        indices = flat.get(keys)
-        if indices is None:
-            indices = flat[keys] = tuple(chain.from_iterable(keys))
         text = shown.get(probe)
         if text is None:
             text = shown[probe] = "" if probe is None else f"v[{probe}]"
-        found[i] = DefectEntry(axiom, indices, defect, text, family,
-                               parameters)
-    return DefectReport(label, cases, found)
+        if orderings is None:
+            keys, defect = (tuple(chain.from_iterable(keys)),), {1: defect}
+        found[i] = DefectClass(axiom, family, parameters, keys, text, defect,
+                               orderings or _IDENTITY)
+    return DefectReport(label, cases, classes=found)

@@ -344,6 +344,32 @@ def test_machine_records_are_compact_sorted_json(capsys):
                               separators=(",", ":")) == line
 
 
+class _CountingSink(io.TextIOBase):
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+
+@pytest.mark.parametrize("argv, lines", [
+    (("check", "module-t", "--mu", "2", "--window", "-1..1"), 1296),
+    (("check", "module-t", "--mu", "1", "--window", "-1..1"), 0),
+    (("check", "fi", "--window", "-1..1"), 0),
+], ids=["module-t-mu2", "module-t-mu1", "fi"])
+def test_a_machine_stream_is_written_one_line_per_write(argv, lines):
+    # one writelines call, never one joined string; a clean report prints
+    # nothing at all
+    sink = _CountingSink()
+    with redirect_stdout(sink):
+        code = main([*argv, "--output", "machine"])
+    assert code == (1 if lines else 0)
+    assert len(sink.writes) == lines
+    assert all(text.count("\n") == 1 and text.endswith("\n")
+               for text in sink.writes)
+
+
 def test_orbit_machine_output(capsys):
     code, out, _ = run(capsys, "orbit", "T", "--lambda", "1/2", "--mu", "0",
                        "--start", "a0", "--output", "machine")

@@ -16,7 +16,8 @@ from nambu3.derivations import (P, Q, X, Z, ad, check_pqxz_table,
 from nambu3.errors import NotAModule
 from nambu3.linear import accumulate
 from nambu3.reports import DefectEntry, DefectReport, sweep_report
-from nambu3.repmod import (ACTION_MEMO_SIZE, InducedLieAction,
+from nambu3.repmod import (ACTION_MEMO_SIZE, DEFAULT_AXIOM_WINDOW,
+                           InducedLieAction,
                            LieShiftAction, ModVec, OrbitReport,
                            PullbackTriAction, TriWeightAction, WeightKey,
                            _alpha, _expansion, _interned, _lie_key_terms,
@@ -1060,6 +1061,38 @@ def test_gate_needs_a_clean_first_axiom_for_symbolic_mu(axiom, accepted):
                         V("a0") * MU_GATE, "v[a0]")
     report = DefectReport("module-axioms", 1, [entry])
     assert _within_parameter_gate(weight_action(), report) is accepted
+
+
+def _verdict_on_separate_tables(action):
+    # each axiom swept with tables of its own, then merged and gated
+    report = check_tri_axiom1(action, DEFAULT_AXIOM_WINDOW).merged_with(
+        check_tri_axiom2(action, DEFAULT_AXIOM_WINDOW), "module-axioms")
+    return report, _within_parameter_gate(action, report)
+
+
+def _assert_shared_tables_change_nothing(action) -> bool:
+    got, accepted = _module_verdict(action, DEFAULT_AXIOM_WINDOW)
+    want, want_accepted = _verdict_on_separate_tables(action)
+    assert (got.label, got.cases) == (want.label, want.cases)
+    assert _records(got) == _records(want)
+    assert accepted is want_accepted
+    return accepted
+
+
+@pytest.mark.parametrize("name, accepted", [
+    ("T", True), ("T mu=0", True), ("T mu=1", True), ("T mu=2", False),
+    ("pullback-psi", False), ("pullback-phi", False)])
+def test_the_shared_tables_pass_changes_no_verdict(name, accepted):
+    action = _SHIPPED_ACTIONS[name]
+    assert _assert_shared_tables_change_nothing(action) is accepted
+
+
+def test_the_shared_tables_pass_refuses_a_skewed_kernel(monkeypatch):
+    import nambu3.repmod as repmod
+
+    # still skew, but with first-axiom defects, which no mu admits
+    _patch_kernel(monkeypatch, _symmetric_factor(repmod._tri_terms))
+    assert _assert_shared_tables_change_nothing(weight_action()) is False
 
 
 def test_one_gate_entry_serves_every_reader_of_an_action():

@@ -1,25 +1,54 @@
-"""The machine stream of a defect report.
+"""Defect reports: class records, their expansion and the machine stream.
 
-``DefectReport.machine_lines`` encodes each shared value once and joins the
-lines from those pieces; ``json_line(e.record())`` per entry is the
-reference route it must match byte for byte.
+A report keeps one record per defect class and expands it only for output.
+``DefectReport.machine_lines`` sorts the expanded rows once and joins each
+line from pieces encoded once; ``json_line(e.record())`` per entry of the
+expanded, sorted ``entries`` is the reference route it must match byte for
+byte, and ``text_lines`` must show the first 20 of those entries.
 """
+from itertools import chain
+from operator import attrgetter
+
 import pytest
 
+import nambu3.algebra as algebra
 import nambu3.repmod as repmod
 from nambu3.derivations import P, PqxzElem, pqxz_key_bracket
 from nambu3.linear import LinComb
-from nambu3.reports import DefectEntry, DefectReport, json_line, sweep_report
+from nambu3.reports import (DefectEntry, DefectReport, json_line,
+                            signed_orderings, sweep_report)
 from nambu3.repmod import (DEFAULT_AXIOM_WINDOW, ModVec, _module_verdict,
                            check_lie_module, check_tri_axiom2,
                            pullback_candidate, shift_action, weight_action,
                            weight_key, zero_twist_action)
 
 
+def _reference_text(report: DefectReport) -> list:
+    entries = report.entries
+    verdict = "fail" if entries else "pass"
+    lines = [f"{report.label}: {report.cases} cases, {len(entries)} defects, "
+             f"{verdict}"] + ["  " + e.line() for e in entries[:20]]
+    if len(entries) > 20:
+        lines.append(f"  ... and {len(entries) - 20} more defects")
+    return lines
+
+
+def _expanded(report: DefectReport) -> list:
+    # each class at each of its orderings, in class order, sorted stably
+    entries = [DefectEntry(c.axiom,
+                           tuple(chain.from_iterable(c.case[i] for i in perm)),
+                           c.defects[sign], c.probe, c.family, c.parameters)
+               for c in report.classes for perm, sign in c.orderings]
+    return sorted(entries, key=attrgetter("axiom", "indices", "probe"))
+
+
 def _assert_matches_reference(report: DefectReport) -> list:
+    assert report.entries == _expanded(report)
     lines = report.machine_lines()
     assert type(lines) is list
     assert lines == [json_line(e.record()) for e in report.entries]
+    assert report.text_lines() == _reference_text(report)
+    assert report.passed == (not report.entries)
     return lines
 
 
@@ -33,6 +62,9 @@ def test_module_t_stream_matches_the_reference_route(mu):
 def test_pullback_phi_stream_matches_the_reference_route():
     report = check_tri_axiom2(pullback_candidate(zero_twist_action()))
     assert _assert_matches_reference(report)
+    # every entry tied with its copy, which follows it
+    twice = _assert_matches_reference(report.merged_with(report, "twice"))
+    assert twice[::2] == twice[1::2] == report.machine_lines()
 
 
 def test_skewed_lie_psi_stream_matches_the_reference_route(monkeypatch):
@@ -109,3 +141,53 @@ def test_each_defect_vector_is_formatted_once(monkeypatch):
     monkeypatch.setattr(LinComb, "__str__", counted)
     report.machine_lines()
     assert len(calls) == vectors
+
+
+def test_merging_class_reports_sorts_as_merging_their_entries():
+    # two class reports of one axiom whose entries interleave
+    first = check_tri_axiom2(weight_action(None, 2), range(-1, 2))
+    second = check_tri_axiom2(pullback_candidate(zero_twist_action()),
+                              range(-1, 2))
+    merged = first.merged_with(second, "both")
+    assert merged.classes == first.classes + second.classes
+    want = DefectReport("both", first.cases + second.cases,
+                        first.entries + second.entries)
+    assert merged.entries != first.entries + second.entries
+    assert ([e.record() for e in merged.entries]
+            == [e.record() for e in want.entries])
+    assert merged == want
+    assert _assert_matches_reference(merged) == want.machine_lines()
+
+
+# the signed orderings as they were written out by hand
+_FI_LITERAL = tuple(
+    (p12 + p345, s12 * s345) for p12, s12 in (((0, 1), 1), ((1, 0), -1))
+    for p345, s345 in (((2, 3, 4), 1), ((3, 4, 2), 1), ((4, 2, 3), 1),
+                       ((3, 2, 4), -1), ((2, 4, 3), -1), ((4, 3, 2), -1)))
+_AXIOM1_LITERAL = (((0, 1, 2, 3), 1), ((1, 0, 2, 3), -1),
+                   ((0, 1, 3, 2), -1), ((1, 0, 3, 2), 1))
+_AXIOM2_LITERAL = (((0, 1, 2, 3), 1), ((1, 2, 0, 3), 1), ((2, 0, 1, 3), 1),
+                   ((1, 0, 2, 3), -1), ((0, 2, 1, 3), -1), ((2, 1, 0, 3), -1))
+
+
+@pytest.mark.parametrize("module, name, literal", [
+    (algebra, "_FI_ORDERINGS", _FI_LITERAL),
+    (repmod, "_AXIOM1_ORDERINGS", _AXIOM1_LITERAL),
+    (repmod, "_AXIOM2_ORDERINGS", _AXIOM2_LITERAL),
+], ids=["fi", "axiom1", "axiom2"])
+def test_derived_orderings_are_the_hand_written_tables(module, name,
+                                                       literal):
+    derived = getattr(module, name)
+    assert len(derived) == len(set(derived)) == len(literal)
+    assert set(derived) == set(literal)
+    identity = tuple(range(len(literal[0][0])))
+    assert derived[0] == literal[0] == (identity, 1)
+
+
+def test_signed_orderings_sign_is_the_parity():
+    # S4 as one block: 12 even and 12 odd orderings, transpositions odd
+    table = signed_orderings(4)
+    assert len(table) == 24 and sum(sign for _, sign in table) == 0
+    assert dict(table)[(1, 0, 2, 3)] == dict(table)[(0, 1, 3, 2)] == -1
+    assert dict(table)[(1, 2, 3, 0)] == -1 and dict(table)[(1, 0, 3, 2)] == 1
+    assert signed_orderings(1, 1) == (((0, 1), 1),)

@@ -28,8 +28,8 @@ keys from ``window_keys``) or index arithmetic that leaves the cap raises
 IndexOverflow.  The bracket lowers no degree bound and shifts indices by at
 most the sum of its inputs, so a window check exercises every structure
 constant whose indices fit: coefficients are affine in each index and the
-identity is index-translation covariant, which is why small windows are
-conclusive for the table.
+identity is index-translation covariant, which is why small windows give
+window evidence for the table, not a proof.
 """
 from __future__ import annotations
 

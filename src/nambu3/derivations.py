@@ -22,18 +22,18 @@ used by the module layer; it is validated against expansion + ad_apply the
 same way.
 
 ``pqxz_bracket`` tabulates the commutator of generators as operators;
-``check_pqxz_table`` replays every table entry against actual operator
-composition on basis probes in ``_commutator_scan``, which computes with
-``algebra._SweepTables`` and also checks ``repmod``'s Lie modules and first
-module axiom.  ``deriv_equal`` decides action equality on a window: each
-generator action coefficient is affine in the probe index within a fixed
-shift pattern, so two probe points per pattern already decide equality and
-three give margin, hence the >= 3 point requirement.
+``check_pqxz_table`` replays each entry of the global ``pqxz_key_bracket``
+against composing the global ``pqxz_key_apply`` (``_commutator_scan``,
+which uses ``algebra._SweepTables`` and also checks ``repmod``'s Lie
+modules and first module axiom).  ``deriv_equal`` decides action equality
+on a window: each generator action coefficient is affine in the probe index
+within a fixed shift pattern, so two probe points per pattern already
+decide equality and three give margin, hence the >= 3 point requirement.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple
 
 from .algebra import (AlgElem, BasisKey, L, M, _check_index, _SweepTables,
@@ -218,15 +218,18 @@ def pqxz_key_apply(k: PqxzKey, b: BasisKey):
     return None
 
 
+def _generator_terms(k: PqxzKey, b: BasisKey) -> tuple:
+    """``pqxz_key_apply(k, b)`` as terms ``(key, coefficient)``."""
+    hit = pqxz_key_apply(k, b)
+    return () if hit is None else ((hit[1], hit[0]),)
+
+
 def pqxz_apply(k: PqxzKey, x: AlgElem) -> AlgElem:
     """Closed-form generator action, extended linearly."""
     acc: dict = {}
     for key, c in x._terms.items():
-        hit = pqxz_key_apply(k, key)
-        if hit is None:
-            continue
-        coeff, out_key = hit
-        accumulate(acc, out_key, c * coeff)
+        for out_key, coeff in _generator_terms(k, key):
+            accumulate(acc, out_key, c * coeff)
     return AlgElem._of(acc)
 
 
@@ -329,31 +332,26 @@ def _commutator_scan(gens: tuple, tables: _SweepTables,
     return found
 
 
-def _bracket_terms(key_bracket: Callable, a, b) -> list:
-    """``key_bracket(a, b)`` as ``(generator, rational)`` pairs."""
+def _bracket_terms(a, b) -> list:
+    """``pqxz_key_bracket(a, b)`` as ``(generator, rational)`` pairs."""
     return [(k, _q(c.as_rational))
-            for k, c in key_bracket(a, b)._terms.items()]
+            for k, c in pqxz_key_bracket(a, b)._terms.items()]
 
 
-def check_pqxz_table(window: Iterable[int] = DEFAULT_PAIR_WINDOW,
-                     key_apply: Callable = pqxz_key_apply,
-                     key_bracket: Callable = pqxz_key_bracket) -> DefectReport:
+def check_pqxz_table(window: Iterable[int] = DEFAULT_PAIR_WINDOW
+                     ) -> DefectReport:
     """Replay the commutator table against operator composition.
 
     For every generator pair and every basis probe in the window, compares
     apply(a, apply(b, probe)) - apply(b, apply(a, probe)) with the table
-    bracket applied to the probe (``_commutator_scan``).  ``key_apply`` and
-    ``key_bracket`` are injectable so a corrupted table is detectable.
+    bracket applied to the probe (``_commutator_scan``).  A fault is
+    injected into the module global ``pqxz_key_apply`` or ``pqxz_key_bracket``.
     """
-    def terms(k, b):
-        hit = key_apply(k, b)
-        return () if hit is None else ((hit[1], hit[0]),)
-    gens = window_generators(window)
-    probes = window_keys(window)
-    tables = _SweepTables(terms, probes)
+    gens, probes = window_generators(window), window_keys(window)
+    tables = _SweepTables(_generator_terms, probes)
     found = [((ka, kb, probe), None, AlgElem(tables.coeffs(acc, sign)))
              for ka, kb, probe, acc, sign in _commutator_scan(
-                 gens, tables, partial(_bracket_terms, key_bracket))]
+                 gens, tables, _bracket_terms)]
     return sweep_report("generator-commutator-table",
                         len(gens) ** 2 * len(probes), found,
                         axiom="generator-commutator", family="derivations")

@@ -33,8 +33,8 @@ axioms on 4-tuples of basis keys over an index window.  The probe policy is
 one generic-tag vector plus the rational lines v[-2..2], which covers both
 the uniform coefficient formulas and every zero-weight special case.  Axiom
 coefficients are polynomials of degree <= 2 in each index, so a 5-point
-window per slot is conclusive for the coefficient identities; that rationale
-is documentation, not a runtime assertion.
+window per slot gives window evidence for the coefficient identities, not a
+proof; that rationale is documentation, not a runtime assertion.
 
 Every sweep takes cap-checked keys from ``window_keys`` or
 ``window_generators``, counts its cases from the grid sizes and builds its
@@ -59,7 +59,7 @@ and a line's images are the keys of those terms.
 ``check_tri_axiom2`` reports each defect as (sum of composed pair actions)
 minus (action of the bracketed triple).  A pair action is a map on A∧A, so
 rho(y, x) = -rho(x, y) and rho(x, x) = 0 by definition: ``_tri_terms``
-gives rho on a sorted pair x < y only, and ``_wedge_terms`` reads every
+gives rho on a sorted pair x < y only, and ``_tri_key_terms`` reads every
 other order from it.  So a defect is antisymmetric in (x1, x2) and in
 (x3, x4) (axiom 1), or in (x1, x2, x3) (axiom 2), and zero on a repeated
 key: each sweep evaluates one case per class, keeps rows for sorted pairs
@@ -80,7 +80,7 @@ from .algebra import (AlgElem, BasisKey, L, M, _SweepTable, _SweepTables,
                       bracket_keys, window_keys)
 from .derivations import (DEFAULT_PAIR_WINDOW, DerivExpr, PqxzElem, PqxzKey,
                           _bracket_terms, _commutator_scan, pair_to_pqxz,
-                          pqxz_key_bracket, pqxz_to_deriv, window_generators)
+                          pqxz_to_deriv, window_generators)
 from .errors import NotAModule, NotEigenvector
 from .linear import LinComb, accumulate
 from .reports import DefectReport, signed_orderings, sweep_report
@@ -255,8 +255,8 @@ def action_parameters(action) -> tuple:
 
 # Term tuples (key, Scalar) with zero coefficients dropped; memoized because
 # the sweeps, the orbits and the induced actions revisit the same (pair, key)
-# combinations constantly.  The axiom sweeps memoize ternary terms in their
-# own tables (``algebra._SweepTables.rows``) rather than in ``_tri_key_terms``.
+# combinations constantly.  Each cache is a decorated function that looks its
+# kernel up when called: a patched kernel reaches it once the cache is cleared.
 
 
 @lru_cache(maxsize=KERNEL_CACHE_SIZE)
@@ -291,7 +291,7 @@ def _lie_key_terms(action, k: PqxzKey, key: WeightKey) -> tuple:
 
 def _tri_terms(action, x: BasisKey, y: BasisKey, key: WeightKey) -> tuple:
     """rho(x, y) on ``key`` for a sorted pair x < y; read it through
-    ``_wedge_terms``, which gives every other order."""
+    ``_tri_key_terms``, which gives every other order."""
     if isinstance(action, TriWeightAction):
         # x < y of different kinds: x is the L and y the M
         if x.kind == y.kind:
@@ -310,7 +310,8 @@ def _tri_terms(action, x: BasisKey, y: BasisKey, key: WeightKey) -> tuple:
     raise TypeError(f"not a ternary action: {action!r}")
 
 
-def _wedge_terms(action, x: BasisKey, y: BasisKey, key: WeightKey) -> tuple:
+@lru_cache(maxsize=KERNEL_CACHE_SIZE)
+def _tri_key_terms(action, x: BasisKey, y: BasisKey, key: WeightKey) -> tuple:
     """rho(x, y) on ``key`` read on A∧A: ``_tri_terms`` of the sorted pair,
     negated when the pair comes swapped, and nothing when x == y."""
     if x < y:
@@ -320,9 +321,10 @@ def _wedge_terms(action, x: BasisKey, y: BasisKey, key: WeightKey) -> tuple:
     return tuple((k, -c) for k, c in _tri_terms(action, y, x, key))
 
 
-_tri_key_terms = lru_cache(maxsize=KERNEL_CACHE_SIZE)(_wedge_terms)
 # each generator's ad pairs, expanded once for all the keys it meets
-_expansion = lru_cache(maxsize=KERNEL_CACHE_SIZE)(pqxz_to_deriv)
+@lru_cache(maxsize=KERNEL_CACHE_SIZE)
+def _expansion(k: PqxzKey) -> DerivExpr:
+    return pqxz_to_deriv(k)
 
 
 def _pair_terms(action, pair: tuple, key: WeightKey) -> tuple:
@@ -598,7 +600,7 @@ def check_lie_module(action: LieAction,
     tables = _SweepTables(partial(_lie_key_terms, action), probes)
     found = [((ka, kb), probe, ModVec._of(tables.coeffs(acc, sign)))
              for ka, kb, probe, acc, sign in _commutator_scan(
-                 gens, tables, partial(_bracket_terms, pqxz_key_bracket))]
+                 gens, tables, _bracket_terms)]
     return sweep_report("lie-commutator", len(gens) ** 2 * len(probes), found,
                         axiom="lie-commutator", family=action_family(action),
                         parameters=action_parameters(action))
@@ -618,14 +620,14 @@ def _module_verdict(action, window: Iterable[int], probes=None,
     return report, _within_parameter_gate(action, report)
 
 
-# the cached verdict the induced actions read, always on DEFAULT_AXIOM_WINDOW
-# as the one key: another window, even with equal points, would sweep again
-_module_gate = lru_cache(maxsize=64)(_module_verdict)
+@lru_cache(maxsize=64)
+def _module_gate(action) -> tuple:
+    return _module_verdict(action, DEFAULT_AXIOM_WINDOW)
 
 
 def verify_module(action: TriAction) -> DefectReport:
     """Both ternary module axioms on DEFAULT_AXIOM_WINDOW, cached per action."""
-    return _module_gate(action, DEFAULT_AXIOM_WINDOW)[0]
+    return _module_gate(action)[0]
 
 
 def _within_parameter_gate(tri, report: DefectReport) -> bool:
@@ -648,7 +650,7 @@ def _within_parameter_gate(tri, report: DefectReport) -> bool:
 
 
 def _gate_or_raise(tri: TriAction) -> None:
-    report, accepted = _module_gate(tri, DEFAULT_AXIOM_WINDOW)
+    report, accepted = _module_gate(tri)
     if accepted:
         return
     raise NotAModule(

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+import nambu3.derivations as derivations
 from nambu3.algebra import (AlgElem, L, M, basis_elem, bracket, bracket_det,
                             check_fundamental)
 from nambu3.derivations import (DerivExpr, ad, check_pqxz_table,
@@ -80,7 +81,8 @@ def test_criterion_04_second_module_axiom_gate():
                 "-2 witness at mu=2", ok)
 
 
-def test_criterion_05_generator_table_certified_and_fault_detected():
+def test_criterion_05_generator_table_certified_and_fault_detected(
+        monkeypatch):
     honest = check_pqxz_table(range(-3, 4)).passed
 
     def skewed(k1, k2):
@@ -89,7 +91,8 @@ def test_criterion_05_generator_table_certified_and_fault_detected():
             return -out
         return out
 
-    caught = not check_pqxz_table(range(-3, 4), key_bracket=skewed).passed
+    monkeypatch.setattr(derivations, "pqxz_key_bracket", skewed)
+    caught = not check_pqxz_table(range(-3, 4)).passed
     _verdict(5, "commutator table passes; injected fault detected",
              honest and caught)
 

@@ -62,23 +62,30 @@ _SUITE_CHOICES = ("(choose from 'fi', 'induced-psi', 'lie-phi', 'lie-psi', "
 
 @pytest.mark.parametrize("argv, code, err", [
     # a flag's value never starts with "--" or is "-h"
-    (("check", "fi", "--window", "--mu"), 2,
-     "error: argument --window: expected one argument\n"),
-    (("orbit", "T", "--start", "-h"), 2,
-     "error: argument --start: expected one argument\n"),
-    (("check", "fi", "--window", "--"), 2,
-     "error: argument --window: expected one argument\n"),
+    pytest.param(("check", "fi", "--window", "--mu"), 2,
+                 "error: argument --window: expected one argument\n",
+                 id="window-value-is-a-flag"),
+    pytest.param(("orbit", "T", "--start", "-h"), 2,
+                 "error: argument --start: expected one argument\n",
+                 id="start-value-is-help"),
+    pytest.param(("check", "fi", "--window", "--"), 2,
+                 "error: argument --window: expected one argument\n",
+                 id="window-value-is-double-dash"),
     # any other token with one leading dash is an argument, never help
-    (("check", "-hx"), 2,
-     f"error: argument suite: invalid choice: '-hx' {_SUITE_CHOICES}\n"),
-    (("check", "-"), 2,
-     f"error: argument suite: invalid choice: '-' {_SUITE_CHOICES}\n"),
-    (("bracket", "-hx", "L[2]", "M[3]"), 2,
-     "error: unknown scalar symbol 'hx' at position 1 "
-     "(expected: lam, mu, a<k>)\n"),
-    (("bracket", "-", "L[2]", "M[3]"), 2,
-     "error: expected a scalar at position 1 (expected: number, symbol, ()\n"),
-    (("check", "fi", "--window=-1..1"), 0, ""),
+    pytest.param(("check", "-hx"), 2,
+                 f"error: argument suite: invalid choice: '-hx' "
+                 f"{_SUITE_CHOICES}\n", id="suite-dash-hx"),
+    pytest.param(("check", "-"), 2,
+                 f"error: argument suite: invalid choice: '-' "
+                 f"{_SUITE_CHOICES}\n", id="suite-lone-dash"),
+    pytest.param(("bracket", "-hx", "L[2]", "M[3]"), 2,
+                 "error: unknown scalar symbol 'hx' at position 1 "
+                 "(expected: lam, mu, a<k>)\n", id="scalar-dash-hx"),
+    pytest.param(("bracket", "-", "L[2]", "M[3]"), 2,
+                 "error: expected a scalar at position 1 "
+                 "(expected: number, symbol, ()\n", id="scalar-lone-dash"),
+    pytest.param(("check", "fi", "--window=-1..1"), 0, "",
+                 id="window-joined-negative"),
 ])
 def test_single_dash_tokens_are_arguments(capsys, argv, code, err):
     got_code, out, got_err = run(capsys, *argv)
@@ -419,7 +426,7 @@ def test_repeated_orbit_matches_cached_actions_by_identity(capsys,
     # left the bounded action memo is still matched by comparison.
     monkeypatch.setattr(repmod, "_tri_key_terms",
                         lru_cache(maxsize=repmod.KERNEL_CACHE_SIZE)(
-                            repmod._wedge_terms))
+                            repmod._tri_key_terms.__wrapped__))
     argv = ("orbit", "T", "--lambda", "1/2", "--mu", "0", "--start", "a0")
     first = run(capsys, *argv)
     compared = []
@@ -633,7 +640,7 @@ def _stub_sweeps(monkeypatch, sweep):
             monkeypatch.setattr(module, name, sweep)
     # a fresh gate cache, so no verdict built from stubs outlives the test
     monkeypatch.setattr(repmod, "_module_gate",
-                        lru_cache(maxsize=64)(repmod._module_verdict))
+                        lru_cache(maxsize=64)(repmod._module_gate.__wrapped__))
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _no_pool)
 
 

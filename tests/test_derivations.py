@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import nambu3.derivations as derivations
 from nambu3.algebra import (AlgElem, BasisKey, L, M, basis_elem, bracket,
                             window_keys)
 from nambu3.derivations import (P, Q, X, Z, DerivExpr, PqxzElem, ad,
@@ -161,7 +162,7 @@ def test_table_check_passes():
     assert report.cases == 28 * 28 * 14
 
 
-def test_table_check_detects_injected_fault():
+def test_table_check_detects_injected_fault(monkeypatch):
     def corrupted(k1, k2):
         table = pqxz_key_bracket(k1, k2)
         if k1.family == "q" and k2.family == "x":
@@ -170,7 +171,10 @@ def test_table_check_detects_injected_fault():
             return table * -1
         return table
 
-    report = check_pqxz_table(range(-2, 3), key_bracket=corrupted)
+    # (x, q) reads -corrupted(q, x) through the patched global and negates
+    # it back, so only the order (q, x) is corrupted
+    monkeypatch.setattr(derivations, "pqxz_key_bracket", corrupted)
+    report = check_pqxz_table(range(-2, 3))
     assert not report.passed
     assert all(e.axiom == "generator-commutator" for e in report.entries)
     assert any(e.indices[0] == "q" and e.indices[2] == "x"
@@ -193,7 +197,7 @@ def test_generator_action_coefficients_are_int_unless_halved():
                         assert type(coeff) is int
 
 
-def test_wide_table_check_and_injected_fault():
+def test_wide_table_check_and_injected_fault(monkeypatch):
     report = check_pqxz_table(range(-8, 9))
     assert report.passed
     assert report.cases == 68 * 68 * 34 == 157216
@@ -204,9 +208,12 @@ def test_wide_table_check_and_injected_fault():
             return -out
         return out
 
-    caught = check_pqxz_table(range(-8, 9), key_bracket=skewed)
+    monkeypatch.setattr(derivations, "pqxz_key_bracket", skewed)
+    caught = check_pqxz_table(range(-8, 9))
     assert not caught.passed
-    assert {e.indices[0] + e.indices[2] for e in caught.entries} == {"qx"}
+    # the order (x, q) reads the table through the patched global as well
+    assert {e.indices[0] + e.indices[2] for e in caught.entries} == {
+        "qx", "xq"}
 
 
 def _counting(calls: list):
@@ -217,9 +224,10 @@ def _counting(calls: list):
     return key_apply
 
 
-def test_table_check_applies_each_generator_once_per_key():
+def test_table_check_applies_each_generator_once_per_key(monkeypatch):
     calls, reference = [], []
-    report = check_pqxz_table(range(-2, 3), key_apply=_counting(calls))
+    monkeypatch.setattr(derivations, "pqxz_key_apply", _counting(calls))
+    report = check_pqxz_table(range(-2, 3))
     assert report.passed
     assert calls and len(calls) == len(set(calls))
     # and to exactly the keys evaluating each case on its own reaches
@@ -279,11 +287,12 @@ def _randomly_skewed_action(seed):
 
 
 @pytest.mark.parametrize("window", [range(-1, 2), range(-2, 3)])
-def test_table_sweep_matches_reference_route(window):
+def test_table_sweep_matches_reference_route(monkeypatch, window):
     key_apply = _randomly_skewed_action(3)
     expected = _reference_table_records(window, key_apply)
     assert expected
-    report = check_pqxz_table(window, key_apply=key_apply)
+    monkeypatch.setattr(derivations, "pqxz_key_apply", key_apply)
+    report = check_pqxz_table(window)
     assert [e.record() for e in report.entries] == expected
 
 
@@ -294,11 +303,14 @@ def _skewed_bracket(k1, k2):
     return out + PqxzElem.term(P(0)) if k1.family == "p" else out
 
 
-def test_table_sweep_matches_reference_route_under_a_skewed_bracket():
+def test_table_sweep_matches_reference_route_under_a_skewed_bracket(
+        monkeypatch):
+    # patched first: a swapped pair's entry reads the global table too
+    monkeypatch.setattr(derivations, "pqxz_key_bracket", _skewed_bracket)
     expected = _reference_table_records(range(-1, 2), pqxz_key_apply,
                                         _skewed_bracket)
     assert any(e["indices"][:2] == e["indices"][2:4] for e in expected)
-    report = check_pqxz_table(range(-1, 2), key_bracket=_skewed_bracket)
+    report = check_pqxz_table(range(-1, 2))
     assert [e.record() for e in report.entries] == expected
 
 

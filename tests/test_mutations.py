@@ -1,0 +1,128 @@
+"""Mutation table: a fault patched into a named kernel flips a suite.
+
+Each row patches one module global of ``nambu3`` with a one-line mutant and
+runs a ``nambu3 check`` suite through ``cli.main``: the suite exits 0 on the
+real kernel and 1 under the mutant.  The kernel and gate caches are cleared
+before and after each run, so a warm entry cannot hide a mutant.
+
+The guard below keeps that true for every kernel: no package function sits
+in a parameter default, and no module-level ``lru_cache`` wraps a function
+under another name, since either binds a kernel before it is called.
+
+Background: DeMillo, Lipton and Sayward, "Hints on test data selection",
+IEEE Computer 11(4), 1978.
+"""
+import importlib
+import inspect
+import pkgutil
+
+import pytest
+
+import nambu3
+from nambu3 import derivations, repmod
+from nambu3.cli import main
+from nambu3.derivations import (P, PqxzElem, pqxz_key_apply,
+                                pqxz_key_bracket, pqxz_to_deriv)
+
+# every kernel cache and the module gate, looked up when cleared
+_CACHES = ((repmod, "_tri_key_terms"), (repmod, "_lie_key_terms"),
+           (repmod, "_alpha"), (repmod, "_expansion"),
+           (repmod, "_module_gate"), (derivations, "pair_to_pqxz"))
+
+_TRI_KEY_TERMS = repmod._tri_key_terms.__wrapped__
+
+
+def _clear_caches() -> None:
+    for module, name in _CACHES:
+        getattr(module, name).cache_clear()
+
+
+def _q_on_l_unsigned(k, b):
+    # q[r] sends L[t] to +L[t + r] instead of -L[t + r]
+    hit = pqxz_key_apply(k, b)
+    return (-hit[0], hit[1]) if (k.family, b.kind) == ("q", "L") else hit
+
+
+def _p1_p0_off_by_p1(k1, k2):
+    # [p[1], p[0]] = 2 p[1] instead of p[1]
+    out = pqxz_key_bracket(k1, k2)
+    return out + PqxzElem.term(P(1)) if (k1, k2) == (P(1), P(0)) else out
+
+
+def _doubled_expansion(b):
+    return pqxz_to_deriv(b) * 2
+
+
+def _doubled_tri_key_terms(action, x, y, key):
+    return tuple((k, c * 2) for k, c in _TRI_KEY_TERMS(action, x, y, key))
+
+
+_INDUCED_MU1 = ("check", "induced-psi", "--mu", "1")
+
+
+@pytest.mark.parametrize("module, name, mutant, argv", [
+    pytest.param(derivations, "pqxz_key_apply", _q_on_l_unsigned,
+                 ("check", "table"), id="pqxz_key_apply-table"),
+    pytest.param(derivations, "pqxz_key_bracket", _p1_p0_off_by_p1,
+                 ("check", "table"), id="pqxz_key_bracket-table"),
+    pytest.param(derivations, "pqxz_key_bracket", _p1_p0_off_by_p1,
+                 ("check", "lie-phi"), id="pqxz_key_bracket-lie-phi"),
+    pytest.param(repmod, "pqxz_to_deriv", _doubled_expansion, _INDUCED_MU1,
+                 id="pqxz_to_deriv-induced-psi"),
+    pytest.param(repmod, "_tri_key_terms", _doubled_tri_key_terms,
+                 _INDUCED_MU1, id="_tri_key_terms-induced-psi"),
+])
+def test_mutant_flips_its_suite(capsys, module, name, mutant, argv):
+    _clear_caches()
+    assert main(list(argv)) == 0
+    _clear_caches()
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(module, name, mutant)
+            code = main(list(argv))
+    finally:
+        _clear_caches()
+    capsys.readouterr()
+    assert code == 1
+
+
+def _package_modules() -> list:
+    return [importlib.import_module(f"nambu3.{info.name}")
+            for info in pkgutil.iter_modules(nambu3.__path__)]
+
+
+def _is_package_function(value) -> bool:
+    return (callable(value) and not isinstance(value, type)
+            and (getattr(value, "__module__", None) or "").startswith(
+                "nambu3"))
+
+
+def _functions(module):
+    """Each function the module defines, as (qualified name, function),
+    with the methods of its classes and the functions its caches wrap."""
+    for name, obj in vars(module).items():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isclass(obj):
+            for attr, member in vars(obj).items():
+                func = getattr(member, "__func__", member)
+                if inspect.isfunction(func):
+                    yield f"{name}.{attr}", func
+        elif inspect.isfunction(inspect.unwrap(obj)):
+            yield name, inspect.unwrap(obj)
+
+
+def test_no_kernel_is_bound_before_it_is_called():
+    bound = []
+    for module in _package_modules():
+        for name, func in _functions(module):
+            defaults = ((func.__defaults__ or ())
+                        + tuple((func.__kwdefaults__ or {}).values()))
+            if any(map(_is_package_function, defaults)):
+                bound.append(f"{module.__name__}.{name} has a kernel default")
+        for name, obj in vars(module).items():
+            wrapped = getattr(obj, "__wrapped__", None)
+            if hasattr(obj, "cache_info") and wrapped.__name__ != name:
+                bound.append(f"{module.__name__}.{name} caches "
+                             f"{wrapped.__name__}")
+    assert bound == []

@@ -833,7 +833,7 @@ def test_check_lie_module_rational_parameters():
 
 
 def test_check_lie_module_reports_a_skewed_table(monkeypatch):
-    import nambu3.repmod as repmod
+    import nambu3.derivations as derivations
     from nambu3.derivations import PqxzElem, pqxz_key_bracket
 
     # one table entry off by p[1]: [p[1], p[0]] = 2 p[1] instead of p[1]
@@ -841,7 +841,7 @@ def test_check_lie_module_reports_a_skewed_table(monkeypatch):
         out = pqxz_key_bracket(k1, k2)
         return out + PqxzElem.term(P(1)) if (k1, k2) == (P(1), P(0)) else out
 
-    monkeypatch.setattr(repmod, "pqxz_key_bracket", skewed)
+    monkeypatch.setattr(derivations, "pqxz_key_bracket", skewed)
     report = check_lie_module(shift_action(1, 1), range(-1, 2))
     assert (report.cases, len(report.entries)) == (864, 5)
     assert {e.indices for e in report.entries} == {("p", 1, "p", 0)}

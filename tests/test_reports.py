@@ -12,6 +12,7 @@ from operator import attrgetter
 import pytest
 
 import nambu3.algebra as algebra
+import nambu3.derivations as derivations
 import nambu3.repmod as repmod
 from nambu3.derivations import P, PqxzElem, pqxz_key_bracket
 from nambu3.linear import LinComb
@@ -73,7 +74,7 @@ def test_skewed_lie_psi_stream_matches_the_reference_route(monkeypatch):
         out = pqxz_key_bracket(k1, k2)
         return out + PqxzElem.term(P(1)) if (k1, k2) == (P(1), P(0)) else out
 
-    monkeypatch.setattr(repmod, "pqxz_key_bracket", skewed)
+    monkeypatch.setattr(derivations, "pqxz_key_bracket", skewed)
     report = check_lie_module(shift_action(), range(-2, 3))
     assert _assert_matches_reference(report)
 

@@ -340,7 +340,7 @@ def _fi_scan(firsts: Iterable[int], keys: tuple) -> list:
     """Defects of [x1,x2,[x3,x4,x5]] = [[x1,x2,x3],x4,x5]
     + [x3,[x1,x2,x4],x5] + [x3,x4,[x1,x2,x5]] for x1 at the positions
     ``firsts`` of ``keys``, as ``sweep_report`` triples with the defect at
-    each sign.
+    the evaluated ordering.
 
     ``bracket_keys`` sorts its arguments, so it is totally antisymmetric:
     both sides are then antisymmetric in (x1, x2) and in (x3, x4, x5), and
@@ -393,9 +393,8 @@ def _fi_scan(firsts: Iterable[int], keys: tuple) -> list:
                                 k = hit[1]
                                 acc[k] = acc.get(k, 0) - third[0] * hit[0]
                         if any(acc.values()):
-                            defect = AlgElem(list(acc.items()))
                             found.append(((x1, x2, x3, x4, x5), None,
-                                          {1: defect, -1: -defect}))
+                                          AlgElem(list(acc.items()))))
     return found
 
 

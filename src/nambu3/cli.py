@@ -309,10 +309,10 @@ def cmd_check(args) -> int:
         lhs, rhs, defect = counterexample_phi(config.mu)
         report = check_tri_axiom2(candidate, config.window, config.probes)
         expected = ModVec.term(weight_key(-4)) * (-4)
-        # each class read once, at +1: a sign changes no rationality
+        # each class vector read once: a sign changes no rationality
         found = defect == expected and any(
             c.is_rational for cls in report.classes
-            for _, c in cls.defects[1].items())
+            for _, c in cls.defect.items())
         if config.output == "machine":
             return _emit_check(report, config, ok=found)
         print(f"window: {_window_str(config.window)}")

@@ -40,7 +40,7 @@ from .algebra import (AlgElem, BasisKey, L, M, _check_index, _SweepTables,
                       bracket_keys, window_keys)
 from .errors import WindowTooSmall
 from .linear import LinComb, accumulate
-from .reports import DefectReport, sweep_report
+from .reports import DefectReport, signed_orderings, sweep_report
 from .scalar import Scalar, _q
 
 DEFAULT_PAIR_WINDOW = range(-3, 4)
@@ -354,4 +354,5 @@ def check_pqxz_table(window: Iterable[int] = DEFAULT_PAIR_WINDOW
                  gens, tables, _bracket_terms)]
     return sweep_report("generator-commutator-table",
                         len(gens) ** 2 * len(probes), found,
-                        axiom="generator-commutator", family="derivations")
+                        axiom="generator-commutator", family="derivations",
+                        orderings=signed_orderings(1, 1, 1))

@@ -411,11 +411,6 @@ def _pair_tables(action, probes) -> _SweepTables:
     return _SweepTables(partial(_pair_terms, action), _probe_keys(probes))
 
 
-def _signed(tables: _SweepTables, acc: dict, sign: int = 1) -> dict:
-    """The defect ``tables.coeffs(acc, sign)`` at each sign."""
-    return {s: ModVec._of(tables.coeffs(acc, s * sign)) for s in (1, -1)}
-
-
 def check_tri_axiom1(action: TriAction,
                      window: Iterable[int] = DEFAULT_AXIOM_WINDOW,
                      probes=None, *, tables=None) -> DefectReport:
@@ -432,7 +427,7 @@ def check_tri_axiom1(action: TriAction,
     if tables is None:
         tables = _pair_tables(action, probes)
     brackets = _SweepTable(bracket_keys, keys)
-    found = [((*a, *b), probe, _signed(tables, acc, sign))
+    found = [((*a, *b), probe, ModVec._of(tables.coeffs(acc, sign)))
              for a, b, probe, acc, sign in _commutator_scan(
                  tuple(combinations(keys, 2)), tables,
                  partial(_ad_on_pair, brackets))]
@@ -483,7 +478,7 @@ def check_tri_axiom2(action: TriAction,
                 for seq, b in scaled:
                     scale_into(acc, seq[i], b)
                 if acc:
-                    found.append((case, probe, _signed(tables, acc)))
+                    found.append((case, probe, ModVec._of(tables.coeffs(acc))))
     return sweep_report(
         "tri-axiom-2", len(keys) ** 4 * len(probe_keys), found,
         axiom="tri-axiom-2", family=action_family(action),
@@ -603,7 +598,8 @@ def check_lie_module(action: LieAction,
                  gens, tables, _bracket_terms)]
     return sweep_report("lie-commutator", len(gens) ** 2 * len(probes), found,
                         axiom="lie-commutator", family=action_family(action),
-                        parameters=action_parameters(action))
+                        parameters=action_parameters(action),
+                        orderings=signed_orderings(1, 1))
 
 
 # -- induced actions ------------------------------------------------------------------------
@@ -641,11 +637,11 @@ def _within_parameter_gate(tri, report: DefectReport) -> bool:
     gate = mu * mu - mu
     if mu.is_rational:
         return report.passed and not gate
-    # each class read once, at +1: a sign changes no divisibility
+    # each class vector read once: a sign changes no divisibility
     if any(c.axiom != "tri-axiom-2" for c in report.classes):
         return False
     coeffs = {c for cls in report.classes
-              for c in cls.defects[1]._terms.values()}
+              for c in cls.defect._terms.values()}
     return all(divides(gate, c) for c in coeffs)
 
 
@@ -704,7 +700,7 @@ def check_induced(tri: TriAction, lie: LieAction,
     return sweep_report(
         "induced-match", len(gens) * len(probes), found, axiom="induced-match",
         family=f"{action_family(lie)} vs induced({action_family(tri)})",
-        parameters=action_parameters(lie))
+        parameters=action_parameters(lie), orderings=signed_orderings(1))
 
 
 # -- the designed failure ----------------------------------------------------------------------

@@ -1,17 +1,17 @@
 """Defect reports produced by the finite-window checkers.
 
 A report holds one ``DefectClass`` per defect class: a case, its probe line,
-its defect at each sign, and the signed orderings of the case it stands for
-(``signed_orderings`` of an antisymmetric axiom, or the case alone).  It
-passes exactly when it holds no class; counting, the gate and
-``merged_with`` read the classes without expanding them.  Output expands
-them, sorted by (axiom, index assignment, probe) and then in class order,
-so reports are deterministic regardless of evaluation order, including
-parallel runs; the sort is over each case's index tuples, not over entries.
-``entries`` (built on first use) is the reference route, ``text_lines``
-expands only the entries it shows, and ``machine_lines`` joins each line
-from pieces encoded once, in the key order of ``json_line(e.record())``,
-the one canonical JSON form of a machine-stream record.
+the one vector its sweep computed, and the signed orderings of the case it
+stands for (``signed_orderings`` of an antisymmetric axiom, or the identity).
+It passes exactly when it holds no class; counting, the gate and
+``merged_with`` read the classes without expanding them.  Only output
+expands them, applying each ordering's sign, sorted by (axiom, index
+assignment, probe) and then in class order, so reports are deterministic
+regardless of evaluation order, including parallel runs.  ``entries``
+(built on first use) is the reference route, ``text_lines`` expands only
+the entries it shows, and ``machine_lines`` joins each line from pieces
+encoded once, in the key order of ``json_line(e.record())``, the one
+canonical JSON form of a machine-stream record.
 """
 from __future__ import annotations
 
@@ -78,24 +78,20 @@ def signed_orderings(*sizes: int) -> tuple:
 
 class DefectClass(NamedTuple):
     """A case (keys that flatten into the indices), its probe line (or ""),
-    its defect vector at each sign, and its signed orderings."""
+    its defect vector at the identity ordering, and its signed orderings."""
 
     axiom: str
     family: str
     parameters: tuple
     case: tuple
     probe: str
-    defects: dict
+    defect: Any
     orderings: tuple
 
 
-# the case alone, its indices one key
-_IDENTITY = (((0,), 1),)
-
-
 def _entry(indices: tuple, c: DefectClass, sign: int) -> DefectEntry:
-    return DefectEntry(c.axiom, indices, c.defects[sign], c.probe, c.family,
-                       c.parameters)
+    return DefectEntry(c.axiom, indices, c.defect if sign > 0 else -c.defect,
+                       c.probe, c.family, c.parameters)
 
 
 class DefectReport:
@@ -106,9 +102,10 @@ class DefectReport:
     def __init__(self, label: str, cases: int, entries: Iterable = (), *,
                  classes: Iterable = ()):
         self.label, self.cases, self._entries = label, cases, None
+        identity = signed_orderings(1)
         self.classes = [*classes, *(
             DefectClass(e.axiom, e.family, e.parameters, (e.indices,),
-                        e.probe, {1: e.defect}, _IDENTITY) for e in entries)]
+                        e.probe, e.defect, identity) for e in entries)]
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -169,16 +166,21 @@ class DefectReport:
         return lines
 
     def machine_lines(self) -> list:
-        """``json_line(e.record())`` of each entry, in sorted order;
-        vectors and index tuples are keyed by ``id``, since the classes
-        and the sort keep them alive."""
+        """``json_line(e.record())`` of each entry, in sorted order; class
+        vectors and index tuples are keyed by ``id``, since the classes and
+        the sort keep them alive, and a negated vector by its +1 text."""
         encode = _ENCODER.encode
-        vectors, wheres, contexts, lines = {}, {}, {}, []
+        vectors, negated, wheres, contexts, lines = {}, {}, {}, {}, []
         for indices, c, sign in self._sorted():
-            vec = c.defects[sign]
+            vec = c.defect
             defect = vectors.get(id(vec))
             if defect is None:
                 defect = vectors[id(vec)] = encode(str(vec))
+            if sign < 0:
+                text = negated.get(defect)
+                if text is None:
+                    text = negated[defect] = encode(str(-vec))
+                defect = text
             where = wheres.get(id(indices))
             if where is None:
                 where = wheres[id(indices)] = encode(
@@ -202,19 +204,17 @@ class DefectReport:
 
 def sweep_report(label: str, cases: int, found: list, *, axiom: str,
                  family: str, parameters: tuple = (),
-                 orderings: tuple = None) -> DefectReport:
-    """A sweep's report from its ``(keys, probe, defect)`` triples, replacing
+                 orderings: tuple) -> DefectReport:
+    """A sweep's report from its ``(keys, probe, vector)`` triples, replacing
     each triple in ``found`` by its class so no sweep holds both at once;
-    ``probe`` is a weight key or None.  With ``orderings``, ``defect`` maps
-    each sign to a vector and the triple stands for ``keys`` at each
-    ordering; without, it is one entry."""
+    ``probe`` is a weight key or None.  ``vector`` is the defect at
+    ``keys``, which stands for its case at each of ``orderings`` (the
+    identity ``signed_orderings(1, ..., 1)`` where every case is swept)."""
     shown = {}
-    for i, (keys, probe, defect) in enumerate(found):
+    for i, (keys, probe, vector) in enumerate(found):
         text = shown.get(probe)
         if text is None:
             text = shown[probe] = "" if probe is None else f"v[{probe}]"
-        if orderings is None:
-            keys, defect = (tuple(chain.from_iterable(keys)),), {1: defect}
-        found[i] = DefectClass(axiom, family, parameters, keys, text, defect,
-                               orderings or _IDENTITY)
+        found[i] = DefectClass(axiom, family, parameters, keys, text, vector,
+                               orderings)
     return DefectReport(label, cases, classes=found)

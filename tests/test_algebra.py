@@ -18,7 +18,8 @@ from nambu3.algebra import (AlgElem, BasisKey, L, M, _SweepTable,
 from nambu3.derivations import _commutator_scan
 from nambu3.errors import IndexOverflow
 from nambu3.linear import accumulate
-from nambu3.reports import DefectEntry, DefectReport, sweep_report
+from nambu3.reports import (DefectEntry, DefectReport, signed_orderings,
+                            sweep_report)
 from nambu3.scalar import LAMBDA, Scalar
 
 
@@ -443,7 +444,8 @@ def _adjoint_axiom1_records(window, kb):
                  partial(_ad_on_ordered_pair, _SweepTable(kb, keys)))]
     return _records(sweep_report("fundamental-identity", len(keys) ** 5,
                                  found, axiom="fundamental-identity",
-                                 family="algebra"))
+                                 family="algebra",
+                                 orderings=signed_orderings(1, 1, 1, 1, 1)))
 
 
 @pytest.mark.parametrize("kb, window, defects", [

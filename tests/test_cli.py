@@ -100,19 +100,23 @@ _KEY_EXPECTED = "expected a weight key a<k>, a<k>+m or a rational"
 
 
 @pytest.mark.parametrize("argv, err", [
-    (("check", "fi", "--window=--"), "bad window '--': expected lo..hi"),
-    (("check", "module-t", "--probes=--", "--window", "0..0"),
-     f"bad --probes entry '--': {_KEY_EXPECTED}"),
-    (("decompose", "ad(L[1],M[2])", "--window=--", "--verify"),
-     "bad window '--': expected lo..hi"),
-    (("check", "fi", "--output=--"), "argument --output: invalid choice: "
-     "'--' (choose from 'text', 'machine')"),
-    (("weights", "T", "--mu=--"),
-     "bad --mu '--': expected a rational p/q or 'sym'"),
-    (("weights", "T", "--lambda=--"),
-     "bad --lambda '--': expected a rational p/q or 'sym'"),
-    (("check", "fi", "--parallelism=--"),
-     "bad --parallelism '--': expected an integer >= 1"),
+    pytest.param(("check", "fi", "--window=--"),
+                 "bad window '--': expected lo..hi", id="check-window"),
+    pytest.param(("check", "module-t", "--probes=--", "--window", "0..0"),
+                 f"bad --probes entry '--': {_KEY_EXPECTED}", id="probes"),
+    pytest.param(("decompose", "ad(L[1],M[2])", "--window=--", "--verify"),
+                 "bad window '--': expected lo..hi", id="decompose-window"),
+    pytest.param(("check", "fi", "--output=--"),
+                 "argument --output: invalid choice: "
+                 "'--' (choose from 'text', 'machine')", id="output"),
+    pytest.param(("weights", "T", "--mu=--"),
+                 "bad --mu '--': expected a rational p/q or 'sym'", id="mu"),
+    pytest.param(("weights", "T", "--lambda=--"),
+                 "bad --lambda '--': expected a rational p/q or 'sym'",
+                 id="lambda"),
+    pytest.param(("check", "fi", "--parallelism=--"),
+                 "bad --parallelism '--': expected an integer >= 1",
+                 id="parallelism"),
 ])
 def test_a_double_dash_value_reaches_the_flag_reader(capsys, argv, err):
     # argparse before Python 3.13 drops it and stores []

@@ -17,7 +17,7 @@ from nambu3.derivations import (P, Q, X, Z, DerivExpr, PqxzElem, ad,
                                 window_generators)
 from nambu3.errors import WindowTooSmall
 from nambu3.linear import accumulate
-from nambu3.reports import sweep_report
+from nambu3.reports import signed_orderings, sweep_report
 
 E = basis_elem
 
@@ -263,7 +263,8 @@ def _reference_table_records(window, key_apply,
                                   AlgElem(list(acc.items()))))
     report = sweep_report("generator-commutator-table",
                           len(gens) ** 2 * 2 * len(window), found,
-                          axiom="generator-commutator", family="derivations")
+                          axiom="generator-commutator", family="derivations",
+                          orderings=signed_orderings(1, 1, 1))
     return [e.record() for e in report.entries]
 
 

@@ -19,7 +19,8 @@ import pkgutil
 import pytest
 
 import nambu3
-from nambu3 import derivations, repmod
+from nambu3 import algebra, derivations, repmod
+from nambu3.algebra import L, bracket_keys
 from nambu3.cli import main
 from nambu3.derivations import (P, PqxzElem, pqxz_key_apply,
                                 pqxz_key_bracket, pqxz_to_deriv)
@@ -30,6 +31,8 @@ _CACHES = ((repmod, "_tri_key_terms"), (repmod, "_lie_key_terms"),
            (repmod, "_module_gate"), (derivations, "pair_to_pqxz"))
 
 _TRI_KEY_TERMS = repmod._tri_key_terms.__wrapped__
+_LIE_KEY_TERMS = repmod._lie_key_terms.__wrapped__
+_TRI_TERMS = repmod._tri_terms
 
 
 def _clear_caches() -> None:
@@ -57,6 +60,26 @@ def _doubled_tri_key_terms(action, x, y, key):
     return tuple((k, c * 2) for k, c in _TRI_KEY_TERMS(action, x, y, key))
 
 
+def _doubled_on_l0(k1, k2, k3):
+    # a function of the sorted triple, so still totally antisymmetric
+    hit = bracket_keys(k1, k2, k3)
+    return (hit[0] * 2, hit[1]) if hit and hit[1] == L(0) else hit
+
+
+def _doubled_tri_terms_at_1(action, x, y, key):
+    terms = _TRI_TERMS(action, x, y, key)
+    return tuple((k, c * 2) for k, c in terms) if x.index == 1 else terms
+
+
+def _doubled_lie_key_terms_at_1(action, k, key):
+    terms = _LIE_KEY_TERMS(action, k, key)
+    return tuple((t, c * 2) for t, c in terms) if k.index == 1 else terms
+
+
+def _gate_refuses(tri, report):
+    return False
+
+
 _INDUCED_MU1 = ("check", "induced-psi", "--mu", "1")
 
 
@@ -71,6 +94,15 @@ _INDUCED_MU1 = ("check", "induced-psi", "--mu", "1")
                  id="pqxz_to_deriv-induced-psi"),
     pytest.param(repmod, "_tri_key_terms", _doubled_tri_key_terms,
                  _INDUCED_MU1, id="_tri_key_terms-induced-psi"),
+    pytest.param(algebra, "bracket_keys", _doubled_on_l0, ("check", "fi"),
+                 id="bracket_keys-fi"),
+    pytest.param(repmod, "_tri_terms", _doubled_tri_terms_at_1,
+                 ("check", "module-t", "--mu", "1"),
+                 id="_tri_terms-module-t"),
+    pytest.param(repmod, "_lie_key_terms", _doubled_lie_key_terms_at_1,
+                 ("check", "lie-psi"), id="_lie_key_terms-lie-psi"),
+    pytest.param(repmod, "_within_parameter_gate", _gate_refuses,
+                 _INDUCED_MU1, id="_within_parameter_gate-induced-psi"),
 ])
 def test_mutant_flips_its_suite(capsys, module, name, mutant, argv):
     _clear_caches()

@@ -1,7 +1,8 @@
 """Defect reports: class records, their expansion and the machine stream.
 
-A report keeps one record per defect class and expands it only for output.
-``DefectReport.machine_lines`` sorts the expanded rows once and joins each
+A report keeps one record per defect class, with one defect vector, and
+expands it only for output, where each ordering's sign is applied.
+``DefectReport.machine_lines`` sorts the case orderings once and joins each
 line from pieces encoded once; ``json_line(e.record())`` per entry of the
 expanded, sorted ``entries`` is the reference route it must match byte for
 byte, and ``text_lines`` must show the first 20 of those entries.
@@ -38,7 +39,8 @@ def _expanded(report: DefectReport) -> list:
     # each class at each of its orderings, in class order, sorted stably
     entries = [DefectEntry(c.axiom,
                            tuple(chain.from_iterable(c.case[i] for i in perm)),
-                           c.defects[sign], c.probe, c.family, c.parameters)
+                           c.defect if sign > 0 else -c.defect, c.probe,
+                           c.family, c.parameters)
                for c in report.classes for perm, sign in c.orderings]
     return sorted(entries, key=attrgetter("axiom", "indices", "probe"))
 
@@ -105,19 +107,21 @@ def test_escaped_fields_match_the_reference_route():
 
 
 def test_merged_halves_with_other_axiom_and_parameters():
-    vec = ModVec.term(weight_key(0)) * 2
+    vec, identity = ModVec.term(weight_key(0)) * 2, signed_orderings(1, 1)
     first = sweep_report(
         "one", 4, [((("L", 1), ("M", 0)), weight_key(0), vec),
                    ((("M", 0), ("L", 1)), None, vec)],
-        axiom="tri-axiom-2", family="T", parameters=(("lam", "1"),))
+        axiom="tri-axiom-2", family="T", parameters=(("lam", "1"),),
+        orderings=identity)
     second = sweep_report(
         "two", 4, [((("L", 1), ("M", 0)), weight_key(0), vec)],
         axiom="tri-axiom-1", family="T",
-        parameters=(("lam", "2"), ("mu", "0")))
+        parameters=(("lam", "2"), ("mu", "0")), orderings=identity)
     # the same axiom, family and probe as the first half, other parameters
     third = sweep_report(
         "three", 4, [((("L", 1), ("M", 0)), weight_key(0), vec)],
-        axiom="tri-axiom-2", family="T", parameters=(("lam", "3"),))
+        axiom="tri-axiom-2", family="T", parameters=(("lam", "3"),),
+        orderings=identity)
     merged = first.merged_with(second, "both").merged_with(third, "all")
     lines = _assert_matches_reference(merged)
     assert merged.entries == sorted(
@@ -128,10 +132,14 @@ def test_merged_halves_with_other_axiom_and_parameters():
 
 
 def test_each_defect_vector_is_formatted_once(monkeypatch):
+    # each class vector once, and each negated text once: 278 distinct
+    # texts among the class vectors, every one also read at sign -1
     report, _ = _module_verdict(weight_action(), DEFAULT_AXIOM_WINDOW,
                                 label="module-t")
-    vectors = len({id(e.defect) for e in report.entries})
-    assert (len(report.entries), vectors) == (14400, 4800)
+    vectors = len({id(c.defect) for c in report.classes})
+    assert (report.defect_count, vectors) == (14400, 2400)
+    texts = len({str(c.defect) for c in report.classes})
+    assert texts == 278
     calls = []
     plain = LinComb.__str__
 
@@ -141,7 +149,7 @@ def test_each_defect_vector_is_formatted_once(monkeypatch):
 
     monkeypatch.setattr(LinComb, "__str__", counted)
     report.machine_lines()
-    assert len(calls) == vectors
+    assert len(calls) == vectors + texts
 
 
 def test_merging_class_reports_sorts_as_merging_their_entries():

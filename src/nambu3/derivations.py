@@ -39,7 +39,7 @@ from typing import Callable, Iterable, NamedTuple
 from .algebra import (AlgElem, BasisKey, L, M, _check_index, _SweepTables,
                       bracket_keys, window_keys)
 from .errors import WindowTooSmall
-from .linear import LinComb, accumulate
+from .linear import LinComb, accumulate, extend
 from .reports import DefectReport, signed_orderings, sweep_report
 from .scalar import Scalar, _q
 
@@ -226,11 +226,8 @@ def _generator_terms(k: PqxzKey, b: BasisKey) -> tuple:
 
 def pqxz_apply(k: PqxzKey, x: AlgElem) -> AlgElem:
     """Closed-form generator action, extended linearly."""
-    acc: dict = {}
-    for key, c in x._terms.items():
-        for out_key, coeff in _generator_terms(k, key):
-            accumulate(acc, out_key, c * coeff)
-    return AlgElem._of(acc)
+    return AlgElem._of(extend((_generator_terms(k, key), c)
+                              for key, c in x._terms.items()))
 
 
 def pqxz_elem_apply(e: PqxzElem, x: AlgElem) -> AlgElem:

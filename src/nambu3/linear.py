@@ -6,8 +6,10 @@ type; zero coefficients are dropped on construction so equality is plain dict
 equality.  Addition is only defined between combinations of the same concrete
 type, which catches category mixups early.
 
-Every sum is built in one dict through ``accumulate``; ``LinComb.combine``
-sums weighted pieces without copying the running sum once per piece.
+Every sum is built in one dict through ``accumulate``.  ``extend`` is the one
+linear extension of a term kernel: it sums weighted term sequences into one
+dict, and ``LinComb.combine``, the module kernels and the closed-form
+generator action are each one call to it.
 
 Formatting reads each coefficient's sign and text from a bounded memo keyed
 by the coefficient (``_coeff_text``): a defect report repeats a few distinct
@@ -35,6 +37,17 @@ def accumulate(acc: dict, key, coeff) -> None:
         acc[key] = tot
     else:
         acc.pop(key, None)
+
+
+def extend(pieces) -> dict:
+    """The sum of ``terms * c`` over the ``(terms, c)`` pairs, each
+    ``terms`` an iterable of ``(key, coefficient)`` pairs, as one new dict
+    with no zero coefficient."""
+    acc: dict = {}
+    for terms, c in pieces:
+        for key, tc in terms:
+            accumulate(acc, key, tc * c)
+    return acc
 
 
 @lru_cache(maxsize=COEFF_TEXT_MEMO_SIZE)
@@ -99,11 +112,8 @@ class LinComb:
     def combine(cls, pieces):
         """The sum of ``piece * c`` over the ``(piece, c)`` pairs, built in
         one dict."""
-        acc: dict = {}
-        for piece, c in pieces:
-            for key, pc in piece._terms.items():
-                accumulate(acc, key, pc * c)
-        return cls._of(acc)
+        return cls._of(extend((piece._terms.items(), c)
+                              for piece, c in pieces))
 
     @classmethod
     def zero(cls):

@@ -40,8 +40,10 @@ Every sweep takes cap-checked keys from ``window_keys`` or
 ``window_generators``, counts its cases from the grid sizes and builds its
 report with ``sweep_report``.
 
-Single-key applications are memoized in bounded caches, and ``tri_apply``
-and ``lie_apply`` build their results from them without re-checking.  The
+Single-key applications are memoized in bounded caches, and every map
+fixed on keys is extended linearly by ``linear.extend``: ``tri_apply`` and
+``lie_apply`` over a vector, the pullback and induced kernels over an
+expansion, ``check_induced`` over its two sides.  The
 module sweeps keep tables of their own instead, freed when each sweep
 returns: an ``algebra._SweepTables`` with a row per sorted pair ``(x, y)``
 (read through ``_pair_terms``) or per generator, and every coefficient
@@ -82,7 +84,7 @@ from .derivations import (DEFAULT_PAIR_WINDOW, DerivExpr, PqxzElem, PqxzKey,
                           _bracket_terms, _commutator_scan, pair_to_pqxz,
                           pqxz_to_deriv, window_generators)
 from .errors import NotAModule, NotEigenvector
-from .linear import LinComb, accumulate
+from .linear import LinComb, extend
 from .reports import DefectReport, signed_orderings, sweep_report
 from .scalar import LAMBDA, MU, Frozen, Indeterminate, Scalar, divides
 
@@ -261,31 +263,22 @@ def action_parameters(action) -> tuple:
 
 @lru_cache(maxsize=KERNEL_CACHE_SIZE)
 def _lie_key_terms(action, k: PqxzKey, key: WeightKey) -> tuple:
-    if isinstance(action, LieShiftAction):
+    if isinstance(action, (LieShiftAction, LieZeroTwistAction)):
+        # phi is psi at lam = 0, mu = 1 off the zero-weight line
         if k.family != "p":
             return ()
         r = k.index
-        coeff = action.lam + key.alpha() + action.mu * (-r)
-        if not coeff:
-            return ()
-        return ((key.shift(-r), coeff),)
-    if isinstance(action, LieZeroTwistAction):
-        if k.family != "p":
-            return ()
-        r = k.index
-        if key.is_zero_weight:
+        if isinstance(action, LieShiftAction):
+            coeff = action.lam + key.alpha() + action.mu * (-r)
+        elif key.is_zero_weight:
             coeff = (action.mu - r) * r
         else:
             coeff = key.alpha() - r if r else key.alpha()
-        if not coeff:
-            return ()
-        return ((key.shift(-r), coeff),)
+        return ((key.shift(-r), coeff),) if coeff else ()
     if isinstance(action, InducedLieAction):
-        acc: dict = {}
-        for (u, w), c in _expansion(k)._terms.items():
-            for k2, c2 in _tri_key_terms(action.tri, u, w, key):
-                accumulate(acc, k2, c2 * c)
-        return tuple(acc.items())
+        return tuple(extend((_tri_key_terms(action.tri, u, w, key), c)
+                            for (u, w), c in _expansion(k)._terms.items()
+                            ).items())
     raise TypeError(f"not a Lie action: {action!r}")
 
 
@@ -298,15 +291,11 @@ def _tri_terms(action, x: BasisKey, y: BasisKey, key: WeightKey) -> tuple:
             return ()
         shift = y.index - x.index
         coeff = action.lam + key.alpha() + action.mu * shift
-        if not coeff:
-            return ()
-        return ((key.shift(shift), coeff),)
+        return ((key.shift(shift), coeff),) if coeff else ()
     if isinstance(action, PullbackTriAction):
-        acc: dict = {}
-        for pk, c in pair_to_pqxz(x, y)._terms.items():
-            for k2, c2 in _lie_key_terms(action.lie, pk, key):
-                accumulate(acc, k2, c2 * c)
-        return tuple(acc.items())
+        return tuple(extend((_lie_key_terms(action.lie, pk, key), c)
+                            for pk, c in pair_to_pqxz(x, y)._terms.items()
+                            ).items())
     raise TypeError(f"not a ternary action: {action!r}")
 
 
@@ -337,11 +326,8 @@ def _pair_terms(action, pair: tuple, key: WeightKey) -> tuple:
 
 def tri_apply(action: TriAction, x: BasisKey, y: BasisKey, v: ModVec) -> ModVec:
     """Apply the pair (x, y) of a ternary action to a module vector."""
-    acc: dict = {}
-    for key, c in v._terms.items():
-        for k2, c2 in _tri_key_terms(action, x, y, key):
-            accumulate(acc, k2, c * c2)
-    return ModVec._of(acc)
+    return ModVec._of(extend((_tri_key_terms(action, x, y, key), c)
+                             for key, c in v._terms.items()))
 
 
 def tri_apply_elem(action: TriAction, xe: AlgElem, ye: AlgElem,
@@ -353,11 +339,8 @@ def tri_apply_elem(action: TriAction, xe: AlgElem, ye: AlgElem,
 
 def lie_apply(action: LieAction, k: PqxzKey, v: ModVec) -> ModVec:
     """Apply one p/q/x/z generator of a Lie action to a module vector."""
-    acc: dict = {}
-    for key, c in v._terms.items():
-        for k2, c2 in _lie_key_terms(action, k, key):
-            accumulate(acc, k2, c * c2)
-    return ModVec._of(acc)
+    return ModVec._of(extend((_lie_key_terms(action, k, key), c)
+                             for key, c in v._terms.items()))
 
 
 def lie_elem_apply(action: LieAction, e: PqxzElem, v: ModVec) -> ModVec:
@@ -692,9 +675,8 @@ def check_induced(tri: TriAction, lie: LieAction,
     found = []
     for k in gens:
         for probe in probes:
-            acc = dict(_lie_key_terms(induced, k, probe))
-            for key, c in _lie_key_terms(lie, k, probe):
-                accumulate(acc, key, -c)
+            acc = extend(((_lie_key_terms(induced, k, probe), 1),
+                          (_lie_key_terms(lie, k, probe), -1)))
             if acc:
                 found.append(((k,), probe, ModVec._of(acc)))
     return sweep_report(

@@ -518,31 +518,35 @@ _SHOWN = repr(_LONG[:80] + "\u2026")
 
 
 @pytest.mark.parametrize("argv, message", [
-    (("check", "fi", "--output", _LONG),
-     f"argument --output: invalid choice: {_SHOWN} "
-     "(choose from 'text', 'machine')"),
-    (("bracket", "L[1]", "L[2]", "M[3]", "--output", _LONG),
-     f"argument --output: invalid choice: {_SHOWN} "
-     "(choose from 'text', 'machine')"),
-    (("check", _LONG),
-     f"argument suite: invalid choice: {_SHOWN} (choose from 'fi', "
-     "'induced-psi', 'lie-phi', 'lie-psi', 'module-t', 'pullback-phi', "
-     "'table')"),
-    (("orbit", _LONG),
-     f"argument family: invalid choice: {_SHOWN} "
-     "(choose from 'T', 'psi', 'phi')"),
-    ((_LONG,),
-     f"argument command: invalid choice: {_SHOWN} (choose from 'bracket', "
-     "'check', 'decompose', 'orbit', 'weights')"),
-    (("bracket", "L[1]", "L[2]", "M[3]", _LONG, "--bogus"),
-     f"unrecognized arguments: {_LONG[:80]}\u2026"),
-    (("bracket", "L[1]", "L[2]", "M[3]", f"--oracle={_LONG}"),
-     f"argument --oracle: ignored explicit argument {_SHOWN}"),
-    (("decompose", "ad(L[1],M[2])", f"--verify={_LONG}"),
-     f"argument --verify: ignored explicit argument {_SHOWN}"),
-    (("check", "fi", f"--p={_LONG}"),
-     f"ambiguous option: {f'--p={_LONG}'[:80]}\u2026 could match --probes, "
-     "--parallelism")])
+    pytest.param(("check", "fi", "--output", _LONG),
+                 f"argument --output: invalid choice: {_SHOWN} "
+                 "(choose from 'text', 'machine')", id="check-output"),
+    pytest.param(("bracket", "L[1]", "L[2]", "M[3]", "--output", _LONG),
+                 f"argument --output: invalid choice: {_SHOWN} "
+                 "(choose from 'text', 'machine')", id="bracket-output"),
+    pytest.param(("check", _LONG),
+                 f"argument suite: invalid choice: {_SHOWN} (choose from "
+                 "'fi', 'induced-psi', 'lie-phi', 'lie-psi', 'module-t', "
+                 "'pullback-phi', 'table')", id="suite"),
+    pytest.param(("orbit", _LONG),
+                 f"argument family: invalid choice: {_SHOWN} "
+                 "(choose from 'T', 'psi', 'phi')", id="family"),
+    pytest.param((_LONG,),
+                 f"argument command: invalid choice: {_SHOWN} (choose from "
+                 "'bracket', 'check', 'decompose', 'orbit', 'weights')",
+                 id="command"),
+    pytest.param(("bracket", "L[1]", "L[2]", "M[3]", _LONG, "--bogus"),
+                 f"unrecognized arguments: {_LONG[:80]}\u2026",
+                 id="unrecognized"),
+    pytest.param(("bracket", "L[1]", "L[2]", "M[3]", f"--oracle={_LONG}"),
+                 f"argument --oracle: ignored explicit argument {_SHOWN}",
+                 id="oracle"),
+    pytest.param(("decompose", "ad(L[1],M[2])", f"--verify={_LONG}"),
+                 f"argument --verify: ignored explicit argument {_SHOWN}",
+                 id="verify"),
+    pytest.param(("check", "fi", f"--p={_LONG}"),
+                 f"ambiguous option: {f'--p={_LONG}'[:80]}\u2026 could match "
+                 "--probes, --parallelism", id="ambiguous")])
 def test_overlong_argparse_values_are_cut_in_the_refusal(capsys, argv,
                                                          message):
     code, out, err = run(capsys, *argv)

@@ -1,5 +1,5 @@
-"""Linear combinations: the trusted constructor, the one-accumulator
-``combine`` and the coefficient text memo."""
+"""Linear combinations: the trusted constructor, the one linear extension
+``extend`` with ``combine`` built on it, and the coefficient text memo."""
 
 import copy
 import pickle
@@ -13,7 +13,7 @@ from nambu3.algebra import AlgElem, L, M, assoc_mul, bracket, bracket_det
 from nambu3.derivations import (P, Q, X, Z, DerivExpr, PqxzElem, ad_apply,
                                 pqxz_apply, pqxz_bracket, pqxz_elem_apply,
                                 pqxz_to_deriv)
-from nambu3.linear import COEFF_TEXT_MEMO_SIZE, _coeff_text
+from nambu3.linear import COEFF_TEXT_MEMO_SIZE, _coeff_text, extend
 from nambu3.repmod import (ModVec, lie_apply, lie_elem_apply,
                            pullback_candidate, shift_action, tri_apply,
                            tri_apply_elem, weight_action, weight_key,
@@ -258,3 +258,34 @@ def test_combine_matches_the_sum_by_parts(data):
         assert isinstance(c, Scalar) and not c.is_zero
     if everything:
         assert got.is_zero
+
+
+# -- extend, the one linear extension of a kernel ----------------------------
+
+
+def test_extend_of_no_pieces_is_empty():
+    assert extend([]) == {}
+
+
+def test_extend_drops_the_keys_that_cancel():
+    v0, v1 = weight_key(0), weight_key(1)
+    got = extend([(((v0, Scalar(2)), (v1, Scalar(LAMBDA))), 1),
+                  (((v0, Scalar(1)),), -2)])
+    assert got == {v1: Scalar(LAMBDA)}
+
+
+def test_extend_returns_a_new_dict():
+    terms = {weight_key(0): Scalar(3)}
+    got = extend([(terms.items(), 1)])
+    assert got == terms and got is not terms
+    got[weight_key(1)] = Scalar(1)
+    assert terms == {weight_key(0): Scalar(3)}
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_extend_matches_combine(data):
+    pieces = data.draw(st.lists(st.tuples(_module_vectors(), _WEIGHTS),
+                                max_size=5))
+    got = ModVec._of(extend((v._terms.items(), c) for v, c in pieces))
+    assert got == ModVec.combine(pieces) == _sum_by_parts(ModVec, pieces)

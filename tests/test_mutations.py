@@ -9,6 +9,18 @@ The guard below keeps that true for every kernel: no package function sits
 in a parameter default, and no module-level ``lru_cache`` wraps a function
 under another name, since either binds a kernel before it is called.
 
+The ordering tables have no row: no exit code can flip under a mutant of
+one, since ``fi`` and the first module axiom are clean on the default
+windows and the gate reads each class vector at its identity ordering.
+Flipping the sign of a table's last ordering is caught elsewhere:
+``algebra._FI_ORDERINGS`` by ``tests/test_algebra.py``'s
+``test_fi_sweep_matches_reference_route``, ``repmod._AXIOM1_ORDERINGS`` by
+``tests/test_repmod.py``'s
+``test_axiom_sweeps_match_the_reference_under_a_skewed_kernel``, and
+``repmod._AXIOM2_ORDERINGS`` by
+``test_axiom_sweeps_match_the_per_case_reference`` there and the
+``module-t`` digest tests in ``tests/test_benchmark_jobs.py``.
+
 Background: DeMillo, Lipton and Sayward, "Hints on test data selection",
 IEEE Computer 11(4), 1978.
 """
@@ -19,11 +31,13 @@ import pkgutil
 import pytest
 
 import nambu3
-from nambu3 import algebra, derivations, repmod
+from nambu3 import algebra, cli, derivations, repmod
 from nambu3.algebra import L, bracket_keys
 from nambu3.cli import main
 from nambu3.derivations import (P, PqxzElem, pqxz_key_apply,
                                 pqxz_key_bracket, pqxz_to_deriv)
+from nambu3.linear import extend
+from nambu3.repmod import ModVec, check_tri_axiom2, weight_action
 
 # every kernel cache and the module gate, looked up when cleared
 _CACHES = ((repmod, "_tri_key_terms"), (repmod, "_lie_key_terms"),
@@ -33,6 +47,7 @@ _CACHES = ((repmod, "_tri_key_terms"), (repmod, "_lie_key_terms"),
 _TRI_KEY_TERMS = repmod._tri_key_terms.__wrapped__
 _LIE_KEY_TERMS = repmod._lie_key_terms.__wrapped__
 _TRI_TERMS = repmod._tri_terms
+_MODULE_VERDICT = repmod._module_verdict
 
 
 def _clear_caches() -> None:
@@ -80,6 +95,22 @@ def _gate_refuses(tri, report):
     return False
 
 
+def _unweighted_extend(pieces):
+    return extend((terms, 1) for terms, c in pieces)
+
+
+def _zero_counterexample(mu=None):
+    return ModVec.zero(), ModVec.zero(), ModVec.zero()
+
+
+def _module_with_defects(tri):
+    return check_tri_axiom2(weight_action(None, 2), range(-1, 2))
+
+
+def _verdict_refuses(*args):
+    return _MODULE_VERDICT(*args)[0], False
+
+
 _INDUCED_MU1 = ("check", "induced-psi", "--mu", "1")
 
 
@@ -103,6 +134,16 @@ _INDUCED_MU1 = ("check", "induced-psi", "--mu", "1")
                  ("check", "lie-psi"), id="_lie_key_terms-lie-psi"),
     pytest.param(repmod, "_within_parameter_gate", _gate_refuses,
                  _INDUCED_MU1, id="_within_parameter_gate-induced-psi"),
+    pytest.param(repmod, "extend", _unweighted_extend, _INDUCED_MU1,
+                 id="extend-induced-psi"),
+    pytest.param(cli, "counterexample_phi", _zero_counterexample,
+                 ("check", "pullback-phi"),
+                 id="counterexample_phi-pullback-phi"),
+    pytest.param(cli, "verify_module", _module_with_defects, _INDUCED_MU1,
+                 id="verify_module-induced-psi"),
+    pytest.param(cli, "_module_verdict", _verdict_refuses,
+                 ("check", "module-t", "--mu", "1"),
+                 id="_module_verdict-module-t"),
 ])
 def test_mutant_flips_its_suite(capsys, module, name, mutant, argv):
     _clear_caches()

@@ -21,14 +21,18 @@ relies on them.  ``pqxz_apply`` carries the per-generator closed-form action
 used by the module layer; it is validated against expansion + ad_apply the
 same way.
 
-``pqxz_bracket`` tabulates the commutator of generators as operators;
-``check_pqxz_table`` replays each entry of the global ``pqxz_key_bracket``
+``pqxz_bracket`` tabulates the commutator of generators as operators.  The
+bracket is a map on g∧g: ``_bracket_terms``, its one reader, reads the
+global ``pqxz_key_bracket`` at a sorted pair a < b only, so [b, a] = -[a, b]
+and [a, a] = 0 by construction.  ``check_pqxz_table`` replays each entry
 against composing the global ``pqxz_key_apply`` (``_commutator_scan``,
 which uses ``algebra._SweepTables`` and also checks ``repmod``'s Lie
-modules and first module axiom).  ``deriv_equal`` decides action equality
-on a window: each generator action coefficient is affine in the probe index
-within a fixed shift pattern, so two probe points per pattern already
-decide equality and three give margin, hence the >= 3 point requirement.
+modules and first module axiom); it and the Lie-module check evaluate each
+pair a < b once and report it at both orders.  ``deriv_equal`` decides
+action equality on a window: each generator action coefficient is affine in
+the probe index within a fixed shift pattern, so two probe points per
+pattern already decide equality and three give margin, hence the >= 3 point
+requirement.
 """
 from __future__ import annotations
 
@@ -266,9 +270,10 @@ def pqxz_key_bracket(k1: PqxzKey, k2: PqxzKey) -> PqxzElem:
 
 
 def pqxz_bracket(a: PqxzElem, b: PqxzElem) -> PqxzElem:
-    return PqxzElem.combine((pqxz_key_bracket(ka, kb), ca * cb)
-                            for ka, ca in a._terms.items()
-                            for kb, cb in b._terms.items())
+    """[a, b], each pair of generators read through ``_bracket_terms``."""
+    return PqxzElem._of(extend((_bracket_terms(ka, kb), ca * cb)
+                               for ka, ca in a._terms.items()
+                               for kb, cb in b._terms.items()))
 
 
 # -- action equality and the table check ------------------------------------------
@@ -296,32 +301,38 @@ def deriv_equal(d1: DerivExpr, d2: DerivExpr,
 
 
 def _commutator_scan(gens: tuple, tables: _SweepTables,
-                     bracket: Callable) -> list:
+                     orders: Callable) -> list:
     """Defects of a(b v) - b(a v) = [a, b] v over generators a, b in ``gens``
     and probe keys v, as ``(ka, kb, probe, acc, sign)``: the defect is
     ``tables.coeffs(acc, sign)``.  ``tables`` is the ``algebra._SweepTables``
     of a kernel giving a generator's terms on a key, once per distinct
-    (generator, key), and of the probes; ``bracket(a, b)`` gives the terms
-    ``(generator, rational)`` of [a, b].  Each unordered pair composes
-    a(b v) - b(a v) once: the case (a, b) subtracts [a, b] v from it, and
-    the case (b, a) adds [b, a] v to it and negates the sum."""
+    (generator, key), and of the probes.  For a before b in ``gens``,
+    ``orders(a, b)`` lists the orders of the pair that are distinct cases,
+    each as ``(x, y, sign, terms)`` with ``terms`` the ``(generator,
+    rational)`` pairs of [x, y] and ``sign`` +1 for (a, b), -1 for (b, a).
+    A pair with no order is skipped; otherwise a(b v) - b(a v) is composed
+    once, the case (a, b) subtracts [a, b] v from it, and the case (b, a)
+    adds [b, a] v to it and negates the sum."""
     rows, probes = tables.rows, tables.rows.keys
     compose_into, scale_into = tables.compose_into, tables.scale_into
     found = []
     for j, ka in enumerate(gens):
         ra = rows[ka,]
         for kb in gens[j:]:
+            cases = [(x, y, sign, [(rows[kt,].seq, -sign * ct)
+                                   for kt, ct in terms])
+                     for x, y, sign, terms in orders(ka, kb)]
+            if not cases:
+                continue
+            last = cases[-1][3]
             rb = rows[kb,]
-            orders = [(x, y, sign, [(rows[kt,].seq, -sign * ct)
-                                    for kt, ct in bracket(x, y)])
-                      for x, y, sign in ((ka, kb, 1), (kb, ka, -1))
-                      if sign > 0 or ka != kb]
             for i, (probe, ta, tb) in enumerate(zip(probes, ra.seq, rb.seq)):
                 ab: dict = {}
                 compose_into(ab, ra, tb)
                 compose_into(ab, rb, ta, sign=-1)
-                for x, y, sign, table in orders:
-                    acc = dict(ab)
+                for x, y, sign, table in cases:
+                    # the last case takes ab itself
+                    acc = ab if table is last else dict(ab)
                     for seq, ct in table:
                         scale_into(acc, seq[i], ct)
                     if acc:
@@ -329,10 +340,24 @@ def _commutator_scan(gens: tuple, tables: _SweepTables,
     return found
 
 
-def _bracket_terms(a, b) -> list:
-    """``pqxz_key_bracket(a, b)`` as ``(generator, rational)`` pairs."""
+def _bracket_terms(a: PqxzKey, b: PqxzKey) -> list:
+    """[a, b] as ``(generator, rational)`` pairs, the one reader of the
+    generator bracket.  The bracket is a map on g∧g: the global
+    ``pqxz_key_bracket`` is read at the sorted pair a < b only, [b, a] is
+    its negation and [a, a] has no terms."""
+    if a == b:
+        return []
+    if b < a:
+        return [(k, -c) for k, c in _bracket_terms(b, a)]
     return [(k, _q(c.as_rational))
             for k, c in pqxz_key_bracket(a, b)._terms.items()]
+
+
+def _wedge_orders(a: PqxzKey, b: PqxzKey) -> tuple:
+    """The orders ``_commutator_scan`` evaluates of generators a <= b: on
+    g∧g, (b, a) is the negation of (a, b) and (a, a) is zero, so (a, b)
+    alone when a < b, and none when a == b."""
+    return ((a, b, 1, _bracket_terms(a, b)),) if a != b else ()
 
 
 def check_pqxz_table(window: Iterable[int] = DEFAULT_PAIR_WINDOW
@@ -348,8 +373,8 @@ def check_pqxz_table(window: Iterable[int] = DEFAULT_PAIR_WINDOW
     tables = _SweepTables(_generator_terms, probes)
     found = [((ka, kb, probe), None, AlgElem(tables.coeffs(acc, sign)))
              for ka, kb, probe, acc, sign in _commutator_scan(
-                 gens, tables, _bracket_terms)]
+                 gens, tables, _wedge_orders)]
     return sweep_report("generator-commutator-table",
                         len(gens) ** 2 * len(probes), found,
                         axiom="generator-commutator", family="derivations",
-                        orderings=signed_orderings(1, 1, 1))
+                        orderings=signed_orderings(2, 1))

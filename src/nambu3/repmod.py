@@ -49,9 +49,11 @@ returns: an ``algebra._SweepTables`` with a row per sorted pair ``(x, y)``
 (read through ``_pair_terms``) or per generator, and every coefficient
 interned under a small int id.  ``check_tri_axiom1`` and ``check_lie_module``
 are ``derivations._commutator_scan``, the first over sorted pairs of window
-keys with ``_ad_on_pair`` as their bracket; ``check_tri_axiom2`` has its own
-loop.  ``_module_verdict`` runs both axioms on one ``_pair_tables``, freed
-when it returns.
+keys with ``_ad_on_pair`` as their bracket, at both orders of two pairs
+(``_axiom1_orders``), the second at one order of two generators, since the
+generator bracket is read on g∧g; ``check_tri_axiom2`` has its own loop.
+``_module_verdict`` runs both axioms on one ``_pair_tables``, freed when it
+returns.
 
 ``orbit_probe`` walks weight keys, not vectors: each windowed generator is
 a kernel from a key to its merged nonzero terms (``_tri_key_terms``, or
@@ -81,7 +83,7 @@ from typing import Iterable, NamedTuple, Union
 from .algebra import (AlgElem, BasisKey, L, M, _SweepTable, _SweepTables,
                       bracket_keys, window_keys)
 from .derivations import (DEFAULT_PAIR_WINDOW, DerivExpr, PqxzElem, PqxzKey,
-                          _bracket_terms, _commutator_scan, pair_to_pqxz,
+                          _commutator_scan, _wedge_orders, pair_to_pqxz,
                           pqxz_to_deriv, window_generators)
 from .errors import NotAModule, NotEigenvector
 from .linear import LinComb, extend
@@ -382,6 +384,17 @@ def _ad_on_pair(brackets: _SweepTable, a: tuple, b: tuple) -> list:
             + (_sorted_term(x3, h4[1], h4[0]) if h4 else []))
 
 
+def _axiom1_orders(brackets: _SweepTable, a: tuple, b: tuple) -> tuple:
+    """The orders ``_commutator_scan`` evaluates of sorted pairs a <= b:
+    ad(a)b and ad(b)a are two conditions, so both orders when a < b, with
+    ``_ad_on_pair`` as their bracket; none when a == b, whose defect is zero
+    term by term."""
+    if a == b:
+        return ()
+    return ((a, b, 1, _ad_on_pair(brackets, a, b)),
+            (b, a, -1, _ad_on_pair(brackets, b, a)))
+
+
 # (permutation of a case's four keys, its sign): the orders of (x1, x2)
 # times those of (x3, x4) in axiom 1, the 6 orders of (x1, x2, x3) in
 # axiom 2; the identity, the case the sweep evaluates, comes first
@@ -413,7 +426,7 @@ def check_tri_axiom1(action: TriAction,
     found = [((*a, *b), probe, ModVec._of(tables.coeffs(acc, sign)))
              for a, b, probe, acc, sign in _commutator_scan(
                  tuple(combinations(keys, 2)), tables,
-                 partial(_ad_on_pair, brackets))]
+                 partial(_axiom1_orders, brackets))]
     return sweep_report(
         "tri-axiom-1", len(keys) ** 4 * len(tables.rows.keys), found,
         axiom="tri-axiom-1", family=action_family(action),
@@ -578,11 +591,11 @@ def check_lie_module(action: LieAction,
     tables = _SweepTables(partial(_lie_key_terms, action), probes)
     found = [((ka, kb), probe, ModVec._of(tables.coeffs(acc, sign)))
              for ka, kb, probe, acc, sign in _commutator_scan(
-                 gens, tables, _bracket_terms)]
+                 gens, tables, _wedge_orders)]
     return sweep_report("lie-commutator", len(gens) ** 2 * len(probes), found,
                         axiom="lie-commutator", family=action_family(action),
                         parameters=action_parameters(action),
-                        orderings=signed_orderings(1, 1))
+                        orderings=signed_orderings(2))
 
 
 # -- induced actions ------------------------------------------------------------------------

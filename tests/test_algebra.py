@@ -425,12 +425,18 @@ def _ad_on_ordered_pair(brackets, a, b):
         [((x3, h4[1]), h4[0])] if h4 else [])
 
 
+def _ordered_cases(brackets, a, b):
+    # every order of the pair is its own case, the diagonal included, with
+    # ad(x1, x2) on an ordered pair as its bracket
+    return [(x, y, sign, _ad_on_ordered_pair(brackets, x, y))
+            for x, y, sign in ((a, b, 1), (b, a, -1)) if sign > 0 or a != b]
+
+
 def _adjoint_axiom1_records(window, kb):
     # a third route: the identity is the first module axiom of the adjoint
     # module, rho(x, y) k = kb(x, y, k), swept by the commutator scan over
-    # every ordered pair of window keys with ad(x1, x2) on an ordered pair
-    # as the bracket; each ordered case is evaluated on its own, so kb need
-    # not be antisymmetric
+    # every ordered pair of window keys, each order of a pair and the pair
+    # (a, a) a case of its own, so kb need not be antisymmetric
     keys = window_keys(window)
 
     def terms(pair, k):
@@ -441,7 +447,7 @@ def _adjoint_axiom1_records(window, kb):
     found = [((*a, *b, probe), None, AlgElem(tables.coeffs(acc, sign)))
              for a, b, probe, acc, sign in _commutator_scan(
                  tuple(itertools.product(keys, repeat=2)), tables,
-                 partial(_ad_on_ordered_pair, _SweepTable(kb, keys)))]
+                 partial(_ordered_cases, _SweepTable(kb, keys)))]
     return _records(sweep_report("fundamental-identity", len(keys) ** 5,
                                  found, axiom="fundamental-identity",
                                  family="algebra",

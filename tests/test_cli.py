@@ -661,11 +661,14 @@ def _no_sweep(*args, **kwargs):
 
 
 @pytest.mark.parametrize("argv, cases", [
-    (("check", "fi", "--window", "-64..0"), "37,129,300,000"),
-    (("check", "fi", "--window", "-64..0", "--parallelism", "2"),
-     "37,129,300,000"),
-    (("check", "module-t", "--window", "-30..30"), "2,658,401,472"),
-    (("check", "pullback-phi", "--window", "-32..32"), "1,713,660,000"),
+    pytest.param(("check", "fi", "--window", "-64..0"), "37,129,300,000",
+                 id="fi"),
+    pytest.param(("check", "fi", "--window", "-64..0", "--parallelism", "2"),
+                 "37,129,300,000", id="fi-parallelism"),
+    pytest.param(("check", "module-t", "--window", "-30..30"),
+                 "2,658,401,472", id="module-t"),
+    pytest.param(("check", "pullback-phi", "--window", "-32..32"),
+                 "1,713,660,000", id="pullback-phi"),
 ])
 def test_over_budget_grid_exits_2_before_any_sweep(capsys, monkeypatch,
                                                    argv, cases):

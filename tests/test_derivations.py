@@ -171,8 +171,8 @@ def test_table_check_detects_injected_fault(monkeypatch):
             return table * -1
         return table
 
-    # (x, q) reads -corrupted(q, x) through the patched global and negates
-    # it back, so only the order (q, x) is corrupted
+    # the sweep reads the sorted pair (q, x) only, and reports (x, q) as its
+    # negation
     monkeypatch.setattr(derivations, "pqxz_key_bracket", corrupted)
     report = check_pqxz_table(range(-2, 3))
     assert not report.passed
@@ -211,7 +211,7 @@ def test_wide_table_check_and_injected_fault(monkeypatch):
     monkeypatch.setattr(derivations, "pqxz_key_bracket", skewed)
     caught = check_pqxz_table(range(-8, 9))
     assert not caught.passed
-    # the order (x, q) reads the table through the patched global as well
+    # the order (x, q) is reported as the negation of (q, x)
     assert {e.indices[0] + e.indices[2] for e in caught.entries} == {
         "qx", "xq"}
 
@@ -235,8 +235,12 @@ def test_table_check_applies_each_generator_once_per_key(monkeypatch):
     assert set(calls) == set(reference)
 
 
+def _table_terms(ka, kb):
+    return pqxz_key_bracket(ka, kb).items()
+
+
 def _reference_table_records(window, key_apply,
-                             key_bracket=pqxz_key_bracket) -> list:
+                             key_bracket=_table_terms) -> list:
     # reference route: each case on its own, with no shared rows
     gens = window_generators(window)
     found = []
@@ -254,7 +258,7 @@ def _reference_table_records(window, key_apply,
                     back = key_apply(kb, hit[1])
                     if back is not None:
                         accumulate(acc, back[1], -hit[0] * back[0])
-                for kt, ct in key_bracket(ka, kb).items():
+                for kt, ct in key_bracket(ka, kb):
                     hit = key_apply(kt, probe)
                     if hit is not None:
                         accumulate(acc, hit[1], -ct * hit[0])
@@ -298,21 +302,86 @@ def test_table_sweep_matches_reference_route(monkeypatch, window):
 
 
 def _skewed_bracket(k1, k2):
-    # a bracket that is neither antisymmetric nor zero on the diagonal, so
-    # each order of a pair, and the pair (a, a), needs its own table entry
+    # a bracket that is neither antisymmetric nor zero on the diagonal
     out = pqxz_key_bracket(k1, k2)
     return out + PqxzElem.term(P(0)) if k1.family == "p" else out
 
 
 def test_table_sweep_matches_reference_route_under_a_skewed_bracket(
         monkeypatch):
-    # patched first: a swapped pair's entry reads the global table too
+    # the bracket is a map on g∧g: both routes read it through
+    # _bracket_terms, at sorted pairs only, so a skewed entry at (p, q)
+    # reaches (q, p) negated, and the diagonal is zero
     monkeypatch.setattr(derivations, "pqxz_key_bracket", _skewed_bracket)
     expected = _reference_table_records(range(-1, 2), pqxz_key_apply,
-                                        _skewed_bracket)
-    assert any(e["indices"][:2] == e["indices"][2:4] for e in expected)
+                                        derivations._bracket_terms)
+    assert any(e["indices"][0] != "p" and e["indices"][2] == "p"
+               for e in expected)
+    assert not any(e["indices"][:2] == e["indices"][2:4] for e in expected)
     report = check_pqxz_table(range(-1, 2))
     assert [e.record() for e in report.entries] == expected
+
+
+def _p0_p1_off_by_p1(k1, k2):
+    # read at a sorted pair, so the suites report it
+    out = pqxz_key_bracket(k1, k2)
+    return out + PqxzElem.term(P(1)) if (k1, k2) == (P(0), P(1)) else out
+
+
+def _acting_when_swapped(k1, k2):
+    out = _p0_p1_off_by_p1(k1, k2)
+    return out + PqxzElem.term(Q(0)) if k2 < k1 else out
+
+
+def _acting_on_the_diagonal(k1, k2):
+    out = _p0_p1_off_by_p1(k1, k2)
+    return out + PqxzElem.term(P(0)) if k1 == k2 else out
+
+
+_WEDGE_MUTANTS = [pytest.param(_acting_when_swapped, id="swapped"),
+                  pytest.param(_acting_on_the_diagonal, id="diagonal")]
+
+
+@pytest.mark.parametrize("mutant", _WEDGE_MUTANTS)
+@pytest.mark.parametrize("suite", ["table", "lie-psi", "lie-phi"])
+def test_bracket_values_at_a_ge_b_reach_no_report(capsys, monkeypatch,
+                                                  suite, mutant):
+    # [a, b] is read on g∧g, so what the table gives at a >= b never
+    # reaches a report
+    from nambu3.cli import main
+
+    argv = ["check", suite, "--window", "-1..1", "--output", "machine"]
+    monkeypatch.setattr(derivations, "pqxz_key_bracket", _p0_p1_off_by_p1)
+    assert main(argv) == 1
+    want = capsys.readouterr().out
+    assert want
+    monkeypatch.setattr(derivations, "pqxz_key_bracket", mutant)
+    assert main(argv) == 1
+    assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("mutant", _WEDGE_MUTANTS)
+def test_elem_bracket_reads_the_table_at_sorted_pairs(monkeypatch, mutant):
+    elems = [PqxzElem.term(k) for k in window_generators(range(-1, 2))]
+    monkeypatch.setattr(derivations, "pqxz_key_bracket", _p0_p1_off_by_p1)
+    want = [pqxz_bracket(a, b) for a in elems for b in elems]
+    assert any(want)
+    monkeypatch.setattr(derivations, "pqxz_key_bracket", mutant)
+    assert [pqxz_bracket(a, b) for a in elems for b in elems] == want
+
+
+def test_table_check_reads_each_sorted_pair_once(monkeypatch):
+    calls = []
+
+    def counted(k1, k2):
+        calls.append((k1, k2))
+        return pqxz_key_bracket(k1, k2)
+
+    monkeypatch.setattr(derivations, "pqxz_key_bracket", counted)
+    assert check_pqxz_table(range(-3, 4)).passed
+    # the 28 generators of -3..3 make 28 * 27 / 2 pairs a < b
+    assert len(calls) == len(set(calls)) == 378
+    assert all(k1 < k2 for k1, k2 in calls)
 
 
 # ad(A) as W ⋉ (sl2 ⊗ C[t, 1/t]): p[r] -> d_r, q[r] -> -h t^r,

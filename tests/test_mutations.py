@@ -10,16 +10,21 @@ in a parameter default, and no module-level ``lru_cache`` wraps a function
 under another name, since either binds a kernel before it is called.
 
 The ordering tables have no row: no exit code can flip under a mutant of
-one, since ``fi`` and the first module axiom are clean on the default
-windows and the gate reads each class vector at its identity ordering.
-Flipping the sign of a table's last ordering is caught elsewhere:
-``algebra._FI_ORDERINGS`` by ``tests/test_algebra.py``'s
+one, since ``fi``, ``table``, the Lie modules and the first module axiom
+are clean on the default windows and the gate reads each class vector at
+its identity ordering.  Flipping the sign of a table's last ordering is
+caught elsewhere: ``algebra._FI_ORDERINGS`` by ``tests/test_algebra.py``'s
 ``test_fi_sweep_matches_reference_route``, ``repmod._AXIOM1_ORDERINGS`` by
 ``tests/test_repmod.py``'s
-``test_axiom_sweeps_match_the_reference_under_a_skewed_kernel``, and
+``test_axiom_sweeps_match_the_reference_under_a_skewed_kernel``,
 ``repmod._AXIOM2_ORDERINGS`` by
 ``test_axiom_sweeps_match_the_per_case_reference`` there and the
-``module-t`` digest tests in ``tests/test_benchmark_jobs.py``.
+``module-t`` digest tests in ``tests/test_benchmark_jobs.py``, and the
+swapped order of a generator pair by
+``test_table_sweep_matches_reference_route`` in
+``tests/test_derivations.py`` (table) and
+``test_lie_sweep_matches_reference_route`` in ``tests/test_repmod.py``
+(Lie modules).
 
 Background: DeMillo, Lipton and Sayward, "Hints on test data selection",
 IEEE Computer 11(4), 1978.
@@ -61,10 +66,10 @@ def _q_on_l_unsigned(k, b):
     return (-hit[0], hit[1]) if (k.family, b.kind) == ("q", "L") else hit
 
 
-def _p1_p0_off_by_p1(k1, k2):
-    # [p[1], p[0]] = 2 p[1] instead of p[1]
+def _p0_p1_off_by_p1(k1, k2):
+    # [p[0], p[1]] = 0 instead of -p[1], at the sorted pair the sweeps read
     out = pqxz_key_bracket(k1, k2)
-    return out + PqxzElem.term(P(1)) if (k1, k2) == (P(1), P(0)) else out
+    return out + PqxzElem.term(P(1)) if (k1, k2) == (P(0), P(1)) else out
 
 
 def _doubled_expansion(b):
@@ -107,6 +112,11 @@ def _module_with_defects(tri):
     return check_tri_axiom2(weight_action(None, 2), range(-1, 2))
 
 
+def _clean_axiom2(*args, **kwargs):
+    # a real report with no defect: the second axiom at mu = 1
+    return check_tri_axiom2(weight_action(None, 1), range(-1, 2))
+
+
 def _verdict_refuses(*args):
     return _MODULE_VERDICT(*args)[0], False
 
@@ -117,9 +127,9 @@ _INDUCED_MU1 = ("check", "induced-psi", "--mu", "1")
 @pytest.mark.parametrize("module, name, mutant, argv", [
     pytest.param(derivations, "pqxz_key_apply", _q_on_l_unsigned,
                  ("check", "table"), id="pqxz_key_apply-table"),
-    pytest.param(derivations, "pqxz_key_bracket", _p1_p0_off_by_p1,
+    pytest.param(derivations, "pqxz_key_bracket", _p0_p1_off_by_p1,
                  ("check", "table"), id="pqxz_key_bracket-table"),
-    pytest.param(derivations, "pqxz_key_bracket", _p1_p0_off_by_p1,
+    pytest.param(derivations, "pqxz_key_bracket", _p0_p1_off_by_p1,
                  ("check", "lie-phi"), id="pqxz_key_bracket-lie-phi"),
     pytest.param(repmod, "pqxz_to_deriv", _doubled_expansion, _INDUCED_MU1,
                  id="pqxz_to_deriv-induced-psi"),
@@ -139,6 +149,9 @@ _INDUCED_MU1 = ("check", "induced-psi", "--mu", "1")
     pytest.param(cli, "counterexample_phi", _zero_counterexample,
                  ("check", "pullback-phi"),
                  id="counterexample_phi-pullback-phi"),
+    pytest.param(cli, "check_tri_axiom2", _clean_axiom2,
+                 ("check", "pullback-phi"),
+                 id="check_tri_axiom2-pullback-phi"),
     pytest.param(cli, "verify_module", _module_with_defects, _INDUCED_MU1,
                  id="verify_module-induced-psi"),
     pytest.param(cli, "_module_verdict", _verdict_refuses,

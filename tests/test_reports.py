@@ -71,10 +71,10 @@ def test_pullback_phi_stream_matches_the_reference_route():
 
 
 def test_skewed_lie_psi_stream_matches_the_reference_route(monkeypatch):
-    # one table entry off by p[1]: [p[1], p[0]] = 2 p[1] instead of p[1]
+    # one table entry off by p[1]: [p[0], p[1]] = 0 instead of -p[1]
     def skewed(k1, k2):
         out = pqxz_key_bracket(k1, k2)
-        return out + PqxzElem.term(P(1)) if (k1, k2) == (P(1), P(0)) else out
+        return out + PqxzElem.term(P(1)) if (k1, k2) == (P(0), P(1)) else out
 
     monkeypatch.setattr(derivations, "pqxz_key_bracket", skewed)
     report = check_lie_module(shift_action(), range(-2, 3))

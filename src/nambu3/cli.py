@@ -8,7 +8,9 @@ exact arithmetic refuses (index, exponent or window out of bounds), each
 reported as one ``error:`` line on stderr by the one ``except`` in ``main``.
 A reader that closes stdout early also exits 2 with one ``error:`` line:
 ``main`` flushes stdout itself, so the broken pipe shows there and not in
-the interpreter's final flush.
+the interpreter's final flush.  So does a run that runs out of memory
+(``CASE_BUDGET`` bounds cases, not memory); once the machine stream has
+started, stdout holds a prefix of it.
 Flag values are read by ``_read`` in ``parsing``'s grammar (``parse_int``
 for windows and ``--parallelism``, ``parse_rational`` for ``--lambda`` and
 ``--mu``, ``parse_weight_key`` for ``--start`` and each ``--probes`` entry);
@@ -209,8 +211,8 @@ def _emit_check(report, config, extra=(), ok=None) -> int:
     if ok is None:
         ok = report.passed
     if config.output == "machine":
-        # one call, line by line: a joined string would add the whole
-        # stream to the peak memory
+        # one call over the lazy stream: each line is joined as it is
+        # written, so no list or joined string of the stream is held
         sys.stdout.writelines(f"{line}\n"
                               for line in report.machine_lines())
     else:
@@ -534,6 +536,10 @@ def main(argv=None) -> int:
         print("error: stdout was closed before the output was written",
               file=sys.stderr)
         return 2
+    except MemoryError:
+        pass  # leaving the handler frees the failed call's frames
+    print("error: out of memory", file=sys.stderr)
+    return 2
 
 
 def _discard_stdout() -> None:

@@ -9,9 +9,10 @@ expands them, applying each ordering's sign, sorted by (axiom, index
 assignment, probe) and then in class order, so reports are deterministic
 regardless of evaluation order, including parallel runs.  ``entries``
 (built on first use) is the reference route, ``text_lines`` expands only
-the entries it shows, and ``machine_lines`` joins each line from pieces
-encoded once, in the key order of ``json_line(e.record())``, the one
-canonical JSON form of a machine-stream record.
+the entries it shows, and ``machine_lines`` is a stream sized by the
+defect count that joins each line as it is read, from pieces encoded once,
+in the key order of ``json_line(e.record())``, the one canonical JSON form
+of a machine-stream record.
 """
 from __future__ import annotations
 
@@ -165,13 +166,36 @@ class DefectReport:
             lines.append(f"  ... and {hidden} more defects")
         return lines
 
-    def machine_lines(self) -> list:
-        """``json_line(e.record())`` of each entry, in sorted order; class
-        vectors and index tuples are keyed by ``id``, since the classes and
-        the sort keep them alive, and a negated vector by its +1 text."""
+    def machine_lines(self) -> "_MachineLines":
+        """``json_line(e.record())`` of each entry, in sorted order, as a
+        stream sized by ``defect_count`` whose lines are joined as read."""
+        return _MachineLines(self)
+
+    def merged_with(self, other: "DefectReport", label: str) -> "DefectReport":
+        return DefectReport(label, self.cases + other.cases,
+                            classes=self.classes + other.classes)
+
+
+class _MachineLines:
+    """A report's machine stream, re-read on each iteration, so its memory
+    grows with the classes, not the lines.  Class vectors are keyed by
+    ``id``, since the classes keep them alive, a negated vector by its +1
+    text, and an index tuple by the last one, since the sort yields all
+    rows of one tuple together."""
+
+    __slots__ = ("report",)
+
+    def __init__(self, report: DefectReport):
+        self.report = report
+
+    def __len__(self) -> int:
+        return self.report.defect_count
+
+    def __iter__(self):
         encode = _ENCODER.encode
-        vectors, negated, wheres, contexts, lines = {}, {}, {}, {}, []
-        for indices, c, sign in self._sorted():
+        vectors, negated, contexts = {}, {}, {}
+        last = where = None
+        for indices, c, sign in self.report._sorted():
             vec = c.defect
             defect = vectors.get(id(vec))
             if defect is None:
@@ -181,10 +205,8 @@ class DefectReport:
                 if text is None:
                     text = negated[defect] = encode(str(-vec))
                 defect = text
-            where = wheres.get(id(indices))
-            if where is None:
-                where = wheres[id(indices)] = encode(
-                    [str(i) for i in indices])
+            if indices is not last:
+                last, where = indices, encode([str(i) for i in indices])
             context = (c.axiom, c.family, id(c.parameters), c.probe)
             pieces = contexts.get(context)
             if pieces is None:
@@ -194,12 +216,7 @@ class DefectReport:
                     f',"parameters":{json_line(dict(c.parameters))}'
                     f',"probe":{encode(c.probe)}}}')
             head, middle, tail = pieces
-            lines.append(f"{head}{defect}{middle}{where}{tail}")
-        return lines
-
-    def merged_with(self, other: "DefectReport", label: str) -> "DefectReport":
-        return DefectReport(label, self.cases + other.cases,
-                            classes=self.classes + other.classes)
+            yield f"{head}{defect}{middle}{where}{tail}"
 
 
 def sweep_report(label: str, cases: int, found: list, *, axiom: str,

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -36,11 +37,16 @@ def test_bracket_pinned(capsys):
 
 
 @pytest.mark.parametrize("argv, expected", [
-    (("bracket", "-L[1]", "L[2]", "M[3]"), "-1 L[0]\n"),
-    (("bracket", "L[2]", "-L[1]", "M[3]", "--output", "text"), "L[0]\n"),
-    (("decompose", "-ad(L[1],M[2])"), "-1 p[-1] + 3/2 q[-1]\n"),
-    (("decompose", "--verify", "-2 ad(L[1],M[2])", "--window", "-3..3"),
-     "-2 p[-1] + 3 q[-1]\nverify: action-equal on -3..3\n"),
+    pytest.param(("bracket", "-L[1]", "L[2]", "M[3]"), "-1 L[0]\n",
+                 id="bracket-first"),
+    pytest.param(("bracket", "L[2]", "-L[1]", "M[3]", "--output", "text"),
+                 "L[0]\n", id="bracket-second-before-a-flag"),
+    pytest.param(("decompose", "-ad(L[1],M[2])"), "-1 p[-1] + 3/2 q[-1]\n",
+                 id="decompose"),
+    pytest.param(("decompose", "--verify", "-2 ad(L[1],M[2])", "--window",
+                  "-3..3"),
+                 "-2 p[-1] + 3 q[-1]\nverify: action-equal on -3..3\n",
+                 id="decompose-verify"),
 ])
 def test_positionals_may_start_with_a_dash(capsys, argv, expected):
     # read as an expression, as after "--", not as an unknown option
@@ -841,6 +847,25 @@ def test_closed_stdout_exits_2_without_a_traceback():
         assert proc.returncode == 2
         assert proc.stderr == (b"error: stdout was closed before the output "
                                b"was written\n")
+
+
+def test_out_of_memory_exits_2_with_one_error_line():
+    # an address-space limit on the child alone: the interpreter starts in
+    # about half of it, and the -5..5 sweep (about 94 MB resident without
+    # the limit) exhausts it before the first stdout byte
+    src = os.path.dirname(os.path.dirname(nambu3.__file__))
+    limit = 40_000 * 1024
+
+    def lower_limit():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "nambu3", "check", "module-t",
+         "--window=-5..5", "--output", "machine"],
+        capture_output=True, env=dict(os.environ, PYTHONPATH=src),
+        preexec_fn=lower_limit, timeout=120)
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr == b"error: out of memory\n"
 
 
 def test_import_loads_no_process_pool_or_dataclasses():

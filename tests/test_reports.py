@@ -2,8 +2,9 @@
 
 A report keeps one record per defect class, with one defect vector, and
 expands it only for output, where each ordering's sign is applied.
-``DefectReport.machine_lines`` sorts the case orderings once and joins each
-line from pieces encoded once; ``json_line(e.record())`` per entry of the
+``DefectReport.machine_lines`` is a stream sized by the defect count that
+sorts the case orderings once and joins each line, as it is read, from
+pieces encoded once; ``json_line(e.record())`` per entry of the
 expanded, sorted ``entries`` is the reference route it must match byte for
 byte, and ``text_lines`` must show the first 20 of those entries.
 """
@@ -47,8 +48,9 @@ def _expanded(report: DefectReport) -> list:
 
 def _assert_matches_reference(report: DefectReport) -> list:
     assert report.entries == _expanded(report)
-    lines = report.machine_lines()
-    assert type(lines) is list
+    stream = report.machine_lines()
+    assert len(stream) == report.defect_count
+    lines = list(stream)
     assert lines == [json_line(e.record()) for e in report.entries]
     assert report.text_lines() == _reference_text(report)
     assert report.passed == (not report.entries)
@@ -67,7 +69,7 @@ def test_pullback_phi_stream_matches_the_reference_route():
     assert _assert_matches_reference(report)
     # every entry tied with its copy, which follows it
     twice = _assert_matches_reference(report.merged_with(report, "twice"))
-    assert twice[::2] == twice[1::2] == report.machine_lines()
+    assert twice[::2] == twice[1::2] == list(report.machine_lines())
 
 
 def test_skewed_lie_psi_stream_matches_the_reference_route(monkeypatch):
@@ -131,6 +133,19 @@ def test_merged_halves_with_other_axiom_and_parameters():
     assert len(set(lines)) == 4
 
 
+def _counted_str(monkeypatch) -> list:
+    # the ids of the combinations LinComb.__str__ formats from now on
+    calls = []
+    plain = LinComb.__str__
+
+    def counted(self):
+        calls.append(id(self))
+        return plain(self)
+
+    monkeypatch.setattr(LinComb, "__str__", counted)
+    return calls
+
+
 def test_each_defect_vector_is_formatted_once(monkeypatch):
     # each class vector once, and each negated text once: 278 distinct
     # texts among the class vectors, every one also read at sign -1
@@ -140,16 +155,21 @@ def test_each_defect_vector_is_formatted_once(monkeypatch):
     assert (report.defect_count, vectors) == (14400, 2400)
     texts = len({str(c.defect) for c in report.classes})
     assert texts == 278
-    calls = []
-    plain = LinComb.__str__
-
-    def counted(self):
-        calls.append(id(self))
-        return plain(self)
-
-    monkeypatch.setattr(LinComb, "__str__", counted)
-    report.machine_lines()
+    calls = _counted_str(monkeypatch)
+    list(report.machine_lines())
     assert len(calls) == vectors + texts
+
+
+def test_machine_stream_formats_only_what_is_read(monkeypatch):
+    # sized without expanding a class, and the first line formats one
+    # vector: nothing else is formatted ahead of the reader
+    report, _ = _module_verdict(weight_action(), DEFAULT_AXIOM_WINDOW,
+                                label="module-t")
+    calls = _counted_str(monkeypatch)
+    stream = report.machine_lines()
+    assert len(stream) == 14400 and calls == []
+    next(iter(stream))
+    assert len(calls) == 1
 
 
 def test_merging_class_reports_sorts_as_merging_their_entries():
@@ -165,7 +185,8 @@ def test_merging_class_reports_sorts_as_merging_their_entries():
     assert ([e.record() for e in merged.entries]
             == [e.record() for e in want.entries])
     assert merged == want
-    assert _assert_matches_reference(merged) == want.machine_lines()
+    assert (_assert_matches_reference(merged)
+            == list(want.machine_lines()))
 
 
 # the signed orderings as they were written out by hand

@@ -21,10 +21,10 @@ each distinct bracket once (``_SweepTable``, the one table type of every
 sweep), one case per antisymmetry class of the table.  The sweep reads
 ``bracket_keys`` as a module global, which is where a fault is injected; an
 injected table must stay totally antisymmetric, as ``bracket_keys`` is.
-``_SweepTables`` adds the interned coefficient arithmetic that the
-commutator scan and the module axioms compute with.  Indices are
-Laurent-mode integers capped at +/-2^40; a window index (sweeps take their
-keys from ``window_keys``) or index arithmetic that leaves the cap raises
+``_SweepTables`` adds the interned coefficient arithmetic and the one probe
+loop of the commutator scan and both module axioms.  Indices are Laurent-mode
+integers capped at +/-2^40; a window index (sweeps take their keys from
+``window_keys``) or index arithmetic that leaves the cap raises
 IndexOverflow.  The bracket lowers no degree bound and shifts indices by at
 most the sum of its inputs, so a window check exercises every structure
 constant whose indices fit: coefficients are affine in each index and the
@@ -249,14 +249,14 @@ def _interned_terms(kernel: Callable, ids: dict, values: list, *args) -> tuple:
 
 
 class _SweepTables:
-    """The kernel rows and the coefficient arithmetic of one sweep.
+    """The kernel rows, coefficient arithmetic and probe loop of one sweep.
 
     ``rows[head][key]`` is ``_interned_terms`` of ``kernel(*head, key)``,
     and ``rows[head].seq`` holds it at the probe keys.  Every coefficient
     the sweep makes is interned (``values[i]`` has id ``i``, and id 0 is
     zero), so rows, products, sums and accumulators hold ints, and each
-    distinct product (``(c, c2, sign)`` composed, ``(c2, b)`` scaled) and
-    sum ``(tot, p)`` is computed once per sweep.
+    distinct product ``(c, c2, sign)`` and sum ``(tot, p)`` is computed once
+    per sweep.
     """
 
     def __init__(self, kernel: Callable, probes: tuple):
@@ -266,35 +266,56 @@ class _SweepTables:
         self.rows = _SweepTable(
             partial(_interned_terms, kernel, self.ids, self.values), probes)
         self.prods: dict = {}
+        self.scales: dict = {}
         self.sums: dict = {}
 
-    def _add(self, acc: dict, key, p: int) -> None:
-        """Add the coefficient with id ``p`` into acc[key], dropping the key
-        when the sum is zero."""
-        tot = acc.get(key)
-        if tot is not None:
-            s = self.sums.get((tot, p))
-            if s is None:
-                values = self.values
-                s = self.sums[tot, p] = _intern(self.ids, values,
-                                                values[tot] + values[p])
-            p = s
-        if p:
-            acc[key] = p
-        else:
-            acc.pop(key, None)
+    def add_terms(self, acc: dict, terms, i: int) -> None:
+        """Add sign * (row's operator applied to ``seq[i]``) into ``acc``
+        for each ``(row, seq, sign)`` of ``terms``, dropping a key whose sum
+        is zero."""
+        prods, sums, ids, values = self.prods, self.sums, self.ids, self.values
+        for row, seq, sign in terms:
+            for key, c in seq[i]:
+                for k2, c2 in row[key]:
+                    pk = (c, c2, sign)
+                    p = prods.get(pk)
+                    if p is None:
+                        p = prods[pk] = self._product(c, c2, sign)
+                    tot = acc.get(k2)
+                    if tot is not None:
+                        s = sums.get((tot, p))
+                        if s is None:
+                            s = sums[tot, p] = _intern(
+                                ids, values, values[tot] + values[p])
+                        p = s
+                    if p:
+                        acc[k2] = p
+                    else:
+                        acc.pop(k2, None)
 
-    def compose_into(self, acc: dict, row: dict, terms,
-                     sign: int = 1) -> None:
-        """Add sign * (row's operator applied to the vector ``terms``)."""
-        prods, add = self.prods, self._add
-        for key, c in terms:
-            for k2, c2 in row[key]:
-                pk = (c, c2, sign)
-                p = prods.get(pk)
-                if p is None:
-                    p = prods[pk] = self._product(c, c2, sign)
-                add(acc, k2, p)
+    def scan_case(self, found: list, shared, orders) -> None:
+        """One case at every probe: the ``shared`` terms are added once, and
+        each ``(head, own)`` of ``orders`` adds its ``own`` terms to a copy
+        of that sum (the last order to the sum itself); a nonzero sum is
+        appended to ``found`` as ``(head, probe, acc)``."""
+        add, last = self.add_terms, orders[-1]
+        for i, probe in enumerate(self.rows.keys):
+            common: dict = {}
+            add(common, shared, i)
+            for order in orders:
+                acc = common if order is last else dict(common)
+                add(acc, order[1], i)
+                if acc:
+                    found.append((order[0], probe, acc))
+
+    def scaled(self, b) -> list:
+        """Each probe key times the rational ``b``, as a ``seq``: a row
+        composed with it is b times the row's own ``seq``."""
+        seq = self.scales.get(b)
+        if seq is None:
+            i = _intern(self.ids, self.values, b)
+            seq = self.scales[b] = [((k, i),) for k in self.rows.keys]
+        return seq
 
     def _product(self, c: int, c2: int, sign: int) -> int:
         # the product made with the other sign, if any, is negated instead
@@ -311,16 +332,6 @@ class _SweepTables:
             p = self.prods[c, -1] = _intern(self.ids, self.values,
                                             -self.values[c])
         return p
-
-    def scale_into(self, acc: dict, terms, b) -> None:
-        """Add each term of ``terms`` times the rational ``b``."""
-        prods, values, add = self.prods, self.values, self._add
-        for k2, c2 in terms:
-            pk = (c2, b)
-            p = prods.get(pk)
-            if p is None:
-                p = prods[pk] = _intern(self.ids, values, values[c2] * b)
-            add(acc, k2, p)
 
     def coeffs(self, acc: dict, sign: int = 1) -> dict:
         """A case's accumulator over the interned coefficients, times

@@ -303,41 +303,27 @@ def deriv_equal(d1: DerivExpr, d2: DerivExpr,
 def _commutator_scan(gens: tuple, tables: _SweepTables,
                      orders: Callable) -> list:
     """Defects of a(b v) - b(a v) = [a, b] v over generators a, b in ``gens``
-    and probe keys v, as ``(ka, kb, probe, acc, sign)``: the defect is
-    ``tables.coeffs(acc, sign)``.  ``tables`` is the ``algebra._SweepTables``
-    of a kernel giving a generator's terms on a key, once per distinct
-    (generator, key), and of the probes.  For a before b in ``gens``,
-    ``orders(a, b)`` lists the orders of the pair that are distinct cases,
-    each as ``(x, y, sign, terms)`` with ``terms`` the ``(generator,
-    rational)`` pairs of [x, y] and ``sign`` +1 for (a, b), -1 for (b, a).
-    A pair with no order is skipped; otherwise a(b v) - b(a v) is composed
-    once, the case (a, b) subtracts [a, b] v from it, and the case (b, a)
-    adds [b, a] v to it and negates the sum."""
-    rows, probes = tables.rows, tables.rows.keys
-    compose_into, scale_into = tables.compose_into, tables.scale_into
+    and the probes v of ``tables``, the ``algebra._SweepTables`` of a
+    generator's terms on a key, as ``(ka, kb, probe, acc, sign)``: the
+    defect is ``tables.coeffs(acc, sign)``.  For a before b in ``gens``,
+    ``orders(a, b)`` lists the pair's orders that are distinct cases as
+    ``(x, y, sign, terms)``, ``terms`` the ``(generator, rational)`` pairs of
+    [x, y] and ``sign`` +1 for (a, b), -1 for (b, a).  Every order of a pair
+    shares a(b v) - b(a v); (a, b) subtracts [a, b] v from it, and (b, a)
+    adds [b, a] v and is negated."""
+    rows, scaled = tables.rows, tables.scaled
     found = []
     for j, ka in enumerate(gens):
         ra = rows[ka,]
         for kb in gens[j:]:
-            cases = [(x, y, sign, [(rows[kt,].seq, -sign * ct)
-                                   for kt, ct in terms])
-                     for x, y, sign, terms in orders(ka, kb)]
-            if not cases:
-                continue
-            last = cases[-1][3]
-            rb = rows[kb,]
-            for i, (probe, ta, tb) in enumerate(zip(probes, ra.seq, rb.seq)):
-                ab: dict = {}
-                compose_into(ab, ra, tb)
-                compose_into(ab, rb, ta, sign=-1)
-                for x, y, sign, table in cases:
-                    # the last case takes ab itself
-                    acc = ab if table is last else dict(ab)
-                    for seq, ct in table:
-                        scale_into(acc, seq[i], ct)
-                    if acc:
-                        found.append((x, y, probe, acc, sign))
-    return found
+            cases = tuple(((x, y, sign), [(rows[kt,], scaled(-sign * ct), 1)
+                                          for kt, ct in terms])
+                          for x, y, sign, terms in orders(ka, kb))
+            if cases:
+                rb = rows[kb,]
+                tables.scan_case(found, ((ra, rb.seq, 1), (rb, ra.seq, -1)),
+                                 cases)
+    return [(x, y, probe, acc, sign) for (x, y, sign), probe, acc in found]
 
 
 def _bracket_terms(a: PqxzKey, b: PqxzKey) -> list:

@@ -51,9 +51,10 @@ interned under a small int id.  ``check_tri_axiom1`` and ``check_lie_module``
 are ``derivations._commutator_scan``, the first over sorted pairs of window
 keys with ``_ad_on_pair`` as their bracket, at both orders of two pairs
 (``_axiom1_orders``), the second at one order of two generators, since the
-generator bracket is read on g∧g; ``check_tri_axiom2`` has its own loop.
-``_module_verdict`` runs both axioms on one ``_pair_tables``, freed when it
-returns.
+generator bracket is read on g∧g.  ``check_tri_axiom2`` enumerates triples
+and x4, and hands each case to the same probe loop,
+``_SweepTables.scan_case``.  ``_module_verdict`` runs both axioms on one
+``_pair_tables``, freed when it returns.
 
 ``orbit_probe`` walks weight keys, not vectors: each windowed generator is
 a kernel from a key to its merged nonzero terms (``_tri_key_terms``, or
@@ -445,38 +446,33 @@ def check_tri_axiom2(action: TriAction,
     the 120 triples x1 < x2 < x3 of the default window and reports each
     defect at its 6 signed orderings; it keeps x4 and the probe, and the
     report still counts every case.  Each pair is read from its sorted row
-    (``_sorted_term``), with the sign of the sort where the row is used.
-    ``tables`` is as in ``check_tri_axiom1``.
+    (``_sorted_term``), with the sign of the sort where the row is used,
+    and the bracket side through ``scaled(-b)``.  ``tables`` is as in
+    ``check_tri_axiom1``.
     """
     keys = window_keys(window)
     if tables is None:
         tables = _pair_tables(action, probes)
-    rows, probe_keys = tables.rows, tables.rows.keys
-    compose_into, scale_into = tables.compose_into, tables.scale_into
+    rows = tables.rows
     found = []
     for x1, x2, x3 in combinations(keys, 3):
         r12, r23, r13 = rows[(x1, x2),], rows[(x2, x3),], rows[(x1, x3),]
         b123 = bracket_keys(x1, x2, x3)
         for x4 in keys:
-            case = (x1, x2, x3, x4)
             # rho(x3, x1) is -rho(x1, x3)
             composed = [(row, rows[pair,].seq, s)
                         for row, x, sign in ((r12, x3, 1), (r23, x1, 1),
                                              (r13, x2, -1))
                         for pair, s in _sorted_term(x, x4, sign)]
             scaled = [] if b123 is None else [
-                (rows[pair,].seq, b)
+                (rows[pair,], tables.scaled(b), 1)
                 for pair, b in _sorted_term(b123[1], x4, -b123[0])]
-            for i, probe in enumerate(probe_keys):
-                acc: dict = {}
-                for row, seq, s in composed:
-                    compose_into(acc, row, seq[i], s)
-                for seq, b in scaled:
-                    scale_into(acc, seq[i], b)
-                if acc:
-                    found.append((case, probe, ModVec._of(tables.coeffs(acc))))
+            tables.scan_case(found, composed, (((x1, x2, x3, x4), scaled),))
+    # in place, so a defect's sum is freed as its vector is made
+    for n, (case, probe, acc) in enumerate(found):
+        found[n] = case, probe, ModVec._of(tables.coeffs(acc))
     return sweep_report(
-        "tri-axiom-2", len(keys) ** 4 * len(probe_keys), found,
+        "tri-axiom-2", len(keys) ** 4 * len(rows.keys), found,
         axiom="tri-axiom-2", family=action_family(action),
         parameters=action_parameters(action), orderings=_AXIOM2_ORDERINGS)
 

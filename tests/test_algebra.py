@@ -467,6 +467,24 @@ def test_fi_is_the_first_axiom_of_the_adjoint_module(kb, window, defects,
     assert _adjoint_axiom1_records(window, kb) == expected
 
 
+def test_the_probe_loop_copies_the_shared_sum_for_every_order_but_the_last():
+    # g sends the integer key k to (k + 1) times the key k + g; the case
+    # shares g1 g2 - g2 g1, (k + 1) times k + 3 at the probe k, and each of
+    # its three orders adds its own bracket-side terms
+    tables = _SweepTables(lambda g, k: ((k + g, k + 1),), (0, 1))
+    rows, scaled = tables.rows, tables.scaled
+    shared = ((rows[1,], rows[2,].seq, 1), (rows[2,], rows[1,].seq, -1))
+    orders = (("a", [(rows[3,], scaled(2), 1)]),
+              ("cancels", [(rows[3,], scaled(-1), 1)]),
+              ("b", [(rows[5,], scaled(-1), 1)]))
+    found = []
+    tables.scan_case(found, shared, orders)
+    assert [(head, probe, tables.coeffs(acc))
+            for head, probe, acc in found] == [
+        ("a", 0, {3: 3}), ("b", 0, {3: 1, 5: -1}),
+        ("a", 1, {4: 6}), ("b", 1, {4: 2, 6: -2})]
+
+
 def test_adjoint_route_is_exact_on_a_table_that_is_not_antisymmetric():
     window, kb = range(-1, 2), _randomly_skewed(8)
     expected = _reference_fi_records(window, kb)

@@ -130,10 +130,12 @@ def test_a_double_dash_value_reaches_the_flag_reader(capsys, argv, err):
 
 
 @pytest.mark.parametrize("argv, err", [
-    (("orbit", "T", "--start", "b7"), f"bad --start 'b7': {_KEY_EXPECTED}"),
-    (("weights", "T", "--start=1/0"), f"bad --start '1/0': {_KEY_EXPECTED}"),
-    (("check", "module-t", "--probes", "0,x", "--window", "0..0"),
-     f"bad --probes entry 'x': {_KEY_EXPECTED}"),
+    pytest.param(("orbit", "T", "--start", "b7"),
+                 f"bad --start 'b7': {_KEY_EXPECTED}", id="orbit-start"),
+    pytest.param(("weights", "T", "--start=1/0"),
+                 f"bad --start '1/0': {_KEY_EXPECTED}", id="weights-start"),
+    pytest.param(("check", "module-t", "--probes", "0,x", "--window", "0..0"),
+                 f"bad --probes entry 'x': {_KEY_EXPECTED}", id="probes"),
 ])
 def test_a_weight_key_refusal_names_the_flag(capsys, argv, err):
     assert run(capsys, *argv) == (2, "", f"error: {err}\n")
@@ -376,15 +378,19 @@ class _CountingSink(io.TextIOBase):
     (("check", "fi", "--window", "-1..1"), 0),
 ], ids=["module-t-mu2", "module-t-mu1", "fi"])
 def test_a_machine_stream_is_written_one_line_per_write(argv, lines):
-    # one writelines call, never one joined string; a clean report prints
-    # nothing at all
+    # whole lines, at most one batch per write, so a long stream is never
+    # one joined string; a clean report prints nothing at all (the name
+    # predates the batches and is kept so the ids stay stable)
     sink = _CountingSink()
     with redirect_stdout(sink):
         code = main([*argv, "--output", "machine"])
     assert code == (1 if lines else 0)
-    assert len(sink.writes) == lines
-    assert all(text.count("\n") == 1 and text.endswith("\n")
-               for text in sink.writes)
+    counts = [text.count("\n") for text in sink.writes]
+    assert sum(counts) == lines
+    assert all(text.endswith("\n") for text in sink.writes)
+    assert all(n <= cli._MACHINE_BATCH for n in counts)
+    # full batches but the last: 1,296 lines take 21 writes of 64
+    assert len(sink.writes) == -(-lines // cli._MACHINE_BATCH)
 
 
 def test_orbit_machine_output(capsys):

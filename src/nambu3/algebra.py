@@ -21,7 +21,7 @@ each distinct bracket once (``_SweepTable``, the one table type of every
 sweep), one case per antisymmetry class of the table.  The sweep reads
 ``bracket_keys`` as a module global, which is where a fault is injected; an
 injected table must stay totally antisymmetric, as ``bracket_keys`` is.
-``_SweepTables`` adds the interned coefficient arithmetic and the one probe
+``_SweepTables`` adds int-interned keys and coefficients and the one probe
 loop of the commutator scan and both module axioms.  Indices are Laurent-mode
 integers capped at +/-2^40; a window index (sweeps take their keys from
 ``window_keys``) or index arithmetic that leaves the cap raises
@@ -230,83 +230,86 @@ class _SweepTable(dict):
         return row
 
 
-def _intern(ids: dict, values: list, c) -> int:
-    """The id of ``c`` among one sweep's coefficients, added on first sight;
-    every zero is id 0, as an ``int`` 0 and a zero Scalar hash apart."""
-    if not c:
-        return 0
-    i = ids.get(c)
-    if i is None:
-        i = ids[c] = len(values)
-        values.append(c)
+def _id(ids: dict, values: list, x) -> int:
+    """The index of ``x`` in ``values``, added on first sight."""
+    i = ids.setdefault(x, len(values))
+    if i == len(values):
+        values.append(x)
     return i
 
 
-def _interned_terms(kernel: Callable, ids: dict, values: list, *args) -> tuple:
-    """``kernel(*args)`` as ``(key, id)`` pairs, each id that of the
-    coefficient among one sweep's interned ones."""
-    return tuple((k, _intern(ids, values, c)) for k, c in kernel(*args))
+def _intern(ids: dict, values: list, c) -> int:
+    """The id of ``c``; every zero, ``int`` or Scalar, is id 0."""
+    return _id(ids, values, c) if c else 0
+
+
+def _interned_terms(kernel: Callable, ids: dict, values: list, key_ids: dict,
+                    keys: list, *args) -> tuple:
+    """``kernel(*head, keys[k])`` for ``args = (*head, k)``, as id pairs."""
+    return tuple((_id(key_ids, keys, key), _intern(ids, values, c))
+                 for key, c in kernel(*args[:-1], keys[args[-1]]))
 
 
 class _SweepTables:
     """The kernel rows, coefficient arithmetic and probe loop of one sweep.
 
-    ``rows[head][key]`` is ``_interned_terms`` of ``kernel(*head, key)``,
-    and ``rows[head].seq`` holds it at the probe keys.  Every coefficient
-    the sweep makes is interned (``values[i]`` has id ``i``, and id 0 is
-    zero), so rows, products, sums and accumulators hold ints, and each
-    distinct product ``(c, c2, sign)`` and sum ``(tot, p)`` is computed once
-    per sweep.
+    Keys and coefficients are ints: ``keys[i]`` (the probes first) and
+    ``values[i]`` have id ``i``, and value 0 is zero.  Rows and sums hold
+    ids, so each distinct product and sum is made once per sweep.
     """
 
     def __init__(self, kernel: Callable, probes: tuple):
         self.values: list = [0]
         self.ids: dict = {}
+        self.keys: list = list(probes)
         # a partial, not a bound method: no row refers back to the tables
         self.rows = _SweepTable(
-            partial(_interned_terms, kernel, self.ids, self.values), probes)
+            partial(_interned_terms, kernel, self.ids, self.values,
+                    {k: i for i, k in enumerate(probes)}, self.keys),
+            range(len(probes)))
         self.prods: dict = {}
         self.scales: dict = {}
         self.sums: dict = {}
 
-    def add_terms(self, acc: dict, terms, i: int) -> None:
-        """Add sign * (row's operator applied to ``seq[i]``) into ``acc``
-        for each ``(row, seq, sign)`` of ``terms``, dropping a key whose sum
-        is zero."""
+    def add_terms(self, accs: list, terms) -> None:
+        """Add sign * (row applied to ``seq[i]``) into ``accs[i]`` at each
+        probe ``i`` for each ``(row, seq, sign)`` of ``terms``, dropping a
+        key whose sum is zero."""
         prods, sums, ids, values = self.prods, self.sums, self.ids, self.values
         for row, seq, sign in terms:
-            for key, c in seq[i]:
-                for k2, c2 in row[key]:
-                    pk = (c, c2, sign)
-                    p = prods.get(pk)
-                    if p is None:
-                        p = prods[pk] = self._product(c, c2, sign)
-                    tot = acc.get(k2)
-                    if tot is not None:
-                        s = sums.get((tot, p))
-                        if s is None:
-                            s = sums[tot, p] = _intern(
-                                ids, values, values[tot] + values[p])
-                        p = s
-                    if p:
-                        acc[k2] = p
-                    else:
-                        acc.pop(k2, None)
+            for acc, vec in zip(accs, seq):
+                for key, c in vec:
+                    for k2, c2 in row[key]:
+                        pk = (c, c2, sign)
+                        p = prods.get(pk)
+                        if p is None:
+                            p = prods[pk] = self._product(c, c2, sign)
+                        tot = acc.get(k2)
+                        if tot is not None:
+                            s = sums.get((tot, p))
+                            if s is None:
+                                s = sums[tot, p] = _intern(
+                                    ids, values, values[tot] + values[p])
+                            p = s
+                        if p:
+                            acc[k2] = p
+                        else:
+                            acc.pop(k2, None)
 
     def scan_case(self, found: list, shared, orders) -> None:
-        """One case at every probe: the ``shared`` terms are added once, and
-        each ``(head, own)`` of ``orders`` adds its ``own`` terms to a copy
-        of that sum (the last order to the sum itself); a nonzero sum is
-        appended to ``found`` as ``(head, probe, acc)``."""
-        add, last = self.add_terms, orders[-1]
-        for i, probe in enumerate(self.rows.keys):
-            common: dict = {}
-            add(common, shared, i)
-            for order in orders:
-                acc = common if order is last else dict(common)
-                add(acc, order[1], i)
-                if acc:
-                    found.append((order[0], probe, acc))
+        """One case at every probe: each ``(head, own)`` of ``orders`` adds to
+        a copy of the ``shared`` sums (the last order to the sums), and each
+        nonzero sum goes to ``found`` as ``(head, probe, acc)``."""
+        common = [{} for _ in self.rows.keys]
+        self.add_terms(common, shared)
+        sums = [common if order is orders[-1] else [dict(a) for a in common]
+                for order in orders]
+        for order, accs in zip(orders, sums):
+            self.add_terms(accs, order[1])
+        if any(map(any, sums)):
+            found.extend((order[0], self.keys[i], accs[i])
+                         for i in self.rows.keys
+                         for order, accs in zip(orders, sums) if accs[i])
 
     def scaled(self, b) -> list:
         """Each probe key times the rational ``b``, as a ``seq``: a row
@@ -334,11 +337,10 @@ class _SweepTables:
         return p
 
     def coeffs(self, acc: dict, sign: int = 1) -> dict:
-        """A case's accumulator over the interned coefficients, times
-        ``sign``: a negated one is interned too, so equal coefficients are
-        one object."""
-        values = self.values
-        return {k: values[i if sign > 0 else self.neg(i)]
+        """An accumulator as keys and coefficients, times ``sign``; equal
+        coefficients are one object."""
+        keys, values = self.keys, self.values
+        return {keys[k]: values[i if sign > 0 else self.neg(i)]
                 for k, i in acc.items()}
 
 

@@ -485,6 +485,50 @@ def test_the_probe_loop_copies_the_shared_sum_for_every_order_but_the_last():
         ("a", 1, {4: 6}), ("b", 1, {4: 2, 6: -2})]
 
 
+class _CountedKey:
+    """An integer key that counts how often any such key is hashed."""
+
+    hashes = 0
+
+    def __init__(self, n):
+        self.n = n
+
+    def __hash__(self):
+        _CountedKey.hashes += 1
+        return hash(self.n)
+
+    def __eq__(self, other):
+        return isinstance(other, _CountedKey) and self.n == other.n
+
+
+def test_the_probe_loop_hashes_no_key_once_its_rows_are_filled():
+    # g sends the key v to (v + 1) times v + g plus g times v - g, fresh key
+    # objects on every call; the case shares g1 g2 - g2 g1, which is
+    # (v + 1)[v + 3] + [v + 1] - 4 [v - 1] with [v - 3] cancelled, and its
+    # one order adds 2 g3
+    K = _CountedKey
+    probes = (K(0), K(1))
+    tables = _SweepTables(
+        lambda g, v: ((K(v.n + g), v.n + 1), (K(v.n - g), g)), probes)
+    rows = tables.rows
+    shared = ((rows[1,], rows[2,].seq, 1), (rows[2,], rows[1,].seq, -1))
+    orders = (("a", [(rows[3,], tables.scaled(2), 1)]),)
+    tables.scan_case([], shared, orders)
+    K.hashes, found = 0, []
+    tables.scan_case(found, shared, orders)
+    assert K.hashes == 0
+    defects = [(head, probe, tables.coeffs(acc)) for head, probe, acc in found]
+    # in accumulator order, the dropped key last, as the key objects the
+    # sweep saw first: the probes themselves where a hit is a probe
+    assert [(head, probe.n, [(k.n, c) for k, c in coeffs.items()])
+            for head, probe, coeffs in defects] == [
+        ("a", 0, [(3, 3), (1, 1), (-1, -4), (-3, 6)]),
+        ("a", 1, [(4, 6), (2, 1), (0, -4), (-2, 6)])]
+    assert defects[0][1] is probes[0] and defects[1][1] is probes[1]
+    assert list(defects[0][2])[1] is probes[1]
+    assert list(defects[1][2])[2] is probes[0]
+
+
 def test_adjoint_route_is_exact_on_a_table_that_is_not_antisymmetric():
     window, kb = range(-1, 2), _randomly_skewed(8)
     expected = _reference_fi_records(window, kb)

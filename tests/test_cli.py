@@ -377,10 +377,9 @@ class _CountingSink(io.TextIOBase):
     (("check", "module-t", "--mu", "1", "--window", "-1..1"), 0),
     (("check", "fi", "--window", "-1..1"), 0),
 ], ids=["module-t-mu2", "module-t-mu1", "fi"])
-def test_a_machine_stream_is_written_one_line_per_write(argv, lines):
+def test_a_machine_stream_is_written_in_bounded_batches(argv, lines):
     # whole lines, at most one batch per write, so a long stream is never
-    # one joined string; a clean report prints nothing at all (the name
-    # predates the batches and is kept so the ids stay stable)
+    # one joined string; a clean report prints nothing at all
     sink = _CountingSink()
     with redirect_stdout(sink):
         code = main([*argv, "--output", "machine"])
@@ -759,7 +758,9 @@ def test_suite_case_formula_matches_the_sweep(capsys, suite, window, points,
     (("check", "induced-psi", "--mu", "1", "--parallelism", "2"),
      "--parallelism"),
     (("orbit", "phi", "--lambda", "5", "--start", "1"), "--lambda"),
-])
+], ids=["lie-phi-lambda", "fi-mu-probes", "table-lambda", "table-probes",
+        "module-t-parallelism", "pullback-phi-lambda",
+        "induced-psi-parallelism", "orbit-lambda"])
 def test_flags_a_suite_ignores_exit_2(capsys, monkeypatch, argv, unused):
     _stub_sweeps(monkeypatch, _no_sweep)
     code, out, err = run(capsys, *argv)

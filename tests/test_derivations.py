@@ -2,10 +2,12 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import nambu3.algebra as algebra
 import nambu3.derivations as derivations
 from nambu3.algebra import (AlgElem, BasisKey, L, M, basis_elem, bracket,
                             window_keys)
@@ -233,6 +235,25 @@ def test_table_check_applies_each_generator_once_per_key(monkeypatch):
     # and to exactly the keys evaluating each case on its own reaches
     _reference_table_records(range(-2, 3), _counting(reference))
     assert set(calls) == set(reference)
+
+
+def test_the_table_sweep_adds_terms_twice_per_pair(monkeypatch):
+    # the probe loop is batched: one call for a pair's shared sums and one
+    # for its one order, at every probe at once
+    calls = []
+    add_terms = algebra._SweepTables.add_terms
+
+    def counted(self, *args):
+        calls.append(args)
+        add_terms(self, *args)
+
+    monkeypatch.setattr(algebra._SweepTables, "add_terms", counted)
+    window = range(-1, 2)
+    assert check_pqxz_table(window).passed
+    pairs = list(combinations(window_generators(window), 2))
+    assert len(pairs) == 66
+    assert len(calls) == 2 * len(pairs)
+    assert all(len(accs) == len(window_keys(window)) for accs, _ in calls)
 
 
 def _table_terms(ka, kb):

@@ -21,6 +21,9 @@ each distinct bracket once (``_SweepTable``, the one table type of every
 sweep), one case per antisymmetry class of the table.  The sweep reads
 ``bracket_keys`` as a module global, which is where a fault is injected; an
 injected table must stay totally antisymmetric, as ``bracket_keys`` is.
+``_fan_out`` runs the sweep on several processes: it forks a child per
+share of the first keys but one, scans that share itself and reads each
+child's pickled defects from a pipe; only a fan-out imports ``pickle``.
 ``_SweepTables`` adds int-interned keys and coefficients and the one probe
 loop of the commutator scan and both module axioms.  Indices are Laurent-mode
 integers capped at +/-2^40; a window index (sweeps take their keys from
@@ -37,7 +40,7 @@ import os
 from functools import partial
 from typing import Callable, Iterable, NamedTuple
 
-from .errors import IndexOverflow
+from .errors import IndexOverflow, WorkerLost
 from .linear import LinComb, accumulate
 from .reports import DefectReport, signed_orderings, sweep_report
 
@@ -412,16 +415,104 @@ def _fi_scan(firsts: Iterable[int], keys: tuple) -> list:
 
 
 def _resolve_parallelism(parallelism: int, chunks: int) -> int:
-    # never more workers than CPUs or non-empty chunks
-    return max(1, min(parallelism, os.cpu_count() or 1, chunks))
+    # never more workers than CPUs this process may run on or non-empty
+    # chunks, and one where processes cannot fork
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return max(1, min(parallelism, cpus, chunks))
+
+
+def _deal(count: int, shares: int) -> list:
+    """Positions ``0 .. count - 1`` dealt into ``shares`` lists back and
+    forth, so that the shares' (x1, x2) pair counts are balanced: the first
+    position heads the most pairs, each later one one pair fewer."""
+    out = [[] for _ in range(shares)]
+    for i in range(count):
+        lap, k = divmod(i, shares)
+        out[-1 - k if lap % 2 else k].append(i)
+    return out
+
+
+def _scan_share(r: int, w: int, share: list, keys: tuple) -> None:
+    # the whole life of a forked child: it sends its defects, or the
+    # exception its scan raised, pickled through the pipe ``w`` and leaves
+    # through os._exit, so it never returns into its parent's frames
+    code = 1
+    try:
+        import pickle  # loaded by the parent before it forked
+
+        os.close(r)
+        try:
+            result = _fi_scan(share, keys)
+        except BaseException as exc:  # raised again in the parent
+            result = exc.with_traceback(None)
+        with open(w, "wb") as pipe:
+            pickle.dump(result, pipe)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _fan_out(shares: list, keys: tuple) -> list:
+    """``_fi_scan`` over every share: one forked child per share after the
+    first, which this process scans itself.
+
+    A child's exception is raised again here; a child that cannot start or
+    ends without a result raises WorkerLost.  Every child is reaped before
+    this returns, and killed first if this process is unwinding.
+    """
+    import pickle  # only a fan-out pickles
+    import signal
+
+    children = []  # (pid, read end of its pipe), in share order
+    try:
+        for share in shares[1:]:
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+                if not pid:
+                    _scan_share(r, w, share, keys)
+            except OSError as exc:
+                os.close(r)
+                raise WorkerLost(f"cannot start an fi worker: {exc}") from None
+            finally:
+                os.close(w)
+            children.append((pid, open(r, "rb")))
+        found = _fi_scan(shares[0], keys)
+        while children:
+            pid, pipe = children[0]
+            with pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del children[0]
+            if status or not data:
+                raise WorkerLost(
+                    "an fi worker process ended without its result (exit "
+                    f"status {os.waitstatus_to_exitcode(status)})")
+            result = pickle.loads(data)
+            if isinstance(result, BaseException):
+                raise result
+            found.extend(result)
+        return found
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def check_fundamental(window: Iterable[int] = DEFAULT_FI_WINDOW,
                       parallelism: int = 1) -> DefectReport:
     """Sweep the ternary Jacobi identity over all key 5-tuples in the window.
 
-    ``_fi_scan`` evaluates one case per antisymmetry class and may fan out
-    across processes.  Entries are sorted, so the report is deterministic.
+    ``_fi_scan`` evaluates one case per antisymmetry class; with
+    ``parallelism`` above one, ``_fan_out`` splits it over forked processes.
+    Entries are sorted, so the report is deterministic and the same for
+    every worker count.
     """
     keys = window_keys(window)
     n = len(keys)
@@ -430,14 +521,7 @@ def check_fundamental(window: Iterable[int] = DEFAULT_FI_WINDOW,
     if workers <= 1:
         found = _fi_scan(range(n), keys)
     else:
-        # imported here: a process that never fans out never loads it
-        from concurrent.futures import ProcessPoolExecutor
-        found = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_fi_scan, range(i, n, workers), keys)
-                       for i in range(workers)]
-            for fut in futures:
-                found.extend(fut.result())
+        found = _fan_out(_deal(n - 1, workers), keys)
     return sweep_report("fundamental-identity", n ** 5, found,
                         axiom="fundamental-identity", family="algebra",
                         orderings=_FI_ORDERINGS)

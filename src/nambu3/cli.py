@@ -3,8 +3,9 @@
 Subcommands: ``bracket``, ``check``, ``decompose``, ``orbit``, ``weights``.
 Exit codes are a contract: 0 when the expected verdict holds, 1 when a
 check lands on an unexpected verdict, 2 for usage, parse or configuration
-errors (a check grid over ``CASE_BUDGET`` cases among them) and for inputs the
-exact arithmetic refuses (index, exponent or window out of bounds), each
+errors (a check grid over ``CASE_BUDGET`` cases among them), for inputs the
+exact arithmetic refuses (index, exponent or window out of bounds) and for
+an ``fi`` worker that cannot start or ends without its result, each
 reported as one ``error:`` line on stderr by the one ``except`` in ``main``.
 A reader that closes stdout early also exits 2 with one ``error:`` line:
 ``main`` flushes stdout itself, so the broken pipe shows there and not in
@@ -57,7 +58,8 @@ from .algebra import (DEFAULT_FI_WINDOW, bracket, bracket_det,
 from .derivations import (DEFAULT_PAIR_WINDOW, check_pqxz_table, deriv_equal,
                           deriv_to_pqxz, pqxz_to_deriv)
 from .errors import (ConfigError, ExponentOverflow, IndexOverflow, NotAModule,
-                     NotEigenvector, ParseError, WindowTooSmall, ZeroDivisor)
+                     NotEigenvector, ParseError, WindowTooSmall, WorkerLost,
+                     ZeroDivisor)
 from .parsing import (LITERAL_TOO_LONG, MAX_TERMS, parse_deriv, parse_elem,
                       parse_int, parse_rational, parse_weight_key,
                       product_terms)
@@ -534,7 +536,7 @@ def main(argv=None) -> int:
         sys.stdout.flush()
         return code
     except (ParseError, ConfigError, IndexOverflow, ExponentOverflow,
-            WindowTooSmall, ZeroDivisor) as exc:
+            WindowTooSmall, WorkerLost, ZeroDivisor) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -14,6 +14,10 @@ class IndexOverflow(OverflowError):
     """Raised when a basis index would leave the +/-2^40 bound."""
 
 
+class WorkerLost(RuntimeError):
+    """Raised when a fan-out worker cannot start or ends without its result."""
+
+
 class WindowTooSmall(ValueError):
     """Raised when an equality window has too few points to be conclusive."""
 

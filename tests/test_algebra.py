@@ -3,7 +3,6 @@
 import itertools
 import os
 import random
-from concurrent.futures import Future
 from fractions import Fraction
 from functools import partial
 
@@ -12,9 +11,10 @@ from hypothesis import given, settings, strategies as st
 
 from nambu3 import algebra
 from nambu3.algebra import (AlgElem, BasisKey, L, M, _SweepTable,
-                            _SweepTables, _resolve_parallelism, assoc_mul,
-                            basis_elem, bracket, bracket_det, bracket_keys,
-                            check_fundamental, delta, omega, window_keys)
+                            _SweepTables, _deal, _resolve_parallelism,
+                            assoc_mul, basis_elem, bracket, bracket_det,
+                            bracket_keys, check_fundamental, delta, omega,
+                            window_keys)
 from nambu3.derivations import _commutator_scan
 from nambu3.errors import IndexOverflow
 from nambu3.linear import accumulate
@@ -158,62 +158,82 @@ def test_fundamental_identity_parallel_matches_serial():
     assert serial.cases == parallel.cases
 
 
+def _cpus(monkeypatch, count: int) -> None:
+    # the CPUs this process may run on, read by _resolve_parallelism
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                        raising=False)
+
+
 def test_worker_count_is_clamped(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    _cpus(monkeypatch, 4)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
     assert _resolve_parallelism(10 ** 6, 14) == 4
     assert _resolve_parallelism(3, 14) == 3
     assert _resolve_parallelism(8, 2) == 2
     assert _resolve_parallelism(1, 14) == 1
+    # without an affinity mask, the CPU count
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert _resolve_parallelism(10 ** 6, 14) == 14
+    assert _resolve_parallelism(3, 14) == 3
     monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _resolve_parallelism(4, 14) == 1
+    # where processes cannot fork, every run is serial
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.delattr(os, "fork")
     assert _resolve_parallelism(4, 14) == 1
 
 
-class SerialPool:
-    """ProcessPoolExecutor stand-in: runs each task when it is submitted."""
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, *args):
-        fut = Future()
-        fut.set_result(fn(*args))
-        return fut
+def test_shares_are_dealt_back_and_forth():
+    # position i of 13 heads 13 - i (x1, x2) pairs at -3..3: round-robin
+    # shares would hold 49 and 42 pairs
+    shares = _deal(13, 2)
+    assert shares == [[0, 3, 4, 7, 8, 11, 12], [1, 2, 5, 6, 9, 10]]
+    assert [sum(13 - i for i in s) for s in shares] == [46, 45]
+    assert sorted(sum(_deal(13, 5), [])) == list(range(13))
 
 
-def _serial_pool(monkeypatch) -> list:
-    # installs the stand-in; returns the pool sizes requested, in order
-    sizes = []
+def _counted_forks(monkeypatch) -> list:
+    # each fork still starts a real child; returns the children's pids
+    pids = []
+    fork = os.fork
 
-    def pool(max_workers):
-        sizes.append(max_workers)
-        return SerialPool()
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
 
-    # check_fundamental imports the pool class from here when it fans out
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", pool)
-    return sizes
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+def _no_fork():
+    pytest.fail("a worker process was forked")
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_fundamental_pool_size_is_clamped(monkeypatch):
-    # a huge request on a many-CPU host still gets one worker per chunk;
-    # the pool is a serial stand-in, so no process starts
-    sizes = _serial_pool(monkeypatch)
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    # a huge request on a many-CPU host still gets one worker per chunk
+    forks = _counted_forks(monkeypatch)
+    _cpus(monkeypatch, 64)
     report = check_fundamental(range(-1, 2), parallelism=10 ** 6)
-    # the last of the 6 first keys has no later second key: 5 chunks
-    assert sizes == [5]
+    # the last of the 6 first keys has no later second key: 5 shares, the
+    # first scanned by this process
+    assert len(forks) == 4
     assert report.passed and report.cases == 6 ** 5
+    _assert_no_child_left()
 
 
 def test_a_window_of_one_pair_starts_no_pool(monkeypatch):
     # 0..0 has keys L[0], M[0]: only the first one heads a case, so a
     # request for two workers runs serially
-    sizes = _serial_pool(monkeypatch)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "fork", _no_fork)
+    _cpus(monkeypatch, 2)
     report = check_fundamental(range(0, 1), parallelism=2)
-    assert sizes == []
     assert report.passed and report.cases == 2 ** 5
 
 
@@ -285,10 +305,10 @@ def test_fault_injection_is_detected(monkeypatch):
 
 
 def test_fanned_out_sweep_returns_the_defects_it_finds(monkeypatch):
-    # two real worker processes send their AlgElem defects back pickled;
-    # the table is patched where the workers look it up
+    # a forked child sends its AlgElem defects back pickled; the table is
+    # patched where both shares look it up
     monkeypatch.setattr(algebra, "bracket_keys", _skewed)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    _cpus(monkeypatch, 2)
     serial = check_fundamental(range(-1, 2), parallelism=1)
     parallel = check_fundamental(range(-1, 2), parallelism=2)
     assert len(serial.entries) == 1944
@@ -342,18 +362,18 @@ def _records(report):
 
 
 def _assert_matches_reference_route(window, skewed, monkeypatch):
-    # the default-table path, serial and on the pool: one case per
+    # the default-table path, serial and fanned out: one case per
     # antisymmetry class, the bracket table looked up as a module global,
-    # so it gets the skewed table made antisymmetric; the stand-in pool
-    # starts no process
+    # so it gets the skewed table made antisymmetric, in the forked child
+    # as in this process
     expected = _reference_fi_records(window, _sorted(skewed))
     assert expected
     monkeypatch.setattr(algebra, "bracket_keys", _sorted(skewed))
     assert _records(check_fundamental(window)) == expected
-    sizes = _serial_pool(monkeypatch)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    forks = _counted_forks(monkeypatch)
+    _cpus(monkeypatch, 2)
     assert _records(check_fundamental(window, parallelism=2)) == expected
-    assert sizes == [2]
+    assert len(forks) == 1
 
 
 @pytest.mark.parametrize("window", [range(-1, 2), range(-2, 3)])

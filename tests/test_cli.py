@@ -1,5 +1,6 @@
 """Command line contract: pinned outputs, exit codes, machine format."""
 
+import errno
 import io
 import json
 import os
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import nambu3
-from nambu3 import cli, repmod
+from nambu3 import algebra, cli, repmod
 from nambu3.cli import build_parser, main
 from nambu3.reports import DefectReport
 from nambu3.scalar import Scalar
@@ -227,11 +228,73 @@ def test_check_fi(capsys):
     assert out.rstrip().endswith("verdict: pass")
 
 
-def test_check_fi_parallel(capsys):
+def _cpus(monkeypatch, count: int) -> None:
+    # the CPUs this process may run on, read by _resolve_parallelism
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                        raising=False)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_check_fi_parallel(capsys, monkeypatch):
+    _cpus(monkeypatch, 2)
     code, out, _ = run(capsys, "check", "fi", "--window", "-1..1",
                        "--parallelism", "2")
     assert code == 0
     assert "0 defects" in out
+    _assert_no_child_left()
+
+
+def _exit_1():
+    os._exit(1)
+
+
+def _out_of_memory():
+    raise MemoryError
+
+
+@pytest.mark.parametrize("fault, message", [
+    pytest.param(_exit_1, "error: an fi worker process ended without its "
+                 "result (exit status 1)\n", id="exit"),
+    pytest.param(_out_of_memory, "error: out of memory\n", id="memory")])
+def test_a_failing_fi_worker_exits_2(capsys, monkeypatch, fault, message):
+    # the forked child's scan fails; this process scans its own share
+    parent, scan = os.getpid(), algebra._fi_scan
+
+    def failing_in_the_child(firsts, keys):
+        if os.getpid() != parent:
+            fault()
+        return scan(firsts, keys)
+
+    monkeypatch.setattr(algebra, "_fi_scan", failing_in_the_child)
+    _cpus(monkeypatch, 2)
+    code, out, err = run(capsys, "check", "fi", "--window", "-1..1",
+                         "--parallelism", "2")
+    assert (code, out, err) == (2, "", message)
+    _assert_no_child_left()
+
+
+def test_a_failed_fork_exits_2(capsys, monkeypatch):
+    # the second of two forks fails: the first child is killed and reaped
+    fork, forks = os.fork, []
+
+    def second_fails():
+        forks.append(1)
+        if len(forks) == 2:
+            raise BlockingIOError(errno.EAGAIN, "no process left")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", second_fails)
+    _cpus(monkeypatch, 3)
+    code, out, err = run(capsys, "check", "fi", "--window", "-1..1",
+                         "--parallelism", "3")
+    assert (code, out) == (2, "")
+    assert err == ("error: cannot start an fi worker: "
+                   f"[Errno {errno.EAGAIN}] no process left\n")
+    _assert_no_child_left()
 
 
 def test_check_table(capsys):
@@ -515,7 +578,10 @@ def test_bad_mu_is_config_error(capsys):
       "--window", "0..0"), "--probes", "empty entry"),
     (("check", "module-t", "--probes", f"a0+{'9' * 900},a0+{'9' * 900}",
       "--window", "0..0"), "--probes",
-     f"duplicate probe v[a0+{'9' * 77}\u2026]")])
+     f"duplicate probe v[a0+{'9' * 77}\u2026]")],
+    ids=["window-both-ends", "window-upper-end", "window-span", "mu",
+         "lambda", "parallelism-long", "parallelism-negative",
+         "probes-empty-entry", "probes-duplicate"])
 def test_overlong_flag_values_are_cut_in_the_refusal(capsys, argv, flag,
                                                      detail):
     code, out, err = run(capsys, *argv)
@@ -637,13 +703,15 @@ def test_library_errors_exit_2(capsys, argv):
     ("check", "fi", "--window", "99999999999999..99999999999999",
      "--parallelism", "2"),
 ])
-def test_index_cap_exits_2_through_the_sweeps(capsys, argv):
+def test_index_cap_exits_2_through_the_sweeps(capsys, monkeypatch, argv):
     # window keys above the cap, or in-range ones whose brackets or
-    # generator actions leave it
+    # generator actions leave it, in this process or in a forked child
+    _cpus(monkeypatch, 2)
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error: basis index ") and err.count("\n") == 1
+    _assert_no_child_left()
 
 
 # each sweep with the modules that look it up by name when ``check`` runs:
@@ -660,11 +728,11 @@ def _stub_sweeps(monkeypatch, sweep):
     # a fresh gate cache, so no verdict built from stubs outlives the test
     monkeypatch.setattr(repmod, "_module_gate",
                         lru_cache(maxsize=64)(repmod._module_gate.__wrapped__))
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _no_pool)
+    monkeypatch.setattr(os, "fork", _no_fork)
 
 
-def _no_pool(*args, **kwargs):
-    pytest.fail("a worker pool was started")
+def _no_fork():
+    pytest.fail("a worker process was forked")
 
 
 def _no_sweep(*args, **kwargs):
@@ -888,6 +956,30 @@ def test_import_loads_no_process_pool_or_dataclasses():
     assert "nambu3.cli" in loaded
     assert loaded.isdisjoint({"concurrent.futures", "multiprocessing",
                               "dataclasses", "inspect"})
+
+
+_LOADED_AFTER_FI = """
+import os, sys
+import nambu3.cli
+# two CPUs, so that --parallelism 2 forks
+os.sched_getaffinity = lambda pid: {0, 1}
+for extra in ([], ["--parallelism", "2"]):
+    code = nambu3.cli.main(["check", "fi", "--window", "-1..1", *extra])
+    print(code, *[name for name in ("pickle", "multiprocessing",
+                                    "concurrent.futures")
+                  if name in sys.modules], file=sys.stderr)
+"""
+
+
+def test_only_a_fanned_out_fi_run_loads_pickle():
+    # a serial run loads no pickle; a fan-out loads it and no pool
+    src = os.path.dirname(os.path.dirname(nambu3.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _LOADED_AFTER_FI],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines() == ["0", "0 pickle"]
 
 
 # -- one parser per process -------------------------------------------------------

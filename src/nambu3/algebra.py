@@ -18,7 +18,10 @@ The two must agree everywhere; keeping both gives a structural oracle for
 the table.  ``check_fundamental`` sweeps the ternary Jacobi identity over a
 finite index window, as lookups in a table local to the sweep that makes
 each distinct bracket once (``_SweepTable``, the one table type of every
-sweep), one case per antisymmetry class of the table.  The sweep reads
+sweep), one case per antisymmetry class of the table.  ``bracket_keys``
+orders its arguments by kind only, and ``wedge`` is the one argument order
+of every map read on a wedge (``ad``, the generator bracket, the pair
+action and the module axioms' pairs).  The sweep reads
 ``bracket_keys`` as a module global, which is where a fault is injected; an
 injected table must stay totally antisymmetric, as ``bracket_keys`` is.
 ``_fan_out`` runs the sweep on several processes: it forks a child per
@@ -117,31 +120,38 @@ def omega(x: AlgElem) -> AlgElem:
 def bracket_keys(k1: BasisKey, k2: BasisKey, k3: BasisKey):
     """Bracket of three basis keys as (integer coefficient, key), or None.
 
-    Sorts the arguments into canonical order while tracking permutation
-    parity, so total antisymmetry is built in.
+    Sorts the arguments by kind only (L before M), tracking the sign of the
+    sort, and compares no indices: within one kind the coefficient is a
+    difference of the two indices, antisymmetric and zero on a repeated
+    key, so total antisymmetry is built in.
     """
     a, b, c = k1, k2, k3
     sign = 1
-    if a > b:
+    if a.kind > b.kind:
         a, b, sign = b, a, -sign
-    if b > c:
+    if b.kind > c.kind:
         b, c, sign = c, b, -sign
-    if a > b:
+    if a.kind > b.kind:
         a, b, sign = b, a, -sign
-    if a == b or b == c:
-        return None
     pattern = a.kind + b.kind + c.kind
     if pattern == "LLM":
-        coeff = b.index - a.index
-        key = BasisKey("L", _check_index(a.index + b.index - c.index))
+        coeff, kind, r = b.index - a.index, "L", a.index + b.index - c.index
     elif pattern == "LMM":
-        coeff = c.index - b.index
-        key = BasisKey("M", _check_index(b.index + c.index - a.index))
+        coeff, kind, r = c.index - b.index, "M", b.index + c.index - a.index
     else:
         return None
     if not coeff:
         return None
-    return sign * coeff, key
+    return sign * coeff, BasisKey(kind, _check_index(r))
+
+
+def wedge(x, y, c) -> list:
+    """The term c (x ∧ y) on sorted pairs, the one order of every pair map
+    read on a wedge: ``[((x, y), c)]`` for x < y, the swapped pair with -c
+    for x > y, and nothing for x == y."""
+    if x < y:
+        return [((x, y), c)]
+    return [((y, x), -c)] if y < x else []
 
 
 def bracket(x: AlgElem, y: AlgElem, z: AlgElem) -> AlgElem:
@@ -358,11 +368,11 @@ def _fi_scan(firsts: Iterable[int], keys: tuple) -> list:
     ``firsts`` of ``keys``, as ``sweep_report`` triples with the defect at
     the evaluated ordering.
 
-    ``bracket_keys`` sorts its arguments, so it is totally antisymmetric:
-    both sides are then antisymmetric in (x1, x2) and in (x3, x4, x5), and
-    zero on a repeated key in either group.  So the scan evaluates only
-    x1 < x2 and x3 < x4 < x5 (``keys`` is sorted), and each defect stands
-    for its 12 signed orderings (``_FI_ORDERINGS``).  The table is read as a
+    ``bracket_keys`` is totally antisymmetric, so both sides are
+    antisymmetric in (x1, x2) and in (x3, x4, x5), and zero on a repeated
+    key in either group.  So the scan evaluates only x1 < x2 and
+    x3 < x4 < x5 (``keys`` is sorted), and each defect stands for its 12
+    signed orderings (``_FI_ORDERINGS``).  The table is read as a
     module global when the scan starts, so a fault injected there must stay
     totally antisymmetric.
 

@@ -23,12 +23,12 @@ same way.
 
 ``pqxz_bracket`` tabulates the commutator of generators as operators.  The
 bracket is a map on g∧g: ``_bracket_terms``, its one reader, reads the
-global ``pqxz_key_bracket`` at a sorted pair a < b only, so [b, a] = -[a, b]
-and [a, a] = 0 by construction.  ``check_pqxz_table`` replays each entry
-against composing the global ``pqxz_key_apply`` (``_commutator_scan``,
-which uses ``algebra._SweepTables`` and also checks ``repmod``'s Lie
-modules and first module axiom); it and the Lie-module check evaluate each
-pair a < b once and report it at both orders.  ``deriv_equal`` decides
+global ``pqxz_key_bracket`` at the ``algebra.wedge`` order of a pair only,
+so [b, a] = -[a, b] and [a, a] = 0 by construction.  ``check_pqxz_table``
+replays each entry against composing the global ``pqxz_key_apply``
+(``_commutator_scan``, which uses ``algebra._SweepTables`` and also checks
+``repmod``'s Lie modules and first module axiom); it and the Lie-module
+check evaluate each pair a < b once and report it at both orders.  ``deriv_equal`` decides
 action equality on a window: each generator action coefficient is affine in
 the probe index within a fixed shift pattern, so two probe points per
 pattern already decide equality and three give margin, hence the >= 3 point
@@ -41,7 +41,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple
 
 from .algebra import (AlgElem, BasisKey, L, M, _check_index, _SweepTables,
-                      bracket_keys, window_keys)
+                      bracket_keys, wedge, window_keys)
 from .errors import WindowTooSmall
 from .linear import LinComb, accumulate, extend
 from .reports import DefectReport, signed_orderings, sweep_report
@@ -94,9 +94,10 @@ class PqxzElem(LinComb):
 class DerivExpr(LinComb):
     """Scalar combination of ordered ad pairs; keys are (BasisKey, BasisKey).
 
-    Pairs are stored with the smaller key first (L before M, then by index);
-    the sign of a swapped pair is absorbed into the coefficient, and equal
-    pairs vanish.  Build terms through ``ad`` so that normalization holds.
+    Pairs are stored in ``wedge`` order, the smaller key first (L before M,
+    then by index); the sign of a swapped pair is absorbed into the
+    coefficient, and equal pairs vanish.  Build terms through ``ad`` so that
+    normalization holds.
     """
 
     @staticmethod
@@ -113,13 +114,8 @@ class DerivExpr(LinComb):
 
 
 def ad(u: BasisKey, v: BasisKey, coeff=1) -> DerivExpr:
-    """The pair derivation x -> [u, v, x] as a one-term DerivExpr."""
-    if u == v:
-        return DerivExpr.zero()
-    if u > v:
-        u, v = v, u
-        coeff = Scalar.coerce(coeff) * -1
-    return DerivExpr.term((u, v), coeff)
+    """The pair derivation x -> [u, v, x] as a DerivExpr on its ``wedge``."""
+    return DerivExpr(wedge(u, v, Scalar.coerce(coeff)))
 
 
 def ad_apply(d: DerivExpr, x: AlgElem) -> AlgElem:
@@ -242,14 +238,11 @@ def pqxz_elem_apply(e: PqxzElem, x: AlgElem) -> AlgElem:
 # -- generator commutators -------------------------------------------------------
 
 
-_FAMILY_ORDER = {"p": 0, "q": 1, "x": 2, "z": 3}
-
-
 def pqxz_key_bracket(k1: PqxzKey, k2: PqxzKey) -> PqxzElem:
     """Commutator of two generators, straight from the closed table."""
     f1, r = k1
     f2, s = k2
-    if _FAMILY_ORDER[f1] > _FAMILY_ORDER[f2]:
+    if f1 > f2:  # the family letters sort p < q < x < z
         return -pqxz_key_bracket(k2, k1)
     pair = f1 + f2
     if pair == "pp":
@@ -329,14 +322,10 @@ def _commutator_scan(gens: tuple, tables: _SweepTables,
 def _bracket_terms(a: PqxzKey, b: PqxzKey) -> list:
     """[a, b] as ``(generator, rational)`` pairs, the one reader of the
     generator bracket.  The bracket is a map on g∧g: the global
-    ``pqxz_key_bracket`` is read at the sorted pair a < b only, [b, a] is
-    its negation and [a, a] has no terms."""
-    if a == b:
-        return []
-    if b < a:
-        return [(k, -c) for k, c in _bracket_terms(b, a)]
-    return [(k, _q(c.as_rational))
-            for k, c in pqxz_key_bracket(a, b)._terms.items()]
+    ``pqxz_key_bracket`` is read at the ``wedge`` order of the pair only,
+    so [b, a] is the negation of [a, b] and [a, a] has no terms."""
+    return [(k, s * _q(c.as_rational)) for pair, s in wedge(a, b, 1)
+            for k, c in pqxz_key_bracket(*pair)._terms.items()]
 
 
 def _wedge_orders(a: PqxzKey, b: PqxzKey) -> tuple:

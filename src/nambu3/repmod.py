@@ -64,8 +64,9 @@ and a line's images are the keys of those terms.
 ``check_tri_axiom2`` reports each defect as (sum of composed pair actions)
 minus (action of the bracketed triple).  A pair action is a map on A∧A, so
 rho(y, x) = -rho(x, y) and rho(x, x) = 0 by definition: ``_tri_terms``
-gives rho on a sorted pair x < y only, and ``_tri_key_terms`` reads every
-other order from it.  So a defect is antisymmetric in (x1, x2) and in
+gives rho on a sorted pair x < y only, and ``_tri_key_terms`` and both
+axiom sweeps read every other order from it through ``algebra.wedge``, the
+one pair order.  So a defect is antisymmetric in (x1, x2) and in
 (x3, x4) (axiom 1), or in (x1, x2, x3) (axiom 2), and zero on a repeated
 key: each sweep evaluates one case per class, keeps rows for sorted pairs
 only, and reports each defect at every signed ordering.
@@ -82,7 +83,7 @@ from math import floor
 from typing import Iterable, NamedTuple, Union
 
 from .algebra import (AlgElem, BasisKey, L, M, _SweepTable, _SweepTables,
-                      bracket_keys, window_keys)
+                      bracket_keys, wedge, window_keys)
 from .derivations import (DEFAULT_PAIR_WINDOW, DerivExpr, PqxzElem, PqxzKey,
                           _commutator_scan, _wedge_orders, pair_to_pqxz,
                           pqxz_to_deriv, window_generators)
@@ -304,13 +305,11 @@ def _tri_terms(action, x: BasisKey, y: BasisKey, key: WeightKey) -> tuple:
 
 @lru_cache(maxsize=KERNEL_CACHE_SIZE)
 def _tri_key_terms(action, x: BasisKey, y: BasisKey, key: WeightKey) -> tuple:
-    """rho(x, y) on ``key`` read on A∧A: ``_tri_terms`` of the sorted pair,
-    negated when the pair comes swapped, and nothing when x == y."""
-    if x < y:
-        return _tri_terms(action, x, y, key)
-    if x == y:
-        return ()
-    return tuple((k, -c) for k, c in _tri_terms(action, y, x, key))
+    """rho(x, y) on ``key`` read on A∧A: ``_tri_terms`` of the ``wedge``
+    order of the pair, negated when the pair comes swapped, and nothing
+    when x == y."""
+    return tuple((k, c if s > 0 else -c) for pair, s in wedge(x, y, 1)
+                 for k, c in _tri_terms(action, *pair, key))
 
 
 # each generator's ad pairs, expanded once for all the keys it meets
@@ -366,23 +365,15 @@ def _probe_keys(probes) -> tuple:
 # -- ternary module axioms ---------------------------------------------------------
 
 
-def _sorted_term(x: BasisKey, y: BasisKey, c) -> list:
-    """The term c (x ∧ y) on sorted pairs: ``[((x, y), c)]`` for x < y,
-    the swapped pair with -c for x > y, and nothing for x == y."""
-    if x < y:
-        return [((x, y), c)]
-    return [((y, x), -c)] if y < x else []
-
-
 def _ad_on_pair(brackets: _SweepTable, a: tuple, b: tuple) -> list:
     """ad(x1, x2) on the pair b = (x3, x4), for a = (x1, x2): the terms
     ``[x1,x2,x3] ∧ x4`` and ``x3 ∧ [x1,x2,x4]`` on sorted pairs
-    (``_sorted_term``), read from ``brackets``, the sweep's table of
+    (``wedge``), read from ``brackets``, the sweep's table of
     ``bracket_keys``."""
     (x3, x4), row = b, brackets[a]
     h3, h4 = row[x3], row[x4]
-    return ((_sorted_term(h3[1], x4, h3[0]) if h3 else [])
-            + (_sorted_term(x3, h4[1], h4[0]) if h4 else []))
+    return ((wedge(h3[1], x4, h3[0]) if h3 else [])
+            + (wedge(x3, h4[1], h4[0]) if h4 else []))
 
 
 def _axiom1_orders(brackets: _SweepTable, a: tuple, b: tuple) -> tuple:
@@ -446,7 +437,7 @@ def check_tri_axiom2(action: TriAction,
     the 120 triples x1 < x2 < x3 of the default window and reports each
     defect at its 6 signed orderings; it keeps x4 and the probe, and the
     report still counts every case.  Each pair is read from its sorted row
-    (``_sorted_term``), with the sign of the sort where the row is used,
+    (``wedge``), with the sign of the sort where the row is used,
     and the bracket side through ``scaled(-b)``.  ``tables`` is as in
     ``check_tri_axiom1``.
     """
@@ -463,10 +454,10 @@ def check_tri_axiom2(action: TriAction,
             composed = [(row, rows[pair,].seq, s)
                         for row, x, sign in ((r12, x3, 1), (r23, x1, 1),
                                              (r13, x2, -1))
-                        for pair, s in _sorted_term(x, x4, sign)]
+                        for pair, s in wedge(x, x4, sign)]
             scaled = [] if b123 is None else [
                 (rows[pair,], tables.scaled(b), 1)
-                for pair, b in _sorted_term(b123[1], x4, -b123[0])]
+                for pair, b in wedge(b123[1], x4, -b123[0])]
             tables.scan_case(found, composed, (((x1, x2, x3, x4), scaled),))
     # in place, so a defect's sum is freed as its vector is made
     for n, (case, probe, acc) in enumerate(found):

@@ -14,7 +14,7 @@ from nambu3.algebra import (AlgElem, BasisKey, L, M, _SweepTable,
                             _SweepTables, _deal, _resolve_parallelism,
                             assoc_mul, basis_elem, bracket, bracket_det,
                             bracket_keys, check_fundamental, delta, omega,
-                            window_keys)
+                            wedge, window_keys)
 from nambu3.derivations import _commutator_scan
 from nambu3.errors import IndexOverflow
 from nambu3.linear import accumulate
@@ -122,6 +122,51 @@ def test_bracket_is_trilinear_over_scalars():
     assert got == expected
 
 
+class _CountedIndex(int):
+    """An index that counts the comparisons between two of its kind."""
+
+    compared = 0
+
+    def _counted(op):
+        def compare(self, other):
+            if isinstance(other, _CountedIndex):
+                _CountedIndex.compared += 1
+            return op(self, other)
+        return compare
+
+    __lt__, __le__, __gt__ = map(_counted, (int.__lt__, int.__le__,
+                                            int.__gt__))
+    __ge__, __eq__, __ne__ = map(_counted, (int.__ge__, int.__eq__,
+                                            int.__ne__))
+    __hash__ = int.__hash__
+
+
+def test_bracket_keys_reads_no_index_order(monkeypatch):
+    # it sorts by kind only: within a kind its coefficient is antisymmetric
+    monkeypatch.setattr(_CountedIndex, "compared", 0)
+    counted = [BasisKey(kind, _CountedIndex(i))
+               for kind in "LM" for i in range(-3, 4)]
+    assert sorted(counted, reverse=True) and _CountedIndex.compared
+    monkeypatch.setattr(_CountedIndex, "compared", 0)
+    for triple in itertools.product(counted, repeat=3):
+        assert bracket_keys(*triple) == bracket_keys(
+            *(BasisKey(k.kind, int(k.index)) for k in triple))
+    assert _CountedIndex.compared == 0
+
+
+def test_a_repeated_key_brackets_to_zero_at_the_cap():
+    # the zero coefficient is found before the image index is checked
+    top = L(1 << 40)
+    assert bracket_keys(top, top, M(-1)) is None
+    assert bracket_keys(M(1 << 40), L(0), M(1 << 40)) is None
+
+
+def test_wedge_sorts_a_pair_and_takes_the_sign():
+    assert wedge(L(1), M(0), 2) == [((L(1), M(0)), 2)]
+    assert wedge(M(0), L(1), 2) == [((L(1), M(0)), -2)]
+    assert wedge(L(1), L(1), 2) == []
+
+
 # -- determinant oracle -------------------------------------------------------
 
 
@@ -216,7 +261,7 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_fundamental_pool_size_is_clamped(monkeypatch):
+def test_fundamental_fan_out_is_clamped(monkeypatch):
     # a huge request on a many-CPU host still gets one worker per chunk
     forks = _counted_forks(monkeypatch)
     _cpus(monkeypatch, 64)
@@ -228,7 +273,7 @@ def test_fundamental_pool_size_is_clamped(monkeypatch):
     _assert_no_child_left()
 
 
-def test_a_window_of_one_pair_starts_no_pool(monkeypatch):
+def test_a_window_of_one_pair_forks_no_worker(monkeypatch):
     # 0..0 has keys L[0], M[0]: only the first one heads a case, so a
     # request for two workers runs serially
     monkeypatch.setattr(os, "fork", _no_fork)

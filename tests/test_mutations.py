@@ -37,7 +37,7 @@ import pytest
 
 import nambu3
 from nambu3 import algebra, cli, derivations, repmod
-from nambu3.algebra import L, bracket_keys
+from nambu3.algebra import L, bracket_keys, wedge
 from nambu3.cli import main
 from nambu3.derivations import (P, PqxzElem, pqxz_key_apply,
                                 pqxz_key_bracket, pqxz_to_deriv)
@@ -81,9 +81,14 @@ def _doubled_tri_key_terms(action, x, y, key):
 
 
 def _doubled_on_l0(k1, k2, k3):
-    # a function of the sorted triple, so still totally antisymmetric
+    # doubles whole hits by their image, so still totally antisymmetric
     hit = bracket_keys(k1, k2, k3)
     return (hit[0] * 2, hit[1]) if hit and hit[1] == L(0) else hit
+
+
+def _unsigned_wedge(x, y, c):
+    # a swapped pair keeps c instead of taking -c
+    return [(pair, c) for pair, _ in wedge(x, y, 1)]
 
 
 def _doubled_tri_terms_at_1(action, x, y, key):
@@ -137,6 +142,8 @@ _INDUCED_MU1 = ("check", "induced-psi", "--mu", "1")
                  _INDUCED_MU1, id="_tri_key_terms-induced-psi"),
     pytest.param(algebra, "bracket_keys", _doubled_on_l0, ("check", "fi"),
                  id="bracket_keys-fi"),
+    pytest.param(repmod, "wedge", _unsigned_wedge,
+                 ("check", "module-t", "--mu", "1"), id="wedge-module-t"),
     pytest.param(repmod, "_tri_terms", _doubled_tri_terms_at_1,
                  ("check", "module-t", "--mu", "1"),
                  id="_tri_terms-module-t"),

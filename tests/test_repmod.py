@@ -377,8 +377,8 @@ def _patch_kernel(monkeypatch, kernel):
 
 
 @pytest.mark.parametrize("name", ["T", "pullback-psi"])
-def test_axiom_sweeps_take_the_skew_route_under_a_skew_mutant(monkeypatch,
-                                                              name):
+def test_axiom_sweeps_match_the_reference_under_a_symmetric_factor(
+        monkeypatch, name):
     import nambu3.repmod as repmod
 
     _patch_kernel(monkeypatch, _symmetric_factor(repmod._tri_terms))
@@ -403,7 +403,8 @@ _SHIPPED_ACTIONS = {
 
 
 @pytest.mark.parametrize("name", sorted(_SHIPPED_ACTIONS))
-def test_every_shipped_action_takes_the_skew_route(monkeypatch, name):
+def test_every_shipped_action_reads_its_kernel_at_sorted_pairs(
+        monkeypatch, name):
     # rho is read on A∧A: neither the sweeps nor tri_apply ever ask the
     # kernel for a pair x >= y, so the sweeps keep rows for sorted pairs
     import nambu3.repmod as repmod
@@ -430,8 +431,8 @@ def test_every_shipped_action_takes_the_skew_route(monkeypatch, name):
 
 @pytest.mark.parametrize("axiom, table", [(1, "_AXIOM1_ORDERINGS"),
                                           (2, "_AXIOM2_ORDERINGS")])
-def test_each_signed_ordering_of_the_skew_route_is_needed(monkeypatch, axiom,
-                                                          table):
+def test_each_signed_ordering_of_the_axiom_sweeps_is_needed(
+        monkeypatch, axiom, table):
     import nambu3.repmod as repmod
 
     _patch_kernel(monkeypatch, _symmetric_factor(repmod._tri_terms))
@@ -535,7 +536,7 @@ def test_axiom1_makes_each_window_bracket_once(monkeypatch):
     monkeypatch.setattr(repmod, "bracket_keys", counted)
     assert check_tri_axiom1(weight_action()).passed
     # ad(x1, x2) on each of the 10 window keys, for the 45 pairs x1 < x2
-    # of the skew route; a bracket per case would make 20,000 calls
+    # of the scan; a bracket per case would make 20,000 calls
     assert len(calls) == len(set(calls)) == 450
 
 
